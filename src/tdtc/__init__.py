@@ -14,23 +14,12 @@ from .closed_forms import (
     FamilyInstance,
     FormulaValue,
     alpha_mix,
-    alpha_mix_cycle,
-    alpha_mix_path,
     certificate_source,
     chi_tt,
-    chi_tt_cycle,
-    chi_tt_path,
     gamma_tm,
-    gamma_tm_cycle,
-    gamma_tm_path,
     max_mixed_independent_set,
     min_tmds,
-    min_tmds_cycle,
-    min_tmds_path,
     tdtc_certificate,
-    tdtc_certificate_cycle,
-    tdtc_certificate_path,
-    verify_formula_consistency,
 )
 from .graphs import (
     DomainError,
@@ -68,7 +57,6 @@ from .solvers import (
     total_domination_number,
     total_dominator_chromatic_number,
     total_mixed_domination_number,
-    total_mixed_domination_number_direct,
 )
 from .verify import (
     MIXED_UNIVERSE,

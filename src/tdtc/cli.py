@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
 from . import solvers, verify
@@ -40,32 +41,47 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 
-INVARIANTS = ("alpha", "chi", "gamma_t", "chi_t_d", "alpha_mix", "gamma_tm", "chi_total", "chi_tt_d")
-FORMULA_INVARIANTS = ("alpha_mix", "gamma_tm", "chi_tt_d")
+
+class Invariant(NamedTuple):
+    """How the subcommands compute and check one invariant.
+
+    The closed-form fields are set only for the invariants with cycle/path
+    formulas: ``formula`` and ``construct`` take (family, n), ``export`` is
+    the ``export --what`` name of the construction, and ``exact_up_to`` maps
+    each family to the default ``sweep --exact-up-to``.
+    """
+
+    solve: Callable
+    universe: str
+    kind: str  # the `verify --kind` that checks its certificates
+    formula: Callable | None = None
+    construct: Callable | None = None
+    export: str | None = None
+    exact_up_to: dict | None = None
+    provenance: Callable = lambda family, n: "closed-form"
+
+
+_V, _M = verify.VERTEX_UNIVERSE, verify.MIXED_UNIVERSE
+INVARIANTS = {
+    "alpha": Invariant(solvers.independence_number, _V, "independent"),
+    "chi": Invariant(solvers.chromatic_number, _V, "proper"),
+    "gamma_t": Invariant(solvers.total_domination_number, _V, "tds"),
+    "chi_t_d": Invariant(solvers.total_dominator_chromatic_number, _V, "tdc"),
+    "alpha_mix": Invariant(solvers.mixed_independence_number, _M, "mixed-independent",
+                           formula=cf.alpha_mix, construct=cf.max_mixed_independent_set, export="mis",
+                           exact_up_to={cf.CYCLE: 25, cf.PATH: 25}),
+    "gamma_tm": Invariant(solvers.total_mixed_domination_number, _M, "tmds",
+                          formula=cf.gamma_tm, construct=cf.min_tmds, export="tmds",
+                          exact_up_to={cf.CYCLE: 14, cf.PATH: 14}),
+    "chi_total": Invariant(solvers.total_chromatic_number, _M, "proper"),
+    "chi_tt_d": Invariant(solvers.tdtc_number, _M, "tdtc",
+                          formula=cf.chi_tt, construct=cf.tdtc_certificate, export="tdtc",
+                          exact_up_to={cf.CYCLE: 9, cf.PATH: 8}, provenance=cf.certificate_source),
+}
+FORMULA_INVARIANTS = tuple(key for key, inv in INVARIANTS.items() if inv.formula)
+_EXPORTS = {inv.export: inv for inv in INVARIANTS.values() if inv.export}
 VERIFY_KINDS = ("proper", "tds", "tdc", "tdtc", "tmds", "independent", "mixed-independent")
-
-_SOLVERS = {
-    "alpha": solvers.independence_number,
-    "chi": solvers.chromatic_number,
-    "gamma_t": solvers.total_domination_number,
-    "chi_t_d": solvers.total_dominator_chromatic_number,
-    "alpha_mix": solvers.mixed_independence_number,
-    "gamma_tm": solvers.total_mixed_domination_number,
-    "chi_total": solvers.total_chromatic_number,
-    "chi_tt_d": solvers.tdtc_number,
-}
-
-# (universe, verify kind) of each invariant's certificate
-_CERT_STYLE = {
-    "alpha": (verify.VERTEX_UNIVERSE, "independent"),
-    "chi": (verify.VERTEX_UNIVERSE, "proper"),
-    "gamma_t": (verify.VERTEX_UNIVERSE, "tds"),
-    "chi_t_d": (verify.VERTEX_UNIVERSE, "tdc"),
-    "alpha_mix": (verify.MIXED_UNIVERSE, "mixed-independent"),
-    "gamma_tm": (verify.MIXED_UNIVERSE, "tmds"),
-    "chi_total": (verify.MIXED_UNIVERSE, "proper"),
-    "chi_tt_d": (verify.MIXED_UNIVERSE, "tdtc"),
-}
+_COLORING_KINDS = ("proper", "tdc", "tdtc")
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -122,30 +138,11 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_result(family: str, n: int, invariant: str):
-    """Formula value plus verified construction; returns (FormulaValue, certificate)."""
-    g = cf.FamilyInstance(family, n).graph()
-    if invariant == "alpha_mix":
-        fv = cf.alpha_mix(family, n)
-        cert = cf.max_mixed_independent_set(family, n)
-        ok, _ = verify.is_mixed_independent_set(g, cert)
-        ok = ok and len(cert) == fv.value
-    elif invariant == "gamma_tm":
-        fv = cf.gamma_tm(family, n)
-        cert = cf.min_tmds(family, n)
-        ok, _ = verify.is_total_mixed_dominating_set(g, cert)
-        ok = ok and len(cert) == fv.value
-    else:
-        fv = cf.chi_tt(family, n)
-        cert = cf.tdtc_certificate(family, n)
-        ok = verify.is_tdtc(g, cert).valid and cert.num_classes == fv.value
-    if not ok:
-        raise AssertionError(f"closed-form certificate failed verification for {family}({n})")
-    return fv, cert
+def _size(certificate) -> int:
+    return certificate.num_classes if isinstance(certificate, verify.Coloring) else len(certificate)
 
 
-def _certificate_json(invariant: str, certificate, provenance: str | None = None) -> dict:
-    universe, _ = _CERT_STYLE[invariant]
+def _certificate_json(universe: str, certificate, provenance: str | None = None) -> dict:
     if isinstance(certificate, verify.Coloring):
         return verify.coloring_to_json(certificate, universe, provenance)
     return verify.object_set_to_json(certificate, universe, provenance)
@@ -157,45 +154,78 @@ def _cert_summary(certificate) -> str:
     return f"object set with {len(certificate)} elements"
 
 
+def _check(kind: str, universe: str, g: Graph, cert) -> tuple[bool, str]:
+    """Check a certificate as ``verify --kind`` does; returns (ok, what is wrong)."""
+    if kind in ("tdc", "tdtc"):
+        report = verify.is_tdc(g, cert) if kind == "tdc" else verify.is_tdtc(g, cert)
+        if not report.proper:
+            a, b, k = report.properness_violations[0]
+            return False, f"improper: {a} and {b} share class {k}"
+        if report.undominated:
+            return False, f"object {report.undominated[0]} dominates no color class"
+        return True, ""
+    if kind == "proper":
+        mixed = universe == verify.MIXED_UNIVERSE
+        ok, bad = (verify.is_proper_total_coloring if mixed else verify.is_proper_coloring)(g, cert)
+        label = "monochromatic adjacent pair"
+    elif kind == "tds":
+        ok, bad = verify.is_total_dominating_set(g, cert)
+        label, bad = "uncovered vertices", list(bad)
+    elif kind == "tmds":
+        ok, bad = verify.is_total_mixed_dominating_set(g, cert)
+        label, bad = "uncovered objects", [str(o) for o in bad]
+    elif kind == "independent":
+        ok, bad = verify.is_independent_set(g, cert)
+        label = "adjacent pair in set"
+    else:
+        ok, bad = verify.is_mixed_independent_set(g, cert)
+        label = "adjacent or incident pair in set"
+    return ok, "" if ok else f"{label}: {bad}"
+
+
 def cmd_compute(args) -> int:
     g, name, family_info = _graph_source(args)
-    invariant = args.invariant
-    use_formula = (
-        family_info is not None and invariant in FORMULA_INVARIANTS and not args.exact
-    )
-    if use_formula:
+    key = args.invariant
+    inv = INVARIANTS[key]
+    if family_info is not None and inv.formula is not None and not args.exact:
         family, n = family_info
-        fv, cert = _closed_form_result(family, n, invariant)
+        fv = inv.formula(family, n)
+        cert = inv.construct(family, n)
+        ok, detail = _check(inv.kind, inv.universe, g, cert)
+        if ok and _size(cert) != fv.value:
+            ok, detail = False, f"certificate size {_size(cert)}, formula value {fv.value}"
+        if not ok:
+            print(f"closed-form certificate failed verification for {name}: {detail}", file=sys.stderr)
+            return EXIT_FAIL
         payload = {
-            "invariant": invariant,
+            "invariant": key,
             "graph": name,
             "value": fv.value,
             "route": "closed-form",
             "case": fv.case_tag,
             "proven_optimal": True,
-            "certificate": _certificate_json(invariant, cert, cf.certificate_source(family, n)
-                                             if invariant == "chi_tt_d" else "closed-form"),
+            "certificate": _certificate_json(inv.universe, cert, inv.provenance(family, n)),
         }
         exhausted = False
     else:
-        result = _SOLVERS[invariant](g, _budget(args))
+        result = inv.solve(g, _budget(args))
         cert = result.certificate
         payload = {
-            "invariant": invariant,
+            "invariant": key,
             "graph": name,
             "value": result.value,
             "route": "solver",
             "proven_optimal": result.proven_optimal,
             "nodes_explored": result.nodes_explored,
             "elapsed": round(result.elapsed, 6),
-            "certificate": _certificate_json(invariant, cert),
+            "certificate": _certificate_json(inv.universe, cert),
         }
         exhausted = not result.proven_optimal
 
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(f"{invariant}({name}) = {payload['value']}")
+        print(f"{key}({name}) = {payload['value']}")
         print(f"  route: {payload['route']}" + (f" [{payload['case']}]" if "case" in payload else ""))
         print(f"  certificate: {_cert_summary(cert)}")
         if payload["route"] == "solver":
@@ -211,61 +241,30 @@ def cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# the universes of the invariants whose certificates each kind checks
+_KIND_UNIVERSES = {
+    kind: {inv.universe for inv in INVARIANTS.values() if inv.kind == kind} for kind in VERIFY_KINDS
+}
+
 
 def cmd_verify(args) -> int:
     g, name, _ = _graph_source(args)
     kind = args.kind
     cert_kind, universe, payload = verify.load_certificate(_read_file(args.certificate))
 
-    coloring_kinds = {"proper", "tdc", "tdtc"}
-    needs_mixed = {"tdtc", "tmds", "mixed-independent"}
-    needs_vertex = {"tdc", "tds", "independent"}
-    if kind in coloring_kinds and cert_kind != "coloring":
+    if kind in _COLORING_KINDS and cert_kind != "coloring":
         raise GraphParseError(f"kind {kind!r} needs a coloring certificate, got an object set")
-    if kind not in coloring_kinds and cert_kind != "set":
+    if kind not in _COLORING_KINDS and cert_kind != "set":
         raise GraphParseError(f"kind {kind!r} needs an object-set certificate, got a coloring")
-    if kind in needs_mixed and universe != verify.MIXED_UNIVERSE:
-        raise GraphParseError(f"kind {kind!r} needs universe 'mixed'")
-    if kind in needs_vertex and universe != verify.VERTEX_UNIVERSE:
-        raise GraphParseError(f"kind {kind!r} needs universe 'vertices'")
+    if universe not in _KIND_UNIVERSES[kind]:
+        (needed,) = _KIND_UNIVERSES[kind]
+        raise GraphParseError(f"kind {kind!r} needs universe {needed!r}")
 
     try:
-        return _run_verification(g, name, kind, universe, payload)
+        ok, detail = _check(kind, universe, g, payload)
     except DomainError as exc:
         # a certificate that does not fit the graph is malformed for this use
         raise GraphParseError(str(exc)) from exc
-
-
-def _run_verification(g, name, kind, universe, payload) -> int:
-    if kind == "proper":
-        if universe == verify.VERTEX_UNIVERSE:
-            ok, violation = verify.is_proper_coloring(g, payload)
-        else:
-            ok, violation = verify.is_proper_total_coloring(g, payload)
-        detail = f"monochromatic adjacent pair: {violation}" if violation else ""
-    elif kind == "tds":
-        ok, uncovered = verify.is_total_dominating_set(g, payload)
-        detail = f"uncovered vertices: {list(uncovered)}" if uncovered else ""
-    elif kind == "tmds":
-        ok, uncovered = verify.is_total_mixed_dominating_set(g, payload)
-        detail = f"uncovered objects: {[str(o) for o in uncovered]}" if uncovered else ""
-    elif kind == "independent":
-        ok, pair = verify.is_independent_set(g, payload)
-        detail = f"adjacent pair in set: {pair}" if pair else ""
-    elif kind == "mixed-independent":
-        ok, pair = verify.is_mixed_independent_set(g, payload)
-        detail = f"adjacent or incident pair in set: {pair}" if pair else ""
-    else:
-        report = verify.is_tdc(g, payload) if kind == "tdc" else verify.is_tdtc(g, payload)
-        ok = report.valid
-        if not report.proper:
-            a, b, k = report.properness_violations[0]
-            detail = f"improper: {a} and {b} share class {k}"
-        elif report.undominated:
-            detail = f"object {report.undominated[0]} dominates no color class"
-        else:
-            detail = ""
-
     if ok:
         print(f"valid {kind} certificate for {name}")
         return EXIT_OK
@@ -277,47 +276,27 @@ def _run_verification(g, name, kind, universe, payload) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_DEFAULT_EXACT = {
-    ("chi_tt_d", cf.CYCLE): 9,
-    ("chi_tt_d", cf.PATH): 8,
-    ("gamma_tm", cf.CYCLE): 14,
-    ("gamma_tm", cf.PATH): 14,
-    ("alpha_mix", cf.CYCLE): 25,
-    ("alpha_mix", cf.PATH): 25,
-}
-
 _SWEEP_COLUMNS = ("family", "n", "formula_value", "solver_value", "certificate_classes", "agree", "note")
 
 
-def _sweep_row(family: str, n: int, invariant: str, exact_up_to: int, certify: bool, budget) -> dict:
+def _sweep_row(family: str, n: int, inv: Invariant, exact_up_to: int, certify: bool, budget) -> dict:
     start = time.perf_counter()
     g = cf.FamilyInstance(family, n).graph()
-    if invariant == "chi_tt_d":
-        formula = cf.chi_tt(family, n).value
-        cert = cf.tdtc_certificate(family, n)
-        cert_size = cert.num_classes
-        cert_ok = verify.is_tdtc(g, cert).valid if certify else True
-    elif invariant == "gamma_tm":
-        formula = cf.gamma_tm(family, n).value
-        cert = cf.min_tmds(family, n)
-        cert_size = len(cert)
-        cert_ok = verify.is_total_mixed_dominating_set(g, cert)[0] if certify else True
-    else:
-        formula = cf.alpha_mix(family, n).value
-        cert = cf.max_mixed_independent_set(family, n)
-        cert_size = len(cert)
-        cert_ok = verify.is_mixed_independent_set(g, cert)[0] if certify else True
+    formula = inv.formula(family, n).value
+    cert = inv.construct(family, n)
+    size = _size(cert)
+    cert_ok = _check(inv.kind, inv.universe, g, cert)[0] if certify else True
 
     solver_value: int | None = None
     note = ""
     if n <= exact_up_to:
-        result = _SOLVERS[invariant](g, budget)
+        result = inv.solve(g, budget)
         if result.proven_optimal:
             solver_value = result.value
         else:
             note = "budget-exhausted"
 
-    agree = cert_size == formula and cert_ok
+    agree = size == formula and cert_ok
     if solver_value is not None:
         agree = agree and solver_value == formula
     return {
@@ -325,7 +304,7 @@ def _sweep_row(family: str, n: int, invariant: str, exact_up_to: int, certify: b
         "n": n,
         "formula_value": formula,
         "solver_value": solver_value,
-        "certificate_classes": cert_size,
+        "certificate_classes": size,
         "agree": agree,
         "note": note,
         "elapsed": time.perf_counter() - start,
@@ -358,12 +337,13 @@ def _format_sweep_text(rows: list[dict]) -> str:
 def cmd_sweep(args) -> int:
     if args.from_n > args.to_n:
         raise DomainError(f"empty range {args.from_n}..{args.to_n}")
+    inv = INVARIANTS[args.invariant]
     exact_up_to = args.exact_up_to
     if exact_up_to is None:
-        exact_up_to = _SWEEP_DEFAULT_EXACT[(args.invariant, args.family)]
+        exact_up_to = inv.exact_up_to[args.family]
     budget = _budget(args)
     rows = [
-        _sweep_row(args.family, n, args.invariant, exact_up_to, args.certify, budget)
+        _sweep_row(args.family, n, inv, exact_up_to, args.certify, budget)
         for n in range(args.from_n, args.to_n + 1)
     ]
     text = _format_sweep_csv(rows) if args.format == "csv" else _format_sweep_text(rows)
@@ -416,29 +396,20 @@ def cmd_export(args) -> int:
     what = args.what
     fmt = args.format
     if fmt is None:
-        fmt = "json" if what in ("labels", "tmds", "mis", "tdtc") else "edges"
+        fmt = "json" if what == "labels" or what in _EXPORTS else "edges"
 
-    if what in ("tmds", "mis", "tdtc"):
-        g, name, family_info = _graph_source(args)
+    g, name, family_info = _graph_source(args)
+    if what in _EXPORTS:
+        inv = _EXPORTS[what]
         if family_info is None:
             raise DomainError(f"--what {what} needs a --family/--n instance")
         family, n = family_info
         if fmt != "json":
             raise DomainError(f"--what {what} only supports --format json")
-        if what == "tmds":
-            data = verify.object_set_to_json(cf.min_tmds(family, n), verify.MIXED_UNIVERSE, "closed-form")
-        elif what == "mis":
-            data = verify.object_set_to_json(
-                cf.max_mixed_independent_set(family, n), verify.MIXED_UNIVERSE, "closed-form"
-            )
-        else:
-            data = verify.coloring_to_json(
-                cf.tdtc_certificate(family, n), verify.MIXED_UNIVERSE, cf.certificate_source(family, n)
-            )
+        data = _certificate_json(inv.universe, inv.construct(family, n), inv.provenance(family, n))
         _emit(json.dumps(data, indent=2) + "\n", args.out)
         return EXIT_OK
 
-    g, name, _ = _graph_source(args)
     if what == "graph":
         if fmt == "dot":
             _emit(to_dot(g), args.out)
@@ -522,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export graphs, label maps, or certificates")
     _add_graph_source(p)
-    p.add_argument("--what", choices=("graph", "total-graph", "line-graph", "labels", "tmds", "mis", "tdtc"),
-                   required=True)
+    p.add_argument("--what", choices=("graph", "total-graph", "line-graph", "labels", *_EXPORTS), required=True)
     p.add_argument("--format", choices=("edges", "dot", "json"), default=None)
     p.add_argument("--out", help="write to this file")
     p.set_defaults(func=cmd_export)

@@ -3,17 +3,17 @@
 Three invariants have exact formulas on these families: the total mixed
 domination number (period-7 case split), the mixed independence number
 (period 3), and the total dominator total chromatic number.  Each formula
-function computes each of its formula's two equivalent forms and asserts they
-agree before returning.
+and construction takes the family and the order n, and raises DomainError
+through ``FamilyInstance`` for an order outside the family's domain.
 
 The construction side produces matching certificates for every n:
 
-* ``min_tmds_*``   - a total mixed dominating set of the formula's size,
+* ``min_tmds`` - a total mixed dominating set of the formula's size,
   built from the periodic block {v_{7i+2}, v_{7i+3}, e_{(7i+5)(7i+6)},
   e_{(7i+6)(7i+7)}} plus a congruence-dependent tail at the high end.
 * ``max_mixed_independent_set`` - a mixed independent set of the formula's
   size, taking every third vertex and every third edge.
-* ``tdtc_certificate_*`` - an optimal total dominator total coloring.
+* ``tdtc_certificate`` - an optimal total dominator total coloring.
   Small cases come from literal stored tables (the hand-built optima) or,
   for cycles on 5..8 vertices, from the rotation scheme that pairs v_i
   with e_{(i+1)(i+2)}; all remaining n use the generic construction that
@@ -82,153 +82,59 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Total mixed domination number
+# Formulas
 # ---------------------------------------------------------------------------
-# Both forms of each formula are computed on every call and must agree; the
-# congruence-block form is the source of the case tag.
+
+# gamma_tm = 4 * ceil(n / 7) - deficit, by the residue class of n mod 7
+_GAMMA_TM_CASES = {
+    CYCLE: (((1,), 3), ((2, 3), 2), ((4,), 1), ((0, 5, 6), 0)),
+    PATH: (((1,), 3), ((2, 3, 4), 2), ((5,), 1), ((0, 6), 0)),
+}
 
 
-def _gamma_tm_cycle_casewise(n: int) -> int:
-    q, r = _ceil_div(n, 7), n % 7
-    if r == 1:
-        return 4 * q - 3
-    if r in (2, 3):
-        return 4 * q - 2
-    if r == 4:
-        return 4 * q - 1
-    return 4 * q
-
-
-def _gamma_tm_cycle_closed(n: int) -> int:
-    return _ceil_div(4 * n, 7) + (1 if n % 7 == 5 else 0)
-
-
-def _gamma_tm_path_casewise(n: int) -> int:
-    q, r = _ceil_div(n, 7), n % 7
-    if r == 1:
-        return 4 * q - 3
-    if r in (2, 3, 4):
-        return 4 * q - 2
-    if r == 5:
-        return 4 * q - 1
-    return 4 * q
-
-
-def _gamma_tm_path_closed(n: int) -> int:
-    if n % 7 == 4:
-        return (4 * n) // 7
-    return _ceil_div(4 * n, 7)
-
-
-def gamma_tm_cycle(n: int) -> FormulaValue:
-    """Total mixed domination number of the n-cycle."""
-    if n < 3:
-        raise DomainError(f"cycle requires n >= 3, got {n}")
-    a, b = _gamma_tm_cycle_casewise(n), _gamma_tm_cycle_closed(n)
-    assert a == b, f"formula forms disagree at cycle n={n}: {a} vs {b}"
+def _gamma_tm_case(family: str, n: int) -> tuple[int, tuple[int, ...]]:
+    """gamma_tm's value and the residues mod 7 of its case; no domain check."""
     r = n % 7
-    tag = {1: "n % 7 == 1", 2: "n % 7 in (2, 3)", 3: "n % 7 in (2, 3)",
-           4: "n % 7 == 4"}.get(r, "n % 7 in (0, 5, 6)")
-    return FormulaValue(a, tag)
+    for residues, deficit in _GAMMA_TM_CASES[family]:
+        if r in residues:
+            break
+    return 4 * _ceil_div(n, 7) - deficit, residues
 
 
-def gamma_tm_path(n: int) -> FormulaValue:
-    """Total mixed domination number of the n-path."""
-    if n < 2:
-        raise DomainError(f"path requires n >= 2, got {n}")
-    a, b = _gamma_tm_path_casewise(n), _gamma_tm_path_closed(n)
-    assert a == b, f"formula forms disagree at path n={n}: {a} vs {b}"
-    r = n % 7
-    tag = {1: "n % 7 == 1", 2: "n % 7 in (2, 3, 4)", 3: "n % 7 in (2, 3, 4)",
-           4: "n % 7 in (2, 3, 4)", 5: "n % 7 == 5"}.get(r, "n % 7 in (0, 6)")
-    return FormulaValue(a, tag)
+def gamma_tm(family: str, n: int) -> FormulaValue:
+    """Total mixed domination number of the cycle or path of order n."""
+    inst = FamilyInstance(family, n)
+    value, residues = _gamma_tm_case(inst.family, n)
+    tag = f"n % 7 == {residues[0]}" if len(residues) == 1 else f"n % 7 in {residues}"
+    return FormulaValue(value, tag)
 
 
-def verify_formula_consistency(max_n: int) -> int:
-    """Check that the two forms of each domination formula agree for all n up
-    to ``max_n``; returns the number of comparisons made."""
-    count = 0
-    for n in range(3, max_n + 1):
-        if _gamma_tm_cycle_casewise(n) != _gamma_tm_cycle_closed(n):
-            raise AssertionError(f"cycle forms disagree at n={n}")
-        count += 1
-    for n in range(2, max_n + 1):
-        if _gamma_tm_path_casewise(n) != _gamma_tm_path_closed(n):
-            raise AssertionError(f"path forms disagree at n={n}")
-        count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
-# Mixed independence number
-# ---------------------------------------------------------------------------
-
-
-def alpha_mix_cycle(n: int) -> FormulaValue:
-    """Mixed independence number of the n-cycle: floor(2n/3)."""
-    if n < 3:
-        raise DomainError(f"cycle requires n >= 3, got {n}")
-    return FormulaValue((2 * n) // 3, "n >= 3")
-
-
-def alpha_mix_path(n: int) -> FormulaValue:
-    """Mixed independence number of the n-path: ceil((2n-1)/3)."""
-    if n < 2:
-        raise DomainError(f"path requires n >= 2, got {n}")
+def alpha_mix(family: str, n: int) -> FormulaValue:
+    """Mixed independence number: floor(2n/3) on cycles, ceil((2n-1)/3) on paths."""
+    if FamilyInstance(family, n).family == CYCLE:
+        return FormulaValue((2 * n) // 3, "n >= 3")
     return FormulaValue(_ceil_div(2 * n - 1, 3), "n >= 2")
 
 
-# ---------------------------------------------------------------------------
-# Total dominator total chromatic number
-# ---------------------------------------------------------------------------
-
-
-def chi_tt_cycle(n: int) -> FormulaValue:
-    """Total dominator total chromatic number of the n-cycle."""
-    if n < 3:
-        raise DomainError(f"cycle requires n >= 3, got {n}")
-    g = _gamma_tm_cycle_casewise(n)
-    if n in (3, 4, 5):
-        relative = g + 1
-    elif n in (6, 9, 12):
-        relative = g + 2
-    else:
-        relative = g + 3
-    if 3 <= n <= 8:
-        direct, tag = n, "3 <= n <= 8"
-    elif n == 9:
-        direct, tag = n - 1, "n == 9"
-    elif n % 7 == 5 and n != 12:
-        direct, tag = _ceil_div(4 * n, 7) + 4, "n >= 10, n % 7 == 5, n != 12"
-    else:
-        direct, tag = _ceil_div(4 * n, 7) + 3, "n >= 10, n % 7 != 5 or n == 12"
-    assert relative == direct, f"cycle chi_tt forms disagree at n={n}: {relative} vs {direct}"
-    return FormulaValue(direct, tag)
-
-
-def chi_tt_path(n: int) -> FormulaValue:
-    """Total dominator total chromatic number of the n-path."""
-    if n < 2:
-        raise DomainError(f"path requires n >= 2, got {n}")
-    g = _gamma_tm_path_casewise(n)
-    if n in (2, 3):
-        relative = g + 1
-    elif n in (4, 5, 6, 8, 9, 10, 13, 16):
-        relative = g + 2
-    else:
-        relative = g + 3
+def chi_tt(family: str, n: int) -> FormulaValue:
+    """Total dominator total chromatic number of the cycle or path of order n."""
+    if FamilyInstance(family, n).family == CYCLE:
+        if n <= 8:
+            return FormulaValue(n, "3 <= n <= 8")
+        if n == 9:
+            return FormulaValue(n - 1, "n == 9")
+        if n % 7 == 5 and n != 12:
+            return FormulaValue(_ceil_div(4 * n, 7) + 4, "n >= 10, n % 7 == 5, n != 12")
+        return FormulaValue(_ceil_div(4 * n, 7) + 3, "n >= 10, n % 7 != 5 or n == 12")
     if n == 2:
-        direct, tag = n + 1, "n == 2"
-    elif 3 <= n <= 7:
-        direct, tag = n, "3 <= n <= 7"
-    elif 8 <= n <= 9:
-        direct, tag = n - 1, "8 <= n <= 9"
-    elif n % 7 == 4 or n in (10, 13, 16):
-        direct, tag = (4 * n) // 7 + 3, "n >= 10, n % 7 == 4 or n in (10, 13, 16)"
-    else:
-        direct, tag = _ceil_div(4 * n, 7) + 3, "n >= 10, n % 7 != 4, n not in (10, 13, 16)"
-    assert relative == direct, f"path chi_tt forms disagree at n={n}: {relative} vs {direct}"
-    return FormulaValue(direct, tag)
+        return FormulaValue(n + 1, "n == 2")
+    if n <= 7:
+        return FormulaValue(n, "3 <= n <= 7")
+    if n <= 9:
+        return FormulaValue(n - 1, "8 <= n <= 9")
+    if n % 7 == 4 or n in (10, 13, 16):
+        return FormulaValue((4 * n) // 7 + 3, "n >= 10, n % 7 == 4 or n in (10, 13, 16)")
+    return FormulaValue(_ceil_div(4 * n, 7) + 3, "n >= 10, n % 7 != 4, n not in (10, 13, 16)")
 
 
 # ---------------------------------------------------------------------------
@@ -236,54 +142,28 @@ def chi_tt_path(n: int) -> FormulaValue:
 # ---------------------------------------------------------------------------
 
 
-def _tmds_blocks(n: int) -> list[ObjectId]:
+def _tmds(inst: FamilyInstance) -> list[ObjectId]:
+    n, r = inst.n, inst.n % 7
     out: list[ObjectId] = []
     for i in range(n // 7):
         b = 7 * i
         out += [Vertex(b + 2), Vertex(b + 3), Edge(b + 5, b + 6), Edge(b + 6, b + 7)]
+    if r == 1:
+        out += [Edge(n - 1, n)]
+    elif r in (2, 3):
+        out += [Vertex(n - 1), Vertex(n)]
+    elif r in (4, 5):
+        # v_{n+2-r} .. v_n on a cycle; a path stops at v_{n-1}
+        last = n if inst.family == CYCLE else n - 1
+        out += [Vertex(i) for i in range(n + 2 - r, last + 1)]
+    elif r == 6:
+        out += [Vertex(n - 4), Vertex(n - 3), Edge(n - 2, n - 1), Edge(n - 1, n)]
     return out
 
 
-def min_tmds_cycle(n: int) -> frozenset[ObjectId]:
-    """A minimum total mixed dominating set of the n-cycle."""
-    if n < 3:
-        raise DomainError(f"cycle requires n >= 3, got {n}")
-    out = _tmds_blocks(n)
-    r = n % 7
-    if r == 1:
-        out += [Edge(n - 1, n)]
-    elif r in (2, 3):
-        out += [Vertex(n - 1), Vertex(n)]
-    elif r == 4:
-        out += [Vertex(n - 2), Vertex(n - 1), Vertex(n)]
-    elif r == 5:
-        out += [Vertex(n - 3), Vertex(n - 2), Vertex(n - 1), Vertex(n)]
-    elif r == 6:
-        out += [Vertex(n - 4), Vertex(n - 3), Edge(n - 2, n - 1), Edge(n - 1, n)]
-    return frozenset(out)
-
-
-def min_tmds_path(n: int) -> frozenset[ObjectId]:
-    """A minimum total mixed dominating set of the n-path."""
-    if n < 2:
-        raise DomainError(f"path requires n >= 2, got {n}")
-    if n == 2:
-        return frozenset({Vertex(1), Vertex(2)})
-    if n == 3:
-        return frozenset({Vertex(2), Vertex(3)})
-    out = _tmds_blocks(n)
-    r = n % 7
-    if r == 1:
-        out += [Edge(n - 1, n)]
-    elif r in (2, 3):
-        out += [Vertex(n - 1), Vertex(n)]
-    elif r == 4:
-        out += [Vertex(n - 2), Vertex(n - 1)]
-    elif r == 5:
-        out += [Vertex(n - 3), Vertex(n - 2), Vertex(n - 1)]
-    elif r == 6:
-        out += [Vertex(n - 4), Vertex(n - 3), Edge(n - 2, n - 1), Edge(n - 1, n)]
-    return frozenset(out)
+def min_tmds(family: str, n: int) -> frozenset[ObjectId]:
+    """A minimum total mixed dominating set of the cycle or path of order n."""
+    return frozenset(_tmds(FamilyInstance(family, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,66 +302,25 @@ def _cycle_scheme(n: int) -> Coloring:
     return Coloring(tuple(classes))
 
 
-def _constructed_certificate(g: Graph, tmds: frozenset[ObjectId]) -> Coloring:
-    tg = total_graph(g)
-    vertex_ids = tg.to_vertex_ids(tmds)
-    colored = tdc_from_tds(tg.graph, vertex_ids, use_exact=True)
-    return coloring_from_total(tg, colored)
-
-
-def tdtc_certificate_cycle(n: int) -> Coloring:
-    """An optimal total dominator total coloring of the n-cycle."""
-    if n < 3:
-        raise DomainError(f"cycle requires n >= 3, got {n}")
-    if n in _STORED_CYCLE:
-        return _table_coloring(_STORED_CYCLE[n])
-    if 5 <= n <= 8:
-        return _cycle_scheme(n)
-    return _constructed_certificate(cycle(n), min_tmds_cycle(n))
-
-
-def tdtc_certificate_path(n: int) -> Coloring:
-    """An optimal total dominator total coloring of the n-path."""
-    if n < 2:
-        raise DomainError(f"path requires n >= 2, got {n}")
-    if n in _STORED_PATH:
-        return _table_coloring(_STORED_PATH[n])
-    return _constructed_certificate(path(n), min_tmds_path(n))
-
-
-def certificate_source(family: str, n: int) -> str:
-    """How tdtc_certificate_* obtains its coloring for this instance."""
-    inst = FamilyInstance(family, n)
-    if inst.family == CYCLE:
-        return STORED_TABLE if (n in _STORED_CYCLE or 5 <= n <= 8) else CONSTRUCTED
-    return STORED_TABLE if n in _STORED_PATH else CONSTRUCTED
-
-
-# ---------------------------------------------------------------------------
-# Family dispatch helpers
-# ---------------------------------------------------------------------------
-
-
-def gamma_tm(family: str, n: int) -> FormulaValue:
-    inst = FamilyInstance(family, n)
-    return gamma_tm_cycle(inst.n) if inst.family == CYCLE else gamma_tm_path(inst.n)
-
-
-def alpha_mix(family: str, n: int) -> FormulaValue:
-    inst = FamilyInstance(family, n)
-    return alpha_mix_cycle(inst.n) if inst.family == CYCLE else alpha_mix_path(inst.n)
-
-
-def chi_tt(family: str, n: int) -> FormulaValue:
-    inst = FamilyInstance(family, n)
-    return chi_tt_cycle(inst.n) if inst.family == CYCLE else chi_tt_path(inst.n)
-
-
-def min_tmds(family: str, n: int) -> frozenset[ObjectId]:
-    inst = FamilyInstance(family, n)
-    return min_tmds_cycle(inst.n) if inst.family == CYCLE else min_tmds_path(inst.n)
+def _stored(inst: FamilyInstance) -> list[list[str]] | None:
+    return (_STORED_CYCLE if inst.family == CYCLE else _STORED_PATH).get(inst.n)
 
 
 def tdtc_certificate(family: str, n: int) -> Coloring:
+    """An optimal total dominator total coloring of the cycle or path of order n."""
     inst = FamilyInstance(family, n)
-    return tdtc_certificate_cycle(inst.n) if inst.family == CYCLE else tdtc_certificate_path(inst.n)
+    table = _stored(inst)
+    if table is not None:
+        return _table_coloring(table)
+    if inst.family == CYCLE and 5 <= n <= 8:
+        return _cycle_scheme(n)
+    tg = total_graph(inst.graph())
+    return coloring_from_total(tg, tdc_from_tds(tg.graph, tg.to_vertex_ids(_tmds(inst))))
+
+
+def certificate_source(family: str, n: int) -> str:
+    """How tdtc_certificate obtains its coloring for this instance."""
+    inst = FamilyInstance(family, n)
+    if _stored(inst) is not None or (inst.family == CYCLE and 5 <= n <= 8):
+        return STORED_TABLE
+    return CONSTRUCTED

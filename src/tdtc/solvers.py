@@ -29,11 +29,7 @@ Search strategies
   (a witnessed class fits inside an open neighborhood, hence has at most
   max-degree members and is independent).
 
-The mixed invariants reduce to the total graph; the one deliberate
-exception is total_mixed_domination_number_direct, which searches over
-the mixed objects with the adjacent-or-incident relation built straight
-from the base graph and exists as an independent oracle for the
-reduction.
+The mixed invariants reduce to the total graph.
 """
 
 from __future__ import annotations
@@ -41,16 +37,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graphs import (
-    DomainError,
-    Graph,
-    ObjectId,
-    induced_subgraph,
-    mixed_neighbors,
-    mixed_objects,
-    total_graph,
-)
-from .verify import Coloring
+from .graphs import DomainError, Graph, induced_subgraph, total_graph
+from .verify import Coloring, coloring_from_total
 
 
 @dataclass(frozen=True)
@@ -589,107 +577,38 @@ def total_dominator_chromatic_number(
 # ---------------------------------------------------------------------------
 
 
+def _on_total_graph(g: Graph, solve, budget: SearchBudget | None, **kw) -> InvariantResult:
+    """Run ``solve`` on the total graph of g and map its certificate back to
+    the base graph's objects."""
+    start = time.perf_counter()
+    tg = total_graph(g)
+    inner = solve(tg.graph, budget, **kw)
+    cert = inner.certificate
+    cert = coloring_from_total(tg, cert) if isinstance(cert, Coloring) else tg.to_objects(cert)
+    return InvariantResult(inner.value, cert, inner.nodes_explored,
+                           time.perf_counter() - start, inner.proven_optimal)
+
+
 def mixed_independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Mixed independence number: maximum independent set of the total graph,
     reported over the base graph's objects."""
-    start = time.perf_counter()
-    tg = total_graph(g)
-    inner = independence_number(tg.graph, budget)
-    cert = tg.to_objects(inner.certificate)
-    return InvariantResult(inner.value, cert, inner.nodes_explored,
-                           time.perf_counter() - start, inner.proven_optimal)
+    return _on_total_graph(g, independence_number, budget)
 
 
 def total_mixed_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total mixed domination number via the reduction to the total graph."""
     _require_min_degree_one(g, "total mixed domination")
-    start = time.perf_counter()
-    tg = total_graph(g)
-    inner = total_domination_number(tg.graph, budget)
-    cert = tg.to_objects(inner.certificate)
-    return InvariantResult(inner.value, cert, inner.nodes_explored,
-                           time.perf_counter() - start, inner.proven_optimal)
+    return _on_total_graph(g, total_domination_number, budget)
 
 
 def total_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total chromatic number: chromatic number of the total graph, with a
     proper total coloring over the base graph's objects as certificate."""
-    start = time.perf_counter()
-    tg = total_graph(g)
-    inner = chromatic_number(tg.graph, budget)
-    classes = tuple(frozenset(tg.labels[v - 1] for v in cls) for cls in inner.certificate.classes)
-    return InvariantResult(inner.value, Coloring(classes), inner.nodes_explored,
-                           time.perf_counter() - start, inner.proven_optimal)
+    return _on_total_graph(g, chromatic_number, budget)
 
 
 def tdtc_number(g: Graph, budget: SearchBudget | None = None, prune: bool = True) -> InvariantResult:
     """Total dominator total chromatic number, via the total-graph reduction,
     with a mixed-object coloring as certificate."""
     _require_min_degree_one(g, "total dominator total coloring")
-    start = time.perf_counter()
-    tg = total_graph(g)
-    inner = total_dominator_chromatic_number(tg.graph, budget, prune=prune)
-    classes = tuple(frozenset(tg.labels[v - 1] for v in cls) for cls in inner.certificate.classes)
-    return InvariantResult(inner.value, Coloring(classes), inner.nodes_explored,
-                           time.perf_counter() - start, inner.proven_optimal)
-
-
-# ---------------------------------------------------------------------------
-# Direct search over mixed objects (independent oracle for the reduction)
-# ---------------------------------------------------------------------------
-
-
-def total_mixed_domination_number_direct(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
-    """Total mixed domination number by direct search over V union E.
-
-    Deliberately independent of the total-graph reduction: the universe and
-    the adjacent-or-incident relation come straight from the base graph,
-    and the search is a plain iterative-deepening cover search rather than
-    the incumbent-driven branch and bound used on total graphs.
-    """
-    _require_min_degree_one(g, "total mixed domination")
-    start = time.perf_counter()
-    search = _Search(budget)
-    objs = mixed_objects(g)
-    nbr_map = mixed_neighbors(g)
-    idx = {o: i for i, o in enumerate(objs)}
-    n = len(objs)
-    nbr = [0] * n
-    for o, nset in nbr_map.items():
-        mask = 0
-        for u in nset:
-            mask |= 1 << idx[u]
-        nbr[idx[o]] = mask
-    full = (1 << n) - 1
-
-    def dfs(cur: list[int], covered: int, excluded: int, limit: int) -> list[int] | None:
-        search.tick()
-        if covered == full:
-            return cur
-        if len(cur) == limit:
-            return None
-        v = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
-        options = nbr[v] & ~excluded
-        ex = excluded
-        for u in _bits(options):
-            hit = dfs(cur + [u], covered | nbr[u], ex, limit)
-            if hit is not None:
-                return hit
-            ex |= 1 << u
-        return None
-
-    proven = True
-    found: list[int] | None = None
-    try:
-        for limit in range(1, n + 1):
-            found = dfs([], 0, 0, limit)
-            if found is not None:
-                break
-    except _OutOfBudget:
-        proven = False
-    if found is None:
-        # budget ran out before any cover was proven minimal; fall back to all objects
-        found = list(range(n))
-        proven = False
-    cert = frozenset(objs[i] for i in found)
-    return InvariantResult(len(cert), cert, search.nodes, time.perf_counter() - start, proven)
+    return _on_total_graph(g, total_dominator_chromatic_number, budget, prune=prune)

@@ -86,7 +86,10 @@ def _sort_objects(items, mixed: bool):
     return sorted(items, key=object_key) if mixed else sorted(items)
 
 
-def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> DominationReport:
+def _properness_violations(universe, neighbors, coloring: Coloring, mixed: bool) -> list[tuple]:
+    """Every monochromatic adjacent pair (a, b, class) with a before b, in
+    sorted order; raises DomainError unless the coloring covers the universe
+    exactly."""
     universe_set = frozenset(universe)
     if coloring.members() != universe_set:
         missing = _sort_objects(universe_set - coloring.members(), mixed)
@@ -104,7 +107,12 @@ def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> 
             if (object_key(obj) if mixed else obj) < (object_key(nb) if mixed else nb):
                 if color_of[obj] == color_of[nb]:
                     violations.append((obj, nb, color_of[obj]))
+    return violations
 
+
+def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> DominationReport:
+    universe_set = frozenset(universe)
+    violations = _properness_violations(universe_set, neighbors, coloring, mixed)
     cn_sets = tuple(
         reduce(frozenset.intersection, (neighbors[m] for m in cls))
         for cls in coloring.classes
@@ -136,19 +144,13 @@ def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> 
 # ---------------------------------------------------------------------------
 
 
+def _first_violation(violations: list[tuple]) -> tuple[bool, tuple | None]:
+    return (False, violations[0][:2]) if violations else (True, None)
+
+
 def is_proper_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple[int, int] | None]:
     """True when no edge is monochromatic; also returns the first offending edge."""
-    universe = frozenset(g.vertices)
-    if coloring.members() != universe:
-        raise DomainError("coloring does not cover the vertex set")
-    color_of = {}
-    for k, cls in enumerate(coloring.classes):
-        for v in cls:
-            color_of[v] = k
-    for i, j in g.sorted_edges():
-        if color_of[i] == color_of[j]:
-            return False, (i, j)
-    return True, None
+    return _first_violation(_properness_violations(g.vertices, g.adj, coloring, mixed=False))
 
 
 def common_neighborhood(g: Graph, cls) -> frozenset[int]:
@@ -210,19 +212,7 @@ def is_tdtc(g: Graph, coloring: Coloring) -> DominationReport:
 
 def is_proper_total_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple | None]:
     """Properness over the mixed universe: adjacent-or-incident objects differ."""
-    universe = frozenset(mixed_objects(g))
-    if coloring.members() != universe:
-        raise DomainError("coloring does not cover the mixed universe")
-    neighbors = mixed_neighbors(g)
-    color_of = {}
-    for k, cls in enumerate(coloring.classes):
-        for obj in cls:
-            color_of[obj] = k
-    for obj in sorted(universe, key=object_key):
-        for nb in sorted(neighbors[obj], key=object_key):
-            if object_key(obj) < object_key(nb) and color_of[obj] == color_of[nb]:
-                return False, (obj, nb)
-    return True, None
+    return _first_violation(_properness_violations(mixed_objects(g), mixed_neighbors(g), coloring, mixed=True))
 
 
 def is_independent_set(g: Graph, s) -> tuple[bool, tuple | None]:
@@ -263,13 +253,12 @@ def is_total_mixed_dominating_set(g: Graph, objects) -> tuple[bool, tuple]:
 # ---------------------------------------------------------------------------
 
 
-def tdc_from_tds(g: Graph, s, use_exact: bool = True) -> Coloring:
+def tdc_from_tds(g: Graph, s) -> Coloring:
     """Build a valid total dominator coloring from a total dominating set.
 
-    Each member of s becomes a singleton class; the rest of the graph gets a
-    proper coloring, exact by default so the class count is exactly
-    ``len(s) + chi(g - s)``.  With ``use_exact=False`` a greedy coloring is
-    used instead and the class count is only an upper bound.
+    Each member of s becomes a singleton class; the rest of the graph gets an
+    optimal proper coloring, so the class count is exactly
+    ``len(s) + chi(g - s)``.
 
     Every vertex has a neighbor in s, and that neighbor is a singleton
     class, so domination of the result never depends on self-witnessing;
@@ -285,30 +274,11 @@ def tdc_from_tds(g: Graph, s, use_exact: bool = True) -> Coloring:
     if not rest:
         return Coloring(tuple(singletons))
     sub, old = induced_subgraph(g, rest)
-    if use_exact:
-        from .solvers import chromatic_number  # deferred: solvers imports this module
+    from .solvers import chromatic_number  # deferred: solvers imports this module
 
-        sub_classes = chromatic_number(sub).certificate.classes
-    else:
-        sub_classes = _greedy_classes(sub)
+    sub_classes = chromatic_number(sub).certificate.classes
     mapped = [frozenset(old[v - 1] for v in cls) for cls in sub_classes]
     return Coloring(tuple(singletons) + tuple(mapped))
-
-
-def _greedy_classes(g: Graph) -> tuple[frozenset[int], ...]:
-    # First-fit in index order; upper bound only.
-    color_of: dict[int, int] = {}
-    classes: list[set[int]] = []
-    for v in g.vertices:
-        used = {color_of[u] for u in g.adj[v] if u in color_of}
-        c = 0
-        while c in used:
-            c += 1
-        if c == len(classes):
-            classes.append(set())
-        classes[c].add(v)
-        color_of[v] = c
-    return tuple(frozenset(c) for c in classes)
 
 
 # ---------------------------------------------------------------------------

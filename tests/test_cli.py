@@ -3,7 +3,7 @@ import json
 import pytest
 
 import tdtc.cli as cli
-from tdtc import read_edge_list
+from tdtc import Coloring, FamilyInstance, mixed_objects, read_edge_list
 
 
 def run(capsys, *argv):
@@ -74,6 +74,16 @@ class TestCompute:
         f.write_text("3 1\n1 2\n")
         code, _, _ = run(capsys, "compute", "--graph", str(f), "--invariant", "gamma_t")
         assert code == 3
+
+    def test_failed_closed_form_certificate_exit_1(self, capsys, monkeypatch):
+        def one_class(family, n):
+            return Coloring((frozenset(mixed_objects(FamilyInstance(family, n).graph())),))
+
+        record = cli.INVARIANTS["chi_tt_d"]
+        monkeypatch.setitem(cli.INVARIANTS, "chi_tt_d", record._replace(construct=one_class))
+        code, out, err = run(capsys, "compute", "--family", "cycle", "--n", "19", "--invariant", "chi_tt_d")
+        assert code == 1 and out == ""
+        assert err.startswith("closed-form certificate failed verification for cycle(19): improper: ")
 
     def test_budget_exhausted_exit_4(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "cycle", "--n", "9",
@@ -183,16 +193,14 @@ class TestSweep:
         assert lines[2].startswith("path,10,7,,7,true")
 
     def test_disagreement_exits_1(self, capsys, monkeypatch):
-        import tdtc.closed_forms as cf
-
-        real = cf.chi_tt
+        record = cli.INVARIANTS["chi_tt_d"]
 
         def wrong(family, n):
-            fv = real(family, n)
+            fv = record.formula(family, n)
             return type(fv)(fv.value + 1, fv.case_tag)
 
-        monkeypatch.setitem(cli._SOLVERS, "chi_tt_d", lambda g, b=None: None)  # must not be called
-        monkeypatch.setattr(cli.cf, "chi_tt", wrong)
+        monkeypatch.setitem(cli.INVARIANTS, "chi_tt_d", record._replace(
+            solve=lambda g, b=None: None, formula=wrong))  # the solver must not be called
         code, out, _ = run(capsys, "sweep", "--family", "cycle", "--from", "10", "--to", "10",
                            "--exact-up-to", "0")
         assert code == 1

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import tdtc as t
+from oracles import chi_tt_relative, verify_formula_consistency
 from tdtc import DomainError, Edge, FamilyInstance, Vertex
 
 # hand-expanded formula tables
@@ -13,70 +17,75 @@ CHI_TT_PATH = {2: 3, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 7, 9: 8, 10: 8, 11: 9, 12:
 class TestGammaTm:
     @pytest.mark.parametrize("n,want", sorted(GAMMA_TM_CYCLE.items()))
     def test_cycle_values(self, n, want):
-        assert t.gamma_tm_cycle(n).value == want
+        assert t.gamma_tm("cycle", n).value == want
 
     @pytest.mark.parametrize("n,want", sorted(GAMMA_TM_PATH.items()))
     def test_path_values(self, n, want):
-        assert t.gamma_tm_path(n).value == want
+        assert t.gamma_tm("path", n).value == want
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            t.gamma_tm_cycle(2)
+            t.gamma_tm("cycle", 2)
         with pytest.raises(DomainError):
-            t.gamma_tm_path(1)
+            t.gamma_tm("path", 1)
 
     def test_forms_agree_on_initial_segment(self):
-        assert t.verify_formula_consistency(10_000) == 2 * 10_000 - 3
+        assert verify_formula_consistency(10_000) == 2 * 10_000 - 3
 
 
 class TestAlphaMix:
     def test_values(self):
-        assert t.alpha_mix_cycle(6).value == 4
-        assert t.alpha_mix_path(4).value == 3
-        assert t.alpha_mix_path(2).value == 1
-        assert [t.alpha_mix_cycle(n).value for n in range(3, 9)] == [2, 2, 3, 4, 4, 5]
+        assert t.alpha_mix("cycle", 6).value == 4
+        assert t.alpha_mix("path", 4).value == 3
+        assert t.alpha_mix("path", 2).value == 1
+        assert [t.alpha_mix("cycle", n).value for n in range(3, 9)] == [2, 2, 3, 4, 4, 5]
 
 
 class TestChiTt:
     @pytest.mark.parametrize("n,want", sorted(CHI_TT_CYCLE.items()))
     def test_cycle_values(self, n, want):
-        assert t.chi_tt_cycle(n).value == want
+        assert t.chi_tt("cycle", n).value == want
 
     @pytest.mark.parametrize("n,want", sorted(CHI_TT_PATH.items()))
     def test_path_values(self, n, want):
-        assert t.chi_tt_path(n).value == want
+        assert t.chi_tt("path", n).value == want
+
+    @pytest.mark.parametrize("family,lo", [("cycle", 3), ("path", 2)])
+    def test_matches_form_relative_to_gamma_tm(self, family, lo):
+        for n in range(lo, 10_001):
+            assert t.chi_tt(family, n).value == chi_tt_relative(family, n), (family, n)
 
     def test_case_tags_identify_single_branch(self):
-        assert t.chi_tt_cycle(9).case_tag == "n == 9"
-        assert t.chi_tt_cycle(12).case_tag == "n >= 10, n % 7 != 5 or n == 12"
-        assert t.chi_tt_cycle(19).case_tag == "n >= 10, n % 7 == 5, n != 12"
-        assert t.chi_tt_path(10).case_tag == "n >= 10, n % 7 == 4 or n in (10, 13, 16)"
-        assert t.gamma_tm_cycle(12).case_tag == "n % 7 in (0, 5, 6)"
+        assert t.chi_tt("cycle", 9).case_tag == "n == 9"
+        assert t.chi_tt("cycle", 12).case_tag == "n >= 10, n % 7 != 5 or n == 12"
+        assert t.chi_tt("cycle", 19).case_tag == "n >= 10, n % 7 == 5, n != 12"
+        assert t.chi_tt("path", 10).case_tag == "n >= 10, n % 7 == 4 or n in (10, 13, 16)"
+        assert t.gamma_tm("cycle", 12).case_tag == "n % 7 in (0, 5, 6)"
 
 
 class TestMinTmds:
     def test_cycle7_block(self):
-        assert t.min_tmds_cycle(7) == frozenset({Vertex(2), Vertex(3), Edge(5, 6), Edge(6, 7)})
+        assert t.min_tmds("cycle", 7) == frozenset({Vertex(2), Vertex(3), Edge(5, 6), Edge(6, 7)})
 
     def test_cycle8_block_plus_tail(self):
-        assert t.min_tmds_cycle(8) == frozenset(
+        assert t.min_tmds("cycle", 8) == frozenset(
             {Vertex(2), Vertex(3), Edge(5, 6), Edge(6, 7), Edge(7, 8)}
         )
 
     def test_path4_tail_only(self):
-        assert t.min_tmds_path(4) == frozenset({Vertex(2), Vertex(3)})
+        assert t.min_tmds("path", 4) == frozenset({Vertex(2), Vertex(3)})
 
     @pytest.mark.parametrize("n", range(3, 60))
     def test_cycle_sets_are_minimum_dominating(self, n):
-        s = t.min_tmds_cycle(n)
-        assert len(s) == t.gamma_tm_cycle(n).value
+        s = t.min_tmds("cycle", n)
+        assert len(s) == t.gamma_tm("cycle", n).value
         ok, uncovered = t.is_total_mixed_dominating_set(t.cycle(n), s)
         assert ok, (n, uncovered)
 
     @pytest.mark.parametrize("n", range(2, 60))
     def test_path_sets_are_minimum_dominating(self, n):
-        s = t.min_tmds_path(n)
-        assert len(s) == t.gamma_tm_path(n).value
+        s = t.min_tmds("path", n)
+        assert len(s) == t.gamma_tm("path", n).value
         ok, uncovered = t.is_total_mixed_dominating_set(t.path(n), s)
         assert ok, (n, uncovered)
 
@@ -109,7 +118,7 @@ class TestMaxMixedIndependentSet:
 
 class TestTdtcCertificates:
     def test_cycle3_stored_partition(self):
-        cert = t.tdtc_certificate_cycle(3)
+        cert = t.tdtc_certificate("cycle", 3)
         assert cert.classes == (
             frozenset({Vertex(1), Edge(2, 3)}),
             frozenset({Vertex(3), Edge(1, 2)}),
@@ -117,13 +126,13 @@ class TestTdtcCertificates:
         )
 
     def test_path9_stored_has_eight_classes(self):
-        cert = t.tdtc_certificate_path(9)
+        cert = t.tdtc_certificate("path", 9)
         assert cert.num_classes == 8
         assert t.is_tdtc(t.path(9), cert).valid
 
     def test_cycle21_constructed_has_fifteen_classes(self):
-        cert = t.tdtc_certificate_cycle(21)
-        assert cert.num_classes == 15 == t.chi_tt_cycle(21).value
+        cert = t.tdtc_certificate("cycle", 21)
+        assert cert.num_classes == 15 == t.chi_tt("cycle", 21).value
         assert t.is_tdtc(t.cycle(21), cert).valid
 
     def test_certificate_source(self):
@@ -153,8 +162,8 @@ class TestTdtcCertificates:
             assert t.chromatic_number(sub).value <= 3, (family, n)
 
     def test_determinism(self):
-        a = t.tdtc_certificate_cycle(30)
-        b = t.tdtc_certificate_cycle(30)
+        a = t.tdtc_certificate("cycle", 30)
+        b = t.tdtc_certificate("cycle", 30)
         assert a == b
 
 
@@ -170,3 +179,15 @@ class TestFamilyInstance:
             FamilyInstance("path", 1)
         with pytest.raises(DomainError):
             FamilyInstance("tree", 5)
+
+
+def test_library_has_no_assert_statements():
+    # self-checks must survive python -O, which strips assert statements
+    src = Path(t.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

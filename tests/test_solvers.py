@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 import tdtc as t
-from oracles import brute_alpha, brute_chi, brute_chi_t_d, brute_gamma_t
+from oracles import brute_alpha, brute_chi, brute_chi_t_d, brute_gamma_t, total_mixed_domination_number_direct
 from tdtc import Coloring, DomainError, Graph, SearchBudget
 
 
@@ -53,7 +53,7 @@ class TestChromatic:
         # removing the periodic dominating set from the total graph of C_7
         # leaves a 3-chromatic remainder
         tg = t.total_graph(t.cycle(7))
-        s = tg.to_vertex_ids(t.min_tmds_cycle(7))
+        s = tg.to_vertex_ids(t.min_tmds("cycle", 7))
         sub, _ = t.induced_subgraph(tg.graph, set(tg.graph.vertices) - s)
         assert t.chromatic_number(sub).value == 3
 
@@ -138,17 +138,17 @@ class TestMixedInvariants:
         assert t.is_total_mixed_dominating_set(t.cycle(6), r.certificate)[0]
 
     def test_direct_oracle_examples(self):
-        assert t.total_mixed_domination_number_direct(t.path(4)).value == 2
-        assert t.total_mixed_domination_number_direct(t.cycle(4)).value == 3
+        assert len(total_mixed_domination_number_direct(t.path(4))) == 2
+        assert len(total_mixed_domination_number_direct(t.cycle(4))) == 3
 
     @pytest.mark.parametrize("g", SMALL_CORPUS)
     def test_direct_matches_reduction(self, g):
         if g.min_degree < 1:
             pytest.skip("needs positive minimum degree")
-        direct = t.total_mixed_domination_number_direct(g)
+        direct = total_mixed_domination_number_direct(g)
         reduced = t.total_domination_number(t.total_graph(g).graph)
-        assert direct.value == reduced.value
-        assert t.is_total_mixed_dominating_set(g, direct.certificate)[0]
+        assert len(direct) == reduced.value
+        assert t.is_total_mixed_dominating_set(g, direct)[0]
 
     def test_total_chromatic_examples(self):
         assert t.total_chromatic_number(t.path(2)).value == 3
@@ -173,12 +173,11 @@ class TestMixedInvariants:
         assert report.valid and r.certificate.num_classes == r.value
 
     @pytest.mark.parametrize(
-        "builder,n,chi_fn",
-        [(t.cycle, 10, t.chi_tt_cycle), (t.path, 9, t.chi_tt_path), (t.path, 10, t.chi_tt_path)],
+        "family,n", [("cycle", 10), ("path", 9), ("path", 10)],
     )
-    def test_tdtc_number_past_small_case_bound(self, builder, n, chi_fn):
+    def test_tdtc_number_past_small_case_bound(self, family, n):
         # slower instances than the defaults, still under a second each
-        assert t.tdtc_number(builder(n)).value == chi_fn(n).value
+        assert t.tdtc_number(t.FamilyInstance(family, n).graph()).value == t.chi_tt(family, n).value
 
 
 class TestAgainstBruteForce:

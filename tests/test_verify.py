@@ -110,7 +110,7 @@ class TestTdc:
 
     def test_cn_union_covers_universe_for_valid_tdc(self):
         tg = t.total_graph(t.cycle(9))
-        coloring = t.coloring_to_total(tg, t.tdtc_certificate_cycle(9))
+        coloring = t.coloring_to_total(tg, t.tdtc_certificate("cycle", 9))
         report = t.is_tdc(tg.graph, coloring)
         assert report.valid
         union = frozenset().union(*report.cn_sets)
@@ -127,11 +127,11 @@ class TestTdtc:
         assert report.valid
 
     def test_p10_stored_coloring(self):
-        report = t.is_tdtc(t.path(10), t.tdtc_certificate_path(10))
+        report = t.is_tdtc(t.path(10), t.tdtc_certificate("path", 10))
         assert report.valid
 
     def test_c12_stored_coloring(self):
-        cert = t.tdtc_certificate_cycle(12)
+        cert = t.tdtc_certificate("cycle", 12)
         report = t.is_tdtc(t.cycle(12), cert)
         assert report.valid and cert.num_classes == 10
 
@@ -142,7 +142,7 @@ class TestTdtc:
             objs = list(t.mixed_objects(g))
             colorings = []
             if g == t.path(g.n):
-                colorings.append(t.tdtc_certificate_path(g.n))
+                colorings.append(t.tdtc_certificate("path", g.n))
             # seeded random partitions, mostly invalid
             for _ in range(4):
                 k = rng.randint(2, len(objs))
@@ -211,14 +211,14 @@ class TestTdcFromTds:
 
     def test_tc14_block_set_gives_eleven_classes(self):
         tg = t.total_graph(t.cycle(14))
-        s = tg.to_vertex_ids(t.min_tmds_cycle(14))
+        s = tg.to_vertex_ids(t.min_tmds("cycle", 14))
         coloring = t.tdc_from_tds(tg.graph, s)
         assert coloring.num_classes == 11
         assert t.is_tdc(tg.graph, coloring).valid
 
     def test_tp7_block_set_gives_seven_classes(self):
         tg = t.total_graph(t.path(7))
-        s = tg.to_vertex_ids(t.min_tmds_path(7))
+        s = tg.to_vertex_ids(t.min_tmds("path", 7))
         coloring = t.tdc_from_tds(tg.graph, s)
         assert coloring.num_classes == 7
         assert t.is_tdc(tg.graph, coloring).valid
@@ -235,14 +235,6 @@ class TestTdcFromTds:
         with pytest.raises(DomainError):
             t.tdc_from_tds(t.path(4), {1})
 
-    def test_greedy_fallback_upper_bound(self):
-        g = t.cycle(9)
-        s = t.total_domination_number(g).certificate
-        exact = t.tdc_from_tds(g, s, use_exact=True)
-        greedy = t.tdc_from_tds(g, s, use_exact=False)
-        assert greedy.num_classes >= exact.num_classes
-        assert t.is_tdc(g, greedy).valid
-
     def test_whole_vertex_set(self):
         coloring = t.tdc_from_tds(t.path(3), {1, 2, 3})
         assert coloring.num_classes == 3 and t.is_tdc(t.path(3), coloring).valid
@@ -252,7 +244,7 @@ class TestCertificateJson:
     def test_coloring_round_trip_mixed(self):
         import json
 
-        cert = t.tdtc_certificate_path(5)
+        cert = t.tdtc_certificate("path", 5)
         data = t.coloring_to_json(cert, t.MIXED_UNIVERSE, provenance="stored-table")
         kind, universe, payload = t.load_certificate(json.dumps(data))
         assert kind == "coloring" and universe == t.MIXED_UNIVERSE
