@@ -83,13 +83,20 @@ _OBJECT_RE = re.compile(r"^(?:v(\d+)|e(\d+)_(\d+))$")
 
 
 def parse_object(token: str) -> ObjectId:
-    """Parse a ``v3`` / ``e3_4`` token back into an object."""
-    m = _OBJECT_RE.match(token.strip())
+    """Parse a ``v3`` / ``e3_4`` token back into an object.
+
+    Anything that does not name a valid object, including a non-string or
+    an out-of-range index such as ``v0`` or ``e2_2``, is a GraphParseError.
+    """
+    m = _OBJECT_RE.match(token.strip()) if isinstance(token, str) else None
     if not m:
         raise GraphParseError(f"bad object token: {token!r}")
-    if m.group(1) is not None:
-        return Vertex(int(m.group(1)))
-    return Edge(int(m.group(2)), int(m.group(3)))
+    try:
+        if m.group(1) is not None:
+            return Vertex(int(m.group(1)))
+        return Edge(int(m.group(2)), int(m.group(3)))
+    except DomainError as exc:
+        raise GraphParseError(f"bad object token {token!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +305,27 @@ def objects_adjacent(g: Graph, a: ObjectId, b: ObjectId) -> bool:
 
 
 def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
-    """Neighbor map of the mixed universe under the adjacent-or-incident relation."""
-    edge_list = g.sorted_edges()
+    """Neighbor map of the mixed universe under the adjacent-or-incident relation.
+
+    Keys come in canonical object order.  Each object is built once and the
+    same instance appears as a key and in every neighbor set, so set
+    operations on the map match by identity instead of field comparison.
+    """
+    vertex = {v: Vertex(v) for v in g.vertices}
+    edges = [Edge(*e) for e in g.sorted_edges()]
     incident: dict[int, list[Edge]] = {v: [] for v in g.vertices}
-    for e in edge_list:
-        incident[e[0]].append(Edge(*e))
-        incident[e[1]].append(Edge(*e))
+    for e in edges:
+        incident[e.i].append(e)
+        incident[e.j].append(e)
 
     nbrs: dict[ObjectId, frozenset[ObjectId]] = {}
-    for v in g.vertices:
-        out: set[ObjectId] = {Vertex(u) for u in g.adj[v]}
-        out.update(incident[v])
-        nbrs[Vertex(v)] = frozenset(out)
-    for e in edge_list:
-        obj = Edge(*e)
-        out = {Vertex(e[0]), Vertex(e[1])}
-        out.update(o for o in incident[e[0]] if o != obj)
-        out.update(o for o in incident[e[1]] if o != obj)
-        nbrs[obj] = frozenset(out)
+    for v, obj in vertex.items():
+        nbrs[obj] = frozenset([*(vertex[u] for u in g.adj[v]), *incident[v]])
+    for e in edges:
+        out = [vertex[e.i], vertex[e.j]]
+        out += (o for o in incident[e.i] if o is not e)
+        out += (o for o in incident[e.j] if o is not e)
+        nbrs[e] = frozenset(out)
     return nbrs
 
 

@@ -13,7 +13,8 @@ Search strategies
 * chromatic_number: per-component iterative deepening on the class count,
   between a greedy clique lower bound and a smallest-last greedy upper
   bound; within a level, backtracking in degeneracy order with first-use
-  symmetry breaking.
+  symmetry breaking.  The smallest-last order comes from a lazy-deletion
+  heap on (degree, index), so ties break toward the lowest index.
 * total_domination_number: branch on an uncovered vertex with the fewest
   remaining dominators, with candidate-exclusion so no subset is visited
   twice; a greedy cover seeds the incumbent and search below it proves
@@ -34,6 +35,7 @@ The mixed invariants reduce to the total graph.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -110,18 +112,29 @@ def _bits(mask: int):
 
 def _degeneracy_order(adj: list[int]) -> list[int]:
     """Smallest-last order: color/assign positions so that each vertex sees
-    at most degeneracy-many already-processed neighbors."""
+    at most degeneracy-many already-processed neighbors.
+
+    Repeatedly removes the live vertex with the lowest (degree, index).  The
+    heap gets a new entry each time a degree drops and keeps the old ones;
+    degrees only fall, so a vertex's current entry is its lowest and pops
+    before its stale ones, which are skipped once the vertex is removed.
+    """
     n = len(adj)
-    alive = (1 << n) - 1
-    deg = [adj[v].bit_count() for v in range(n)]
+    deg = [a.bit_count() for a in adj]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * n
     removal = []
-    for _ in range(n):
-        best = min((deg[v], v) for v in _bits(alive))
-        v = best[1]
+    while heap:
+        _, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        removed[v] = True
         removal.append(v)
-        alive &= ~(1 << v)
-        for u in _bits(adj[v] & alive):
-            deg[u] -= 1
+        for u in _bits(adj[v]):
+            if not removed[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     removal.reverse()
     return removal
 

@@ -69,8 +69,8 @@ class DominationReport:
     """Outcome of a dominator-coloring check.
 
     ``witnesses`` maps each dominated object to the lowest class index it
-    totally dominates; objects with no such class are listed in
-    ``undominated``.  ``cn_sets[k]`` is the common neighborhood of class k:
+    totally dominates, iterating in canonical object order; objects with no
+    such class are listed in ``undominated``, in the same order.  ``cn_sets[k]`` is the common neighborhood of class k:
     the objects adjacent (or incident) to every member of the class.
     """
 
@@ -96,17 +96,16 @@ def _properness_violations(universe, neighbors, coloring: Coloring, mixed: bool)
         extra = _sort_objects(coloring.members() - universe_set, mixed)
         raise DomainError(f"coloring does not cover the universe (missing={missing}, extra={extra})")
 
-    color_of = {}
-    for k, cls in enumerate(coloring.classes):
-        for obj in cls:
-            color_of[obj] = k
-
-    violations = []
-    for obj in _sort_objects(universe_set, mixed):
-        for nb in _sort_objects(neighbors[obj], mixed):
-            if (object_key(obj) if mixed else obj) < (object_key(nb) if mixed else nb):
-                if color_of[obj] == color_of[nb]:
-                    violations.append((obj, nb, color_of[obj]))
+    # only same-class neighbours are visited, so sorting touches violations alone
+    key = object_key if mixed else (lambda v: v)
+    violations = [
+        (a, b, k)
+        for k, cls in enumerate(coloring.classes)
+        for a in cls
+        for b in neighbors[a] & cls
+        if key(a) < key(b)
+    ]
+    violations.sort(key=lambda t: (key(t[0]), key(t[1])))
     return violations
 
 
@@ -118,15 +117,19 @@ def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> 
         for cls in coloring.classes
     )
 
+    # walking classes in index order, the first class recorded is the lowest
+    first: dict = {}
+    for k, cn in enumerate(cn_sets):
+        for obj in cn:
+            first.setdefault(obj, k)
     witnesses = {}
     undominated = []
     for obj in _sort_objects(universe_set, mixed):
-        for k, cn in enumerate(cn_sets):
-            if obj in cn:
-                witnesses[obj] = k
-                break
-        else:
+        k = first.get(obj)
+        if k is None:
             undominated.append(obj)
+        else:
+            witnesses[obj] = k
 
     proper = not violations
     return DominationReport(

@@ -1,6 +1,7 @@
 """Independent oracles: exhaustive enumeration over subsets and set
-partitions, a direct search over mixed objects, and the alternate printed
-forms of the cycle/path formulas.
+partitions, a direct search over mixed objects, the alternate printed
+forms of the cycle/path formulas, and the plain quadratic forms of the
+library's ordering and certificate-checking loops.
 
 These deliberately share no search machinery with the solvers and no case
 split with the library's formulas; they are the ground truth the library is
@@ -10,7 +11,7 @@ checked against.
 from itertools import combinations
 
 import tdtc.closed_forms as cf
-from tdtc import Graph, mixed_neighbors, mixed_objects
+from tdtc import Graph, mixed_neighbors, mixed_objects, object_key
 
 
 def set_partitions(items):
@@ -147,3 +148,61 @@ def verify_formula_consistency(max_n: int) -> int:
                 raise AssertionError(f"{family} forms disagree at n={n}")
             count += 1
     return count
+
+
+def degeneracy_order_scan(adj: list[int]) -> list[int]:
+    """Smallest-last order by rescanning every live vertex for the lowest
+    (degree, index) at each step; O(V^2)."""
+    n = len(adj)
+    alive = (1 << n) - 1
+    deg = [adj[v].bit_count() for v in range(n)]
+    removal = []
+    for _ in range(n):
+        v = min((deg[u], u) for u in range(n) if alive >> u & 1)[1]
+        removal.append(v)
+        alive &= ~(1 << v)
+        live_nbrs = adj[v] & alive
+        for u in range(n):
+            if live_nbrs >> u & 1:
+                deg[u] -= 1
+    removal.reverse()
+    return removal
+
+
+def domination_report_scan(universe, neighbors, classes, mixed: bool) -> dict:
+    """The fields of a dominator-coloring report, computed by testing every
+    neighbor pair (sorted) for a shared class and every object against
+    every class's common neighborhood in turn.  ``classes`` must cover the
+    universe exactly."""
+    key = object_key if mixed else (lambda v: v)
+    color_of = {obj: k for k, cls in enumerate(classes) for obj in cls}
+    violations = []
+    for obj in sorted(universe, key=key):
+        for nb in sorted(neighbors[obj], key=key):
+            if key(obj) < key(nb) and color_of[obj] == color_of[nb]:
+                violations.append((obj, nb, color_of[obj]))
+
+    cn_sets = []
+    for cls in classes:
+        common = set(universe)
+        for m in cls:
+            common &= neighbors[m]
+        cn_sets.append(frozenset(common))
+
+    witnesses = {}
+    undominated = []
+    for obj in sorted(universe, key=key):
+        for k, cn in enumerate(cn_sets):
+            if obj in cn:
+                witnesses[obj] = k
+                break
+        else:
+            undominated.append(obj)
+    return {
+        "valid": not violations and not undominated,
+        "proper": not violations,
+        "witnesses": list(witnesses.items()),
+        "undominated": tuple(undominated),
+        "properness_violations": tuple(violations),
+        "cn_sets": tuple(cn_sets),
+    }

@@ -204,3 +204,18 @@ def test_criterion_10_stored_colorings():
         if not report.valid or cert.num_classes != want:
             failures.append((family, n, cert.num_classes, want))
     _report(10, "all stored optimal colorings verify at the stated class count", failures, started)
+
+
+def test_criterion_11_certificate_scale_5000():
+    started = time.time()
+    failures = []
+    for family in ("cycle", "path"):
+        g = t.FamilyInstance(family, 5000).graph()
+        cert = t.tdtc_certificate(family, 5000)
+        if not t.is_tdtc(g, cert).valid or cert.num_classes != t.chi_tt(family, 5000).value:
+            failures.append((family, cert.num_classes))
+    elapsed = time.time() - started
+    # near-linear construction and checking take about 1 s; the quadratic ones took about a minute
+    if elapsed >= 10.0:
+        failures.append(("elapsed", round(elapsed, 1)))
+    _report(11, "chi_tt_d certificates of C_5000 and P_5000 built and checked in under 10 s", failures, started)

@@ -154,6 +154,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "path", "--n", "4", "--kind", "tds", str(f))
         assert code == 1 and "uncovered" in out
 
+    @pytest.mark.parametrize(
+        "kind, cert",
+        [
+            ("tdtc", {"universe": "mixed", "classes": [[1]]}),
+            ("tmds", {"universe": "mixed", "objects": [None]}),
+            ("tmds", {"universe": "mixed", "objects": ["v0"]}),
+            ("tmds", {"universe": "mixed", "objects": ["e2_2"]}),
+        ],
+    )
+    def test_malformed_token_exit_2(self, capsys, tmp_path, kind, cert):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "5", "--kind", kind, str(f))
+        assert code == 2 and out == "" and err.startswith("parse error: bad object token")
+
     def test_coverage_mismatch_is_malformed_exit_2(self, capsys, tmp_path):
         f = tmp_path / "short.json"
         f.write_text(json.dumps({"universe": "vertices", "classes": [["v1"], ["v2"]]}))

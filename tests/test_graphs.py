@@ -72,7 +72,9 @@ class TestObjects:
         for obj in (Vertex(3), Edge(3, 4), Edge(12, 1)):
             assert t.parse_object(t.format_object(obj)) == obj
 
-    @pytest.mark.parametrize("token", ["v", "e1", "e1_", "x3", "e2_2x", "v-1", ""])
+    @pytest.mark.parametrize(
+        "token", ["v", "e1", "e1_", "x3", "e2_2x", "v-1", "", "v0", "e2_2", "e0_3", None, 1, ["v1"]]
+    )
     def test_bad_tokens(self, token):
         with pytest.raises(GraphParseError):
             t.parse_object(token)
@@ -147,11 +149,26 @@ class TestTotalGraph:
         assert {(min(remap[old[i - 1]], remap[old[j - 1]]), max(remap[old[i - 1]], remap[old[j - 1]]))
                 for i, j in sub.edges} == set(lg.edges)
 
-    @pytest.mark.parametrize("g", [t.path(6), t.cycle(7), STAR_K13])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            t.path(6),
+            t.cycle(7),
+            STAR_K13,
+            t.cycle(3),  # every pair of edges shares an endpoint, around the wrap
+            Graph(4, [(1, 2), (2, 3)]),  # isolated vertex 4
+            Graph(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7)]),  # two components
+        ],
+    )
     def test_mixed_neighbors_match_total_graph(self, g):
         tg = t.total_graph(g)
-        for obj, nbrs in t.mixed_neighbors(g).items():
+        mixed = t.mixed_neighbors(g)
+        assert list(mixed) == list(t.mixed_objects(g))
+        for obj, nbrs in mixed.items():
             assert tg.to_objects(tg.graph.adj[tg.index[obj]]) == nbrs
+        # neighbor sets hold the key instances themselves
+        key_of = {obj: obj for obj in mixed}
+        assert all(key_of[u] is u for nbrs in mixed.values() for u in nbrs)
 
     def test_objects_adjacent_rules(self):
         g = t.cycle(4)
