@@ -37,7 +37,6 @@ from .graphs import (
     mixed_neighbors,
     mixed_objects,
     object_key,
-    objects_adjacent,
     parse_object,
     path,
     read_edge_list,

@@ -243,9 +243,6 @@ class TotalGraph:
     def index(self) -> dict[ObjectId, int]:
         return {obj: k + 1 for k, obj in enumerate(self.labels)}
 
-    def object_of(self, vertex_id: int) -> ObjectId:
-        return self.labels[vertex_id - 1]
-
     def to_objects(self, vertex_ids) -> frozenset[ObjectId]:
         return frozenset(self.labels[v - 1] for v in vertex_ids)
 
@@ -290,18 +287,6 @@ def total_graph(g: Graph) -> TotalGraph:
 def mixed_objects(g: Graph) -> tuple[ObjectId, ...]:
     """All objects of g in canonical order: vertices, then edges lexicographic."""
     return tuple(Vertex(i) for i in g.vertices) + tuple(Edge(*e) for e in g.sorted_edges())
-
-
-def objects_adjacent(g: Graph, a: ObjectId, b: ObjectId) -> bool:
-    """True when the two distinct objects are adjacent or incident in g."""
-    if a == b:
-        return False
-    if isinstance(a, Vertex) and isinstance(b, Vertex):
-        return g.has_edge(a.i, b.i)
-    if isinstance(a, Edge) and isinstance(b, Edge):
-        return len({a.i, a.j} & {b.i, b.j}) == 1
-    v, e = (a, b) if isinstance(a, Vertex) else (b, a)
-    return v.i in (e.i, e.j)
 
 
 def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:

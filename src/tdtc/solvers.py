@@ -39,7 +39,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .graphs import DomainError, Graph, induced_subgraph, total_graph
+from .graphs import DomainError, Graph, total_graph
 from .verify import Coloring, coloring_from_total
 
 
@@ -247,21 +247,26 @@ def _components(adj: list[int]) -> list[int]:
     return comps
 
 
-def _chromatic(g: Graph, search: _Search) -> tuple[int, Coloring]:
-    """Exact chromatic number with certificate, solved per component."""
-    adj = _adj_masks(g)
+def _chromatic(adj: list[int], search: _Search) -> tuple[int, Coloring]:
+    """Exact chromatic number with certificate, solved per component.
+
+    Each component is relabelled 0..size-1 in index order on the caller's
+    masks; a component that is the whole graph keeps them as they are.
+    """
     global_classes: list[set[int]] = []
     value = 0
     for comp in _components(adj):
-        ids = [v + 1 for v in _bits(comp)]
-        sub, old = induced_subgraph(g, set(ids))
-        sub_adj = _adj_masks(sub)
+        old = list(_bits(comp))
+        sub_adj = adj
+        if len(old) < len(adj):
+            new = {v: k for k, v in enumerate(old)}
+            sub_adj = [sum(1 << new[u] for u in _bits(adj[v])) for v in old]
         k, masks = _chromatic_masks(sub_adj, search)
         value = max(value, k)
         for idx, mask in enumerate(masks):
             if idx == len(global_classes):
                 global_classes.append(set())
-            global_classes[idx].update(old[v] for v in _bits(mask))
+            global_classes[idx].update(old[v] + 1 for v in _bits(mask))
     return value, Coloring(tuple(frozenset(c) for c in global_classes))
 
 
@@ -297,12 +302,12 @@ def _clique_cover_count(adj: list[int], free: int) -> int:
     return count
 
 
-def _mis_search(adj: list[int], search: _Search) -> list[int]:
+def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
+    """Branch and bound that overwrites ``best`` with each larger independent
+    set it finds, so the best set survives a budget running out."""
     n = len(adj)
-    best = _greedy_independent(adj)
 
     def rec(free: int, cur: list[int]) -> None:
-        nonlocal best
         search.tick()
         # dominance reductions
         while free:
@@ -332,7 +337,7 @@ def _mis_search(adj: list[int], search: _Search) -> list[int]:
                 break
         if not free:
             if len(cur) > len(best):
-                best = list(cur)
+                best[:] = cur
             return
         if len(cur) + free.bit_count() <= len(best):
             return
@@ -343,7 +348,6 @@ def _mis_search(adj: list[int], search: _Search) -> list[int]:
         rec(free & ~(1 << v), list(cur))
 
     rec((1 << n) - 1, [])
-    return best
 
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
@@ -354,7 +358,7 @@ def independence_number(g: Graph, budget: SearchBudget | None = None) -> Invaria
     proven = True
     best = _greedy_independent(adj)
     try:
-        best = _mis_search(adj, search)
+        _mis_search(adj, best, search)
     except _OutOfBudget:
         proven = False
     cert = frozenset(v + 1 for v in best)
@@ -375,11 +379,11 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
     start = time.perf_counter()
     search = _Search(budget)
     proven = True
+    adj = _adj_masks(g)
     try:
-        value, cert = _chromatic(g, search)
+        value, cert = _chromatic(adj, search)
     except _OutOfBudget:
         proven = False
-        adj = _adj_masks(g)
         masks = _greedy_color_classes(adj, _degeneracy_order(adj))
         cert = Coloring(tuple(frozenset(v + 1 for v in _bits(m)) for m in masks))
         value = cert.num_classes
@@ -403,18 +407,18 @@ def _greedy_tds(adj: list[int]) -> list[int]:
     return out
 
 
-def _tds_search(adj: list[int], seed: list[int], search: _Search) -> list[int]:
+def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
+    """Branch and bound that overwrites ``best`` with each smaller total
+    dominating set it finds, so the best set survives a budget running out."""
     n = len(adj)
     full = (1 << n) - 1
     maxdeg = max(a.bit_count() for a in adj)
-    best = list(seed)
 
     def rec(cur: list[int], covered: int, excluded: int) -> None:
-        nonlocal best
         search.tick()
         if covered == full:
             if len(cur) < len(best):
-                best = list(cur)
+                best[:] = cur
             return
         uncovered = full & ~covered
         need = (uncovered.bit_count() + maxdeg - 1) // maxdeg
@@ -436,7 +440,6 @@ def _tds_search(adj: list[int], seed: list[int], search: _Search) -> list[int]:
             ex |= 1 << u
 
     rec([], 0, 0)
-    return best
 
 
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
@@ -448,7 +451,7 @@ def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> Inv
     best = _greedy_tds(adj)
     proven = True
     try:
-        best = _tds_search(adj, best, search)
+        _tds_search(adj, best, search)
     except _OutOfBudget:
         proven = False
     cert = frozenset(v + 1 for v in best)
@@ -572,7 +575,7 @@ def total_dominator_chromatic_number(
     proven = True
     answer = incumbent
     try:
-        chi_value, _ = _chromatic(g, search)
+        chi_value, _ = _chromatic(adj, search)
         lower = max(2, chi_value)
         for k in range(lower, len(incumbent)):
             found = _ktdc_feasible(adj, order, k, search, prune=prune)

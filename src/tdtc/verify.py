@@ -17,6 +17,7 @@ from functools import reduce
 
 from .graphs import (
     DomainError,
+    Edge,
     Graph,
     GraphParseError,
     TotalGraph,
@@ -24,7 +25,6 @@ from .graphs import (
     format_object,
     induced_subgraph,
     mixed_neighbors,
-    mixed_objects,
     object_key,
     parse_object,
 )
@@ -82,36 +82,69 @@ class DominationReport:
     cn_sets: tuple[frozenset, ...]
 
 
-def _sort_objects(items, mixed: bool):
-    return sorted(items, key=object_key) if mixed else sorted(items)
+def _order(x):
+    """Canonical order of either universe: vertex ids by value, mixed objects
+    by ``object_key``.  Anything else sorts last by its text, so that an
+    error message can list it."""
+    if isinstance(x, (Vertex, Edge)):
+        return object_key(x)
+    if isinstance(x, int):
+        return (0, x, 0)
+    return (2, str(x), 0)
 
 
-def _properness_violations(universe, neighbors, coloring: Coloring, mixed: bool) -> list[tuple]:
+def _pair_order(pair: tuple):
+    return _order(pair[0]), _order(pair[1])
+
+
+# A universe is its neighbour map: ``Graph.adj`` for the vertices,
+# ``mixed_neighbors(g)`` for V union E.  Both list their keys in canonical
+# order, so the checks below serve either one unchanged.
+
+
+def _members(neighbors: dict, s, complaint) -> frozenset:
+    """``s`` as a frozenset; raises DomainError(complaint(outsiders)) when some
+    member is not a key of ``neighbors``."""
+    s = frozenset(s)
+    outside = [x for x in s if x not in neighbors]
+    if outside:
+        raise DomainError(complaint(outside))
+    return s
+
+
+def _not_vertices(outside: list) -> str:
+    return f"set members {sorted(map(str, outside))} are not vertices of the graph"
+
+
+def _not_objects(outside: list) -> str:
+    tokens = (format_object(o) if isinstance(o, (Vertex, Edge)) else str(o) for o in outside)
+    return f"set members {sorted(tokens)} are not objects of the graph"
+
+
+def _adjacent_pairs(neighbors: dict, cls: frozenset) -> list[tuple]:
+    """Every adjacent pair (a, b) of members of ``cls`` with a before b, unsorted."""
+    return [(a, b) for a in cls for b in neighbors[a] & cls if _order(a) < _order(b)]
+
+
+def _properness_violations(neighbors: dict, coloring: Coloring) -> list[tuple]:
     """Every monochromatic adjacent pair (a, b, class) with a before b, in
     sorted order; raises DomainError unless the coloring covers the universe
     exactly."""
-    universe_set = frozenset(universe)
-    if coloring.members() != universe_set:
-        missing = _sort_objects(universe_set - coloring.members(), mixed)
-        extra = _sort_objects(coloring.members() - universe_set, mixed)
+    members = coloring.members()
+    if neighbors.keys() != members:
+        missing = sorted(neighbors.keys() - members, key=_order)
+        extra = sorted(members - neighbors.keys(), key=_order)
         raise DomainError(f"coloring does not cover the universe (missing={missing}, extra={extra})")
-
     # only same-class neighbours are visited, so sorting touches violations alone
-    key = object_key if mixed else (lambda v: v)
     violations = [
-        (a, b, k)
-        for k, cls in enumerate(coloring.classes)
-        for a in cls
-        for b in neighbors[a] & cls
-        if key(a) < key(b)
+        (a, b, k) for k, cls in enumerate(coloring.classes) for a, b in _adjacent_pairs(neighbors, cls)
     ]
-    violations.sort(key=lambda t: (key(t[0]), key(t[1])))
+    violations.sort(key=_pair_order)
     return violations
 
 
-def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> DominationReport:
-    universe_set = frozenset(universe)
-    violations = _properness_violations(universe_set, neighbors, coloring, mixed)
+def _domination_report(neighbors: dict, coloring: Coloring) -> DominationReport:
+    violations = _properness_violations(neighbors, coloring)
     cn_sets = tuple(
         reduce(frozenset.intersection, (neighbors[m] for m in cls))
         for cls in coloring.classes
@@ -124,7 +157,7 @@ def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> 
             first.setdefault(obj, k)
     witnesses = {}
     undominated = []
-    for obj in _sort_objects(universe_set, mixed):
+    for obj in neighbors:
         k = first.get(obj)
         if k is None:
             undominated.append(obj)
@@ -142,18 +175,34 @@ def _domination_report(universe, neighbors, coloring: Coloring, mixed: bool) -> 
     )
 
 
-# ---------------------------------------------------------------------------
-# Vertex-universe checks
-# ---------------------------------------------------------------------------
-
-
 def _first_violation(violations: list[tuple]) -> tuple[bool, tuple | None]:
     return (False, violations[0][:2]) if violations else (True, None)
 
 
+def _uncovered(neighbors: dict, s, complaint) -> tuple[bool, tuple]:
+    s = _members(neighbors, s, complaint)
+    uncovered = tuple(obj for obj, nbrs in neighbors.items() if not (nbrs & s))
+    return not uncovered, uncovered
+
+
+def _first_adjacent_pair(neighbors: dict, s, complaint) -> tuple[bool, tuple | None]:
+    pairs = _adjacent_pairs(neighbors, _members(neighbors, s, complaint))
+    return (False, min(pairs, key=_pair_order)) if pairs else (True, None)
+
+
+# ---------------------------------------------------------------------------
+# Public checks, one line each over the vertex or the mixed universe
+# ---------------------------------------------------------------------------
+
+
 def is_proper_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple[int, int] | None]:
     """True when no edge is monochromatic; also returns the first offending edge."""
-    return _first_violation(_properness_violations(g.vertices, g.adj, coloring, mixed=False))
+    return _first_violation(_properness_violations(g.adj, coloring))
+
+
+def is_proper_total_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple | None]:
+    """Properness over the mixed universe: adjacent-or-incident objects differ."""
+    return _first_violation(_properness_violations(mixed_neighbors(g), coloring))
 
 
 def common_neighborhood(g: Graph, cls) -> frozenset[int]:
@@ -162,45 +211,36 @@ def common_neighborhood(g: Graph, cls) -> frozenset[int]:
     Since no vertex is adjacent to itself, a member of ``cls`` never appears.
     The empty set has every vertex as a common neighbor.
     """
-    cls = frozenset(cls)
-    bad = [v for v in cls if not (1 <= v <= g.n)]
-    if bad:
-        raise DomainError(f"vertices {sorted(bad)} out of range for n={g.n}")
+    cls = _members(g.adj, cls, lambda bad: f"vertices {sorted(bad, key=_order)} out of range for n={g.n}")
     if not cls:
         return frozenset(g.vertices)
     return reduce(frozenset.intersection, (g.adj[v] for v in cls))
 
 
-def _check_vertex_members(g: Graph, s) -> frozenset[int]:
-    s = frozenset(s)
-    bad = [v for v in s if not (isinstance(v, int) and 1 <= v <= g.n)]
-    if bad:
-        raise DomainError(f"set members {sorted(map(str, bad))} are not vertices of the graph")
-    return s
-
-
-def _check_object_members(g: Graph, objects) -> frozenset:
-    objects = frozenset(objects)
-    universe = frozenset(mixed_objects(g))
-    bad = objects - universe
-    if bad:
-        raise DomainError(
-            f"set members {sorted(map(format_object, bad))} are not objects of the graph"
-        )
-    return objects
-
-
 def is_total_dominating_set(g: Graph, s) -> tuple[bool, tuple[int, ...]]:
     """True when every vertex has a neighbor in s; also returns the uncovered vertices."""
-    s = _check_vertex_members(g, s)
-    uncovered = tuple(v for v in g.vertices if not (g.adj[v] & s))
-    return not uncovered, uncovered
+    return _uncovered(g.adj, s, _not_vertices)
+
+
+def is_total_mixed_dominating_set(g: Graph, objects) -> tuple[bool, tuple]:
+    """True when every object of g is adjacent or incident to a member of the set."""
+    return _uncovered(mixed_neighbors(g), objects, _not_objects)
+
+
+def is_independent_set(g: Graph, s) -> tuple[bool, tuple | None]:
+    """True when no two members of s are adjacent; returns the first offending pair."""
+    return _first_adjacent_pair(g.adj, s, _not_vertices)
+
+
+def is_mixed_independent_set(g: Graph, objects) -> tuple[bool, tuple | None]:
+    """True when no two objects are adjacent or incident in g."""
+    return _first_adjacent_pair(mixed_neighbors(g), objects, _not_objects)
 
 
 def is_tdc(g: Graph, coloring: Coloring) -> DominationReport:
     """Check a total dominator coloring of g: proper, and every vertex
     is adjacent to all of some color class."""
-    return _domination_report(g.vertices, g.adj, coloring, mixed=False)
+    return _domination_report(g.adj, coloring)
 
 
 def is_tdtc(g: Graph, coloring: Coloring) -> DominationReport:
@@ -210,45 +250,7 @@ def is_tdtc(g: Graph, coloring: Coloring) -> DominationReport:
     relation; it agrees with is_tdc on the total graph under the label
     bijection (the test suite cross-checks the two routes).
     """
-    return _domination_report(mixed_objects(g), mixed_neighbors(g), coloring, mixed=True)
-
-
-def is_proper_total_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple | None]:
-    """Properness over the mixed universe: adjacent-or-incident objects differ."""
-    return _first_violation(_properness_violations(mixed_objects(g), mixed_neighbors(g), coloring, mixed=True))
-
-
-def is_independent_set(g: Graph, s) -> tuple[bool, tuple | None]:
-    """True when no two members of s are adjacent; returns the first offending pair."""
-    sset = _check_vertex_members(g, s)
-    s = sorted(sset)
-    for v in s:
-        hit = g.adj[v] & sset
-        for u in sorted(hit):
-            if v < u:
-                return False, (v, u)
-    return True, None
-
-
-def is_mixed_independent_set(g: Graph, objects) -> tuple[bool, tuple | None]:
-    """True when no two objects are adjacent or incident in g."""
-    oset = _check_object_members(g, objects)
-    objs = sorted(oset, key=object_key)
-    nbrs = mixed_neighbors(g)
-    for o in objs:
-        hit = nbrs[o] & oset
-        for u in sorted(hit, key=object_key):
-            if object_key(o) < object_key(u):
-                return False, (o, u)
-    return True, None
-
-
-def is_total_mixed_dominating_set(g: Graph, objects) -> tuple[bool, tuple]:
-    """True when every object of g is adjacent or incident to a member of the set."""
-    oset = _check_object_members(g, objects)
-    nbrs = mixed_neighbors(g)
-    uncovered = tuple(o for o in mixed_objects(g) if not (nbrs[o] & oset))
-    return not uncovered, uncovered
+    return _domination_report(mixed_neighbors(g), coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +328,7 @@ def coloring_to_json(coloring: Coloring, universe: str, provenance: str | None =
     mixed = universe == MIXED_UNIVERSE
     data = {
         "universe": universe,
-        "classes": [
-            [_format_member(o, mixed) for o in _sort_objects(cls, mixed)]
-            for cls in coloring.classes
-        ],
+        "classes": [[_format_member(o, mixed) for o in sorted(cls, key=_order)] for cls in coloring.classes],
     }
     if provenance is not None:
         data["provenance"] = provenance
@@ -340,7 +339,7 @@ def object_set_to_json(objects, universe: str, provenance: str | None = None) ->
     mixed = universe == MIXED_UNIVERSE
     data = {
         "universe": universe,
-        "objects": [_format_member(o, mixed) for o in _sort_objects(objects, mixed)],
+        "objects": [_format_member(o, mixed) for o in sorted(objects, key=_order)],
     }
     if provenance is not None:
         data["provenance"] = provenance

@@ -1,7 +1,8 @@
 """Independent oracles: exhaustive enumeration over subsets and set
-partitions, a direct search over mixed objects, the alternate printed
-forms of the cycle/path formulas, and the plain quadratic forms of the
-library's ordering and certificate-checking loops.
+partitions, a direct search over mixed objects, the adjacent-or-incident
+relation decided case by case, the alternate printed forms of the
+cycle/path formulas, and the plain quadratic forms of the library's
+ordering and certificate-checking loops.
 
 These deliberately share no search machinery with the solvers and no case
 split with the library's formulas; they are the ground truth the library is
@@ -11,7 +12,7 @@ checked against.
 from itertools import combinations
 
 import tdtc.closed_forms as cf
-from tdtc import Graph, mixed_neighbors, mixed_objects, object_key
+from tdtc import Edge, Graph, Vertex, mixed_neighbors, mixed_objects, object_key
 
 
 def set_partitions(items):
@@ -80,6 +81,19 @@ def brute_chi_t_d(g: Graph):
         if all(any(cls <= g.adj[v] for cls in classes) for v in g.vertices):
             best = len(part)
     return best
+
+
+def objects_adjacent(g: Graph, a, b) -> bool:
+    """True when the two distinct objects are adjacent or incident in g,
+    decided case by case from the base graph."""
+    if a == b:
+        return False
+    if isinstance(a, Vertex) and isinstance(b, Vertex):
+        return g.has_edge(a.i, b.i)
+    if isinstance(a, Edge) and isinstance(b, Edge):
+        return len({a.i, a.j} & {b.i, b.j}) == 1
+    v, e = (a, b) if isinstance(a, Vertex) else (b, a)
+    return v.i in (e.i, e.j)
 
 
 def total_mixed_domination_number_direct(g: Graph) -> frozenset:

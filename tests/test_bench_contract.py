@@ -1,0 +1,66 @@
+"""The benchmark's tracer against the library: every function it wraps must
+exist, and installing it must still yield a working, traced CLI.
+
+``bench/`` is only read here; its modules are loaded without writing
+bytecode next to them.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def _tracing() -> types.ModuleType:
+    path = BENCH / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_functions_exist():
+    for module, fns in _tracing().TRACED.items():
+        lib = importlib.import_module(f"tdtc.{module}")
+        missing = [fn for fn in fns if not callable(getattr(lib, fn, None))]
+        assert not missing, f"tdtc.{module} lacks {missing}"
+
+
+_TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, layer_metrics
+
+tracer = Tracer()
+cli = tracer.install()
+tracer.op = 0
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for inv in ("chi_tt_d", "gamma_tm", "alpha_mix"):
+        codes.append(cli.main(["sweep", "--family", "cycle", "--from", "3", "--to", "12",
+                               "--invariant", inv, "--exact-up-to", "5", "--certify", "--format", "csv"]))
+print(json.dumps({"codes": codes, "metrics": layer_metrics(tracer.spans, [1.0])}))
+"""
+
+
+def test_tracer_installs_and_traces_a_sweep():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_RUN, str(BENCH)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    metrics = result["metrics"]
+    assert metrics["cli.main.calls"] == 3
+    for name in ("verify.is_tdtc", "verify.is_total_mixed_dominating_set", "verify.is_mixed_independent_set",
+                 "closed_forms.tdtc_certificate", "solvers.tdtc_number"):
+        assert metrics[f"{name}.calls"] > 0, name
+    assert metrics["verify.rejected"] == 0
+    assert metrics["solvers.nodes"] > 0

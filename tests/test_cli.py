@@ -13,6 +13,9 @@ def run(capsys, *argv):
 
 
 K3_EDGES = "3 3\n1 2\n1 3\n2 3\n"
+# a node budget runs out just after the search beats the greedy seed
+G7_EDGES = "7 12\n1 2\n1 4\n1 5\n1 6\n2 3\n2 5\n2 7\n3 6\n3 7\n4 5\n4 7\n5 6\n"
+G6_EDGES = "6 8\n1 2\n1 5\n2 3\n2 4\n3 4\n3 5\n4 6\n5 6\n"
 
 
 @pytest.fixture()
@@ -89,6 +92,24 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--family", "cycle", "--n", "9",
                            "--invariant", "chi_tt_d", "--exact", "--max-nodes", "10")
         assert code == 4 and "budget exhausted" in out
+
+    @pytest.mark.parametrize(
+        "edges,invariant,max_nodes,kind,value",
+        [
+            (G7_EDGES, "alpha", "4", "independent", 3),
+            (G6_EDGES, "gamma_t", "6", "tds", 2),
+        ],
+        ids=["alpha", "gamma_t"],
+    )
+    def test_budget_exhausted_returns_best_found(self, capsys, tmp_path, edges, invariant, max_nodes, kind, value):
+        graph, cert = tmp_path / "g.edges", tmp_path / "cert.json"
+        graph.write_text(edges)
+        code, out, _ = run(capsys, "compute", "--graph", str(graph), "--invariant", invariant,
+                           "--max-nodes", max_nodes, "--out", str(cert))
+        assert code == 4 and f"{invariant}({graph}) = {value}\n" in out
+        assert len(json.loads(cert.read_text())["objects"]) == value
+        code, out, _ = run(capsys, "verify", "--graph", str(graph), "--kind", kind, str(cert))
+        assert code == 0, out
 
     @pytest.mark.parametrize(
         "invariant,kind",

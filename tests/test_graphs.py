@@ -3,6 +3,7 @@ import json
 import pytest
 
 import tdtc as t
+from oracles import objects_adjacent
 from tdtc import DomainError, Edge, Graph, GraphParseError, Vertex
 
 
@@ -171,14 +172,20 @@ class TestTotalGraph:
         assert all(key_of[u] is u for nbrs in mixed.values() for u in nbrs)
 
     def test_objects_adjacent_rules(self):
-        g = t.cycle(4)
-        assert t.objects_adjacent(g, Vertex(1), Vertex(2))
-        assert not t.objects_adjacent(g, Vertex(1), Vertex(3))
-        assert t.objects_adjacent(g, Vertex(1), Edge(1, 4))
-        assert not t.objects_adjacent(g, Vertex(1), Edge(2, 3))
-        assert t.objects_adjacent(g, Edge(1, 2), Edge(2, 3))
-        assert not t.objects_adjacent(g, Edge(1, 2), Edge(3, 4))
-        assert not t.objects_adjacent(g, Edge(1, 2), Edge(1, 2))
+        nbrs = t.mixed_neighbors(t.cycle(4))
+        assert Vertex(2) in nbrs[Vertex(1)]
+        assert Vertex(3) not in nbrs[Vertex(1)]
+        assert Edge(1, 4) in nbrs[Vertex(1)]
+        assert Edge(2, 3) not in nbrs[Vertex(1)]
+        assert Edge(2, 3) in nbrs[Edge(1, 2)]
+        assert Edge(3, 4) not in nbrs[Edge(1, 2)]
+        assert Edge(1, 2) not in nbrs[Edge(1, 2)]
+
+    def test_objects_adjacent_oracle_matches_mixed_neighbors(self, random_corpus):
+        for g in [t.cycle(4), STAR_K13, *random_corpus]:
+            nbrs = t.mixed_neighbors(g)
+            for a in nbrs:
+                assert nbrs[a] == {b for b in nbrs if objects_adjacent(g, a, b)}, (g, a)
 
 
 class TestInducedSubgraph:

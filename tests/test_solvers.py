@@ -16,6 +16,11 @@ PAW = Graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
 BULL = Graph(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
 TWO_TRIANGLES = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
 
+# greedy seeds that the search beats only a node before its budget runs out:
+# alpha(G7) = 3 is found at node 4, gamma_t(G6) = 2 at node 6
+G7 = Graph(7, [(1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (2, 7), (3, 6), (3, 7), (4, 5), (4, 7), (5, 6)])
+G6 = Graph(6, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6)])
+
 SMALL_CORPUS = [
     t.path(2), t.path(3), t.path(4), t.path(5), t.path(6),
     t.cycle(3), t.cycle(4), t.cycle(5), t.cycle(6),
@@ -255,6 +260,16 @@ class TestDeterminismAndBudget:
         r = t.independence_number(g, budget=SearchBudget(max_nodes=2))
         assert not r.proven_optimal
         assert t.is_independent_set(g, r.certificate)[0]
+
+    def test_exhausted_alpha_returns_best_set_found(self):
+        r = t.independence_number(G7, budget=SearchBudget(max_nodes=4))
+        assert not r.proven_optimal and r.value == 3
+        assert t.is_independent_set(G7, r.certificate) == (True, None)
+
+    def test_exhausted_gamma_t_returns_best_set_found(self):
+        r = t.total_domination_number(G6, budget=SearchBudget(max_nodes=6))
+        assert not r.proven_optimal and r.value == 2
+        assert t.is_total_dominating_set(G6, r.certificate) == (True, ())
 
     def test_time_budget(self):
         r = t.tdtc_number(t.cycle(9), budget=SearchBudget(max_time=1e-9))

@@ -203,6 +203,60 @@ class TestIndependentSets:
         assert not ok and Vertex(1) in uncovered
 
 
+class TestMembersOutsideUniverse:
+    """A member that is not in the checked universe, of whatever type, is a
+    DomainError; for well-typed members the message is pinned."""
+
+    INT_COLORING = mk_coloring({1, 2}, {3})
+    VERTEX_COLORING = mk_coloring({Vertex(1), Vertex(2)}, {Vertex(3)})
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda g: t.is_total_mixed_dominating_set(g, {5}),
+            lambda g: t.is_mixed_independent_set(g, {5}),
+            lambda g: t.is_tdtc(g, TestMembersOutsideUniverse.INT_COLORING),
+            lambda g: t.is_proper_total_coloring(g, TestMembersOutsideUniverse.INT_COLORING),
+            lambda g: t.is_tdc(g, TestMembersOutsideUniverse.VERTEX_COLORING),
+            lambda g: t.is_proper_coloring(g, TestMembersOutsideUniverse.VERTEX_COLORING),
+            lambda g: t.common_neighborhood(g, {"a"}),
+            lambda g: t.common_neighborhood(g, {"a", 9, 10}),
+            lambda g: t.is_total_dominating_set(g, {Vertex(1)}),
+            lambda g: t.is_independent_set(g, {Vertex(1), 2}),
+        ],
+        ids=["tmds-int", "mixed-independent-int", "tdtc-ints", "proper-total-ints", "tdc-vertices",
+             "proper-vertices", "common-neighborhood-str", "common-neighborhood-str-and-ints",
+             "tds-vertex", "independent-vertex-and-int"],
+    )
+    def test_foreign_member_is_domain_error(self, check):
+        with pytest.raises(DomainError):
+            check(t.path(3))
+
+    @pytest.mark.parametrize(
+        "check,message",
+        [
+            (lambda g: t.is_total_dominating_set(g, {9, 10, 2}),
+             "set members ['10', '9'] are not vertices of the graph"),
+            (lambda g: t.is_independent_set(g, {4}), "set members ['4'] are not vertices of the graph"),
+            (lambda g: t.is_total_mixed_dominating_set(g, {Vertex(9), Edge(1, 3), Vertex(2)}),
+             "set members ['e1_3', 'v9'] are not objects of the graph"),
+            (lambda g: t.is_mixed_independent_set(g, {Edge(3, 4)}),
+             "set members ['e3_4'] are not objects of the graph"),
+            (lambda g: t.common_neighborhood(g, {10, 9, 1}), "vertices [9, 10] out of range for n=3"),
+            (lambda g: t.is_tdc(g, mk_coloring({1, 10}, {9})),
+             "coloring does not cover the universe (missing=[2, 3], extra=[9, 10])"),
+            (lambda g: t.is_tdtc(g, mk_coloring({Vertex(1), Vertex(9)}, {Edge(1, 2), Edge(7, 8)})),
+             "coloring does not cover the universe (missing=[Vertex(i=2), Vertex(i=3), Edge(i=2, j=3)], "
+             "extra=[Vertex(i=9), Edge(i=7, j=8)])"),
+        ],
+        ids=["tds", "independent", "tmds", "mixed-independent", "common-neighborhood", "tdc", "tdtc"],
+    )
+    def test_message(self, check, message):
+        with pytest.raises(DomainError) as info:
+            check(t.path(3))
+        assert str(info.value) == message
+
+
 class TestTdcFromTds:
     def test_p4_construction(self):
         coloring = t.tdc_from_tds(t.path(4), {2, 3})
