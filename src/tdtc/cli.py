@@ -155,14 +155,19 @@ def _cert_summary(certificate) -> str:
 
 
 def _check(kind: str, universe: str, g: Graph, cert) -> tuple[bool, str]:
-    """Check a certificate as ``verify --kind`` does; returns (ok, what is wrong)."""
+    """Check a certificate as ``verify --kind`` does; returns (ok, what is
+    wrong), naming objects by their certificate tokens."""
+
+    def token(obj) -> str:
+        return verify.member_token(obj, universe)
+
     if kind in ("tdc", "tdtc"):
         report = verify.is_tdc(g, cert) if kind == "tdc" else verify.is_tdtc(g, cert)
         if not report.proper:
             a, b, k = report.properness_violations[0]
-            return False, f"improper: {a} and {b} share class {k}"
+            return False, f"improper: {token(a)} and {token(b)} share class {k}"
         if report.undominated:
-            return False, f"object {report.undominated[0]} dominates no color class"
+            return False, f"object {token(report.undominated[0])} dominates no color class"
         return True, ""
     if kind == "proper":
         mixed = universe == verify.MIXED_UNIVERSE
@@ -170,17 +175,21 @@ def _check(kind: str, universe: str, g: Graph, cert) -> tuple[bool, str]:
         label = "monochromatic adjacent pair"
     elif kind == "tds":
         ok, bad = verify.is_total_dominating_set(g, cert)
-        label, bad = "uncovered vertices", list(bad)
+        label = "uncovered vertices"
     elif kind == "tmds":
         ok, bad = verify.is_total_mixed_dominating_set(g, cert)
-        label, bad = "uncovered objects", [str(o) for o in bad]
+        label = "uncovered objects"
     elif kind == "independent":
         ok, bad = verify.is_independent_set(g, cert)
         label = "adjacent pair in set"
     else:
         ok, bad = verify.is_mixed_independent_set(g, cert)
         label = "adjacent or incident pair in set"
-    return ok, "" if ok else f"{label}: {bad}"
+    if ok:
+        return True, ""
+    # uncovered members are listed, an offending pair is shown as a pair
+    tokens = [token(o) for o in bad]
+    return False, f"{label}: {tokens if kind in ('tds', 'tmds') else tuple(tokens)}"
 
 
 def cmd_compute(args) -> int:

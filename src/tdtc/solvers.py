@@ -28,7 +28,11 @@ Search strategies
   could still be opened among the unassigned objects ahead of it.  The
   neighborhood-containment bookkeeping subsumes the generic size bounds
   (a witnessed class fits inside an open neighborhood, hence has at most
-  max-degree members and is independent).
+  max-degree members and is independent).  A witness-capacity bound,
+  the counting half of gamma_t <= chi_d^t <= gamma_t + chi, also kills
+  a branch when the vertices no opened class can witness outnumber what
+  the unopened classes can serve: each of those classes needs a member
+  among the unassigned vertices, and witnesses only neighbors of it.
 
 The mixed invariants reduce to the total graph.
 """
@@ -463,6 +467,23 @@ def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> Inv
 # ---------------------------------------------------------------------------
 
 
+def _others_union(compat: list[int], used: int) -> list[int]:
+    """For each class c < used, the OR of compat over the other opened
+    classes; entry ``used`` is the OR over all of them, the others of a
+    class about to be opened."""
+    out = [0] * (used + 1)
+    acc = 0
+    for c in range(used):
+        out[c] = acc
+        acc |= compat[c]
+    out[used] = acc
+    acc = 0
+    for c in range(used - 1, -1, -1):
+        out[c] |= acc
+        acc |= compat[c]
+    return out
+
+
 def _ktdc_feasible(
     adj: list[int],
     order: list[int],
@@ -473,15 +494,30 @@ def _ktdc_feasible(
     """Feasibility of a total dominator coloring with exactly k classes.
 
     compat[c] tracks the vertices whose open neighborhood still contains
-    class c; rescue_mask[p] tracks the vertices with at least one neighbor
+    class c; rescue[p] tracks the vertices with at least one neighbor
     among the objects not yet assigned at position p, i.e. the vertices a
-    newly opened class could still come to serve.  With ``prune`` off only
-    completed assignments are checked, which is slower but must find the
-    same optimum (used by the pruning-soundness tests).
+    newly opened class could still come to serve.  others[p][c] is the OR
+    of compat over the opened classes other than c when position p is
+    entered, so each candidate class costs one OR instead of a loop.
+
+    Witness-capacity bound: the vertices outside every opened class's
+    compat must be witnessed by the m classes still unopened.  Each of
+    those ends with a member u among the unassigned vertices, distinct for
+    distinct classes, and witnesses only vertices of N(u).  So a branch
+    dies when these vertices number more than m times the maximum degree,
+    or more than the m largest counts of them inside N(u) over the
+    unassigned u.  Both tests cut infeasible subtrees only and leave the
+    search order alone, so the first coloring found does not change.
+
+    With ``prune`` off only completed assignments are checked, which is
+    slower but must find the same coloring (used by the pruning-soundness
+    tests).
     """
     n = len(order)
     nv = len(adj)
     full = (1 << nv) - 1
+    maxdeg = max(a.bit_count() for a in adj)
+    ahead = [adj[u] for u in order]  # ahead[p:]: the unassigned vertices at position p
 
     suffix = 0
     rescue = [0] * (n + 1)
@@ -499,9 +535,11 @@ def _ktdc_feasible(
     used_before = [0] * n
     compat_before = [0] * n
     cand = [0] * n
+    others: list[list[int]] = [[]] * n
     used = 0
     pos = 0
     cand[0] = 1
+    others[0] = [0]
     while True:
         if cand[pos] == 0:
             pos -= 1
@@ -525,12 +563,20 @@ def _ktdc_feasible(
         new_compat = compat[c] & adj[v]
         last = pos == n - 1
         if prune or last:
-            union = 0
-            for cc in range(new_used):
-                union |= new_compat if cc == c else compat[cc]
-            if new_used < k:
-                union |= rescue[pos + 1]
-            if union != full:
+            union = others[pos][c] | new_compat
+            unopened = k - new_used
+            if unopened:
+                if union | rescue[pos + 1] != full:
+                    continue
+                open_ = full & ~union
+                count = open_.bit_count()
+                if count > unopened * maxdeg:
+                    continue
+                if open_:
+                    loads = sorted([(a & open_).bit_count() for a in ahead[pos + 1:]])
+                    if count > sum(loads[-unopened:]):
+                        continue
+            elif union != full:
                 continue
         chosen[pos] = c
         used_before[pos] = used
@@ -542,6 +588,7 @@ def _ktdc_feasible(
             return list(class_masks)
         pos += 1
         cand[pos] = (1 << min(used + 1, k)) - 1
+        others[pos] = _others_union(compat, used)
 
 
 def total_dominator_chromatic_number(

@@ -309,10 +309,15 @@ def coloring_from_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
 # An optional "provenance" string records how the certificate was obtained.
 
 
-def _format_member(obj, mixed: bool) -> str:
-    if mixed:
+def member_token(obj, universe: str) -> str:
+    """The certificate token of a member of ``universe``: ``v2``/``e2_3`` for
+    mixed objects, ``v2`` for vertex ids.  Raises DomainError for anything
+    else, which would write a token that does not parse."""
+    if universe == MIXED_UNIVERSE and isinstance(obj, (Vertex, Edge)):
         return format_object(obj)
-    return f"v{obj}"
+    if universe == VERTEX_UNIVERSE and type(obj) is int and obj >= 1:
+        return f"v{obj}"
+    raise DomainError(f"{obj!r} is not a member of the {universe!r} universe")
 
 
 def _parse_member(token: str, mixed: bool):
@@ -325,10 +330,9 @@ def _parse_member(token: str, mixed: bool):
 
 
 def coloring_to_json(coloring: Coloring, universe: str, provenance: str | None = None) -> dict:
-    mixed = universe == MIXED_UNIVERSE
     data = {
         "universe": universe,
-        "classes": [[_format_member(o, mixed) for o in sorted(cls, key=_order)] for cls in coloring.classes],
+        "classes": [[member_token(o, universe) for o in sorted(cls, key=_order)] for cls in coloring.classes],
     }
     if provenance is not None:
         data["provenance"] = provenance
@@ -336,10 +340,9 @@ def coloring_to_json(coloring: Coloring, universe: str, provenance: str | None =
 
 
 def object_set_to_json(objects, universe: str, provenance: str | None = None) -> dict:
-    mixed = universe == MIXED_UNIVERSE
     data = {
         "universe": universe,
-        "objects": [_format_member(o, mixed) for o in sorted(objects, key=_order)],
+        "objects": [member_token(o, universe) for o in sorted(objects, key=_order)],
     }
     if provenance is not None:
         data["provenance"] = provenance

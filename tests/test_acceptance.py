@@ -17,6 +17,7 @@ from oracles import (
     verify_formula_consistency,
 )
 from tdtc import Coloring
+from tdtc.closed_forms import _STORED_CYCLE, _STORED_PATH
 
 
 def _report(num: int, desc: str, failures: list, started: float) -> None:
@@ -219,3 +220,16 @@ def test_criterion_11_certificate_scale_5000():
     if elapsed >= 10.0:
         failures.append(("elapsed", round(elapsed, 1)))
     _report(11, "chi_tt_d certificates of C_5000 and P_5000 built and checked in under 10 s", failures, started)
+
+
+def test_criterion_12_stored_exceptions_proven_by_search():
+    # P_16 is the costly one: about 1.6M nodes
+    started = time.time()
+    failures = []
+    stored = [("cycle", n) for n in sorted(_STORED_CYCLE)] + [("path", n) for n in sorted(_STORED_PATH)]
+    for family, n in stored:
+        r = t.tdtc_number(t.FamilyInstance(family, n).graph())
+        want = t.chi_tt(family, n).value
+        if not r.proven_optimal or r.value != want:
+            failures.append((family, n, r.value, r.proven_optimal, want))
+    _report(12, "the solver proves chi_tt_d of every stored-table instance", failures, started)

@@ -16,6 +16,7 @@ K3_EDGES = "3 3\n1 2\n1 3\n2 3\n"
 # a node budget runs out just after the search beats the greedy seed
 G7_EDGES = "7 12\n1 2\n1 4\n1 5\n1 6\n2 3\n2 5\n2 7\n3 6\n3 7\n4 5\n4 7\n5 6\n"
 G6_EDGES = "6 8\n1 2\n1 5\n2 3\n2 4\n3 4\n3 5\n4 6\n5 6\n"
+C5_OBJECTS = ["v1", "v2", "v3", "v4", "v5", "e1_2", "e2_3", "e3_4", "e4_5", "e1_5"]
 
 
 @pytest.fixture()
@@ -189,6 +190,39 @@ class TestVerify:
         f.write_text(json.dumps(cert))
         code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "5", "--kind", kind, str(f))
         assert code == 2 and out == "" and err.startswith("parse error: bad object token")
+
+    @pytest.mark.parametrize(
+        "kind, cert, detail",
+        [
+            pytest.param("tdtc", {"universe": "mixed", "classes": [C5_OBJECTS]},
+                         "improper: v1 and v2 share class 0", id="tdtc-improper"),
+            pytest.param("tdtc", {"universe": "mixed", "classes": [["v1", "v3", "e4_5"], ["v5", "e1_2", "e3_4"],
+                                                                   ["v4", "e1_5", "e2_3"], ["v2"]]},
+                         "object v2 dominates no color class", id="tdtc-undominated"),
+            pytest.param("tdc", {"universe": "vertices", "classes": [["v1", "v2"], ["v3"], ["v4"], ["v5"]]},
+                         "improper: v1 and v2 share class 0", id="tdc-improper"),
+            pytest.param("proper", {"universe": "mixed", "classes": [C5_OBJECTS]},
+                         "monochromatic adjacent pair: ('v1', 'v2')", id="proper-mixed"),
+            pytest.param("proper", {"universe": "mixed", "classes": [["e1_2", "e2_3"], *[[o] for o in C5_OBJECTS[:5]],
+                                                                     ["e3_4"], ["e4_5"], ["e1_5"]]},
+                         "monochromatic adjacent pair: ('e1_2', 'e2_3')", id="proper-mixed-edges"),
+            pytest.param("proper", {"universe": "vertices", "classes": [["v1", "v2"], ["v3"], ["v4"], ["v5"]]},
+                         "monochromatic adjacent pair: ('v1', 'v2')", id="proper-vertices"),
+            pytest.param("tmds", {"universe": "mixed", "objects": ["v1"]},
+                         "uncovered objects: ['v1', 'v3', 'v4', 'e2_3', 'e3_4', 'e4_5']", id="tmds"),
+            pytest.param("tds", {"universe": "vertices", "objects": ["v1"]},
+                         "uncovered vertices: ['v1', 'v3', 'v4']", id="tds"),
+            pytest.param("mixed-independent", {"universe": "mixed", "objects": ["v1", "e1_2"]},
+                         "adjacent or incident pair in set: ('v1', 'e1_2')", id="mixed-independent"),
+            pytest.param("independent", {"universe": "vertices", "objects": ["v1", "v2"]},
+                         "adjacent pair in set: ('v1', 'v2')", id="independent"),
+        ],
+    )
+    def test_invalid_detail_names_certificate_tokens(self, capsys, tmp_path, kind, cert, detail):
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "5", "--kind", kind, str(f))
+        assert (code, out, err) == (1, f"INVALID {kind} certificate for cycle(5): {detail}\n", "")
 
     def test_coverage_mismatch_is_malformed_exit_2(self, capsys, tmp_path):
         f = tmp_path / "short.json"

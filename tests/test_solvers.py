@@ -88,6 +88,17 @@ class TestTotalDomination:
             t.total_domination_number(Graph(3, [(1, 2)]))
 
 
+def _assert_pruning_sound(solve, g):
+    """Pruning cuts only infeasible subtrees of the same search: the value
+    and the certificate, class order included, match the search that checks
+    completed assignments only, and no node is added."""
+    pruned = solve(g, prune=True)
+    plain = solve(g, prune=False)
+    assert pruned.value == plain.value
+    assert pruned.certificate == plain.certificate
+    assert pruned.nodes_explored <= plain.nodes_explored
+
+
 class TestTotalDominatorChromatic:
     def test_k3(self):
         r = t.total_dominator_chromatic_number(complete(3))
@@ -110,10 +121,18 @@ class TestTotalDominatorChromatic:
 
     @pytest.mark.parametrize("g", [t.path(3), t.path(4), t.cycle(4), t.cycle(5), PAW, TWO_TRIANGLES])
     def test_pruning_soundness(self, g):
-        pruned = t.total_dominator_chromatic_number(g, prune=True)
-        plain = t.total_dominator_chromatic_number(g, prune=False)
-        assert pruned.value == plain.value
-        assert pruned.certificate == plain.certificate
+        _assert_pruning_sound(t.total_dominator_chromatic_number, g)
+
+    def test_pruning_soundness_on_corpora(self, exhaustive_connected_upto5, random_corpus):
+        for g in [*exhaustive_connected_upto5, *random_corpus]:
+            _assert_pruning_sound(t.total_dominator_chromatic_number, g)
+
+    # C_7 and P_8 take 1.2 s and 8 s with pruning off
+    @pytest.mark.parametrize(
+        "family,n", [("cycle", n) for n in range(3, 7)] + [("path", n) for n in range(2, 8)],
+    )
+    def test_pruning_soundness_tdtc_number(self, family, n):
+        _assert_pruning_sound(t.tdtc_number, t.FamilyInstance(family, n).graph())
 
 
 class TestMixedInvariants:
@@ -183,6 +202,27 @@ class TestMixedInvariants:
     def test_tdtc_number_past_small_case_bound(self, family, n):
         # slower instances than the defaults, still under a second each
         assert t.tdtc_number(t.FamilyInstance(family, n).graph()).value == t.chi_tt(family, n).value
+
+
+class TestNodeCountGate:
+    """Node counts are deterministic, so a ceiling catches a search that
+    regresses on any machine.  Each ceiling is about twice the count measured
+    with the witness-capacity bound; without it C_10 took 464,504 nodes and
+    P_11 184,158, and C_13 ended unproven at 12 after 300,000."""
+
+    # (family, n, measured nodes, ceiling)
+    PROVEN = [("cycle", 10, 3_704, 7_500), ("path", 11, 4_655, 9_500)]
+
+    @pytest.mark.parametrize("family,n,measured,ceiling", PROVEN)
+    def test_proven_within_ceiling(self, family, n, measured, ceiling):
+        r = t.tdtc_number(t.FamilyInstance(family, n).graph())
+        assert r.proven_optimal and r.value == t.chi_tt(family, n).value
+        assert r.nodes_explored <= ceiling, f"{r.nodes_explored} nodes, {measured} measured"
+
+    def test_c13_proven_within_frontier_budget(self):
+        # measured: 59,862 nodes
+        r = t.tdtc_number(t.cycle(13), SearchBudget(max_nodes=300_000))
+        assert r.proven_optimal and r.value == 11
 
 
 class TestAgainstBruteForce:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -327,3 +328,23 @@ class TestCertificateJson:
     def test_malformed(self, text):
         with pytest.raises(GraphParseError):
             t.load_certificate(text)
+
+    @pytest.mark.parametrize(
+        "member, universe",
+        [
+            (Vertex(1), t.VERTEX_UNIVERSE),
+            (Edge(1, 2), t.VERTEX_UNIVERSE),
+            (0, t.VERTEX_UNIVERSE),
+            (True, t.VERTEX_UNIVERSE),
+            ("v1", t.VERTEX_UNIVERSE),
+            (1, t.MIXED_UNIVERSE),
+            ("e1_2", t.MIXED_UNIVERSE),
+            (Vertex(1), "nope"),
+        ],
+    )
+    def test_writers_reject_foreign_members(self, member, universe):
+        message = re.escape(f"{member!r} is not a member of the {universe!r} universe")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            t.coloring_to_json(Coloring(({member},)), universe)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            t.object_set_to_json({member}, universe)
