@@ -90,9 +90,22 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", metavar="FILE", help="edge-list file (first line 'n m', then 'i j' lines)")
 
 
+def _non_negative(kind):
+    """argparse type: a number of the given kind that is neither negative nor NaN."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:  # also true for NaN
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message names the type
+    return parse
+
+
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-nodes", type=int, default=None, help="search node limit")
-    p.add_argument("--max-time", type=float, default=None, help="search time limit in seconds")
+    p.add_argument("--max-nodes", type=_non_negative(int), default=None, help="search node limit")
+    p.add_argument("--max-time", type=_non_negative(float), default=None, help="search time limit in seconds")
 
 
 def _budget(args) -> solvers.SearchBudget | None:

@@ -161,11 +161,6 @@ class Graph:
             return 0
         return max(len(s) for s in self.adj.values())
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 

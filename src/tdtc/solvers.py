@@ -20,15 +20,18 @@ Search strategies
   twice; a greedy cover seeds the incumbent and search below it proves
   optimality.
 * total_dominator_chromatic_number: iterative deepening on the class
-  count starting at max(2, chi); within a level, backtracking in
-  degeneracy order with first-use symmetry breaking plus domination-aware
-  pruning: for every class we maintain the set of vertices whose open
-  neighborhood still contains the class, and a branch dies as soon as
-  some vertex can witness neither an opened class nor any class that
-  could still be opened among the unassigned objects ahead of it.  The
-  neighborhood-containment bookkeeping subsumes the generic size bounds
-  (a witnessed class fits inside an open neighborhood, hence has at most
-  max-degree members and is independent).  A witness-capacity bound,
+  count from the greedy clique bound (at least 2) up to a greedy
+  incumbent.  The level search rejects improper colorings itself, so it
+  also refutes the levels below chi and needs no chromatic-number solve.
+  Within a level, backtracking in degeneracy order with first-use
+  symmetry breaking plus domination-aware pruning: for every class we
+  maintain the set of vertices whose open neighborhood still contains the
+  class, and a branch dies as soon as some vertex can witness neither an
+  opened class nor any class that could still be opened among the
+  unassigned objects ahead of it.  The neighborhood-containment
+  bookkeeping subsumes the generic size bounds (a witnessed class fits
+  inside an open neighborhood, hence has at most max-degree members and
+  is independent).  A witness-capacity bound,
   the counting half of gamma_t <= chi_d^t <= gamma_t + chi, also kills
   a branch when the vertices no opened class can witness outnumber what
   the unopened classes can serve: each of those classes needs a member
@@ -86,12 +89,14 @@ class _Search:
             self.deadline = time.perf_counter() + budget.max_time
 
     def tick(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+        """Count one node, or raise first if the budget is spent, so that an
+        exhausted search reports exactly the nodes it expanded."""
+        if self.max_nodes is not None and self.nodes >= self.max_nodes:
             raise _OutOfBudget
         if self.deadline is not None and (self.nodes & 0xFF) == 0:
             if time.perf_counter() > self.deadline:
                 raise _OutOfBudget
+        self.nodes += 1
 
 
 def _require_min_degree_one(g: Graph, what: str) -> None:
@@ -143,19 +148,21 @@ def _degeneracy_order(adj: list[int]) -> list[int]:
     return removal
 
 
-def _greedy_clique(adj: list[int]) -> list[int]:
-    best: list[int] = []
-    n = len(adj)
-    for seed in range(n):
-        clique = [seed]
-        cand = adj[seed]
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            clique.append(u)
-            cand &= adj[u]
-        if len(clique) > len(best):
-            best = clique
-    return best
+def _grow_clique(adj: list[int], v: int, cand: int) -> list[int]:
+    """The clique grown from v by adding, while any is left, the lowest
+    vertex of ``cand`` (a subset of N(v)) adjacent to every member so far."""
+    clique = [v]
+    while cand:
+        u = (cand & -cand).bit_length() - 1
+        clique.append(u)
+        cand &= adj[u]
+    return clique
+
+
+def _greedy_clique_size(adj: list[int]) -> int:
+    """Size of the largest clique grown from each vertex in turn: a lower
+    bound on the class count of any proper coloring."""
+    return max(len(_grow_clique(adj, v, adj[v])) for v in range(len(adj)))
 
 
 def _greedy_color_classes(adj: list[int], order: list[int]) -> list[int]:
@@ -215,15 +222,10 @@ def _kcolor_feasible(adj: list[int], order: list[int], k: int, search: _Search) 
 
 
 def _chromatic_masks(adj: list[int], search: _Search) -> tuple[int, list[int]]:
-    """Exact chromatic number of a connected (or any) component, as bitmask classes."""
-    n = len(adj)
-    if n == 0:
-        return 0, []
-    if not any(adj):
-        return 1, [(1 << n) - 1]
+    """Exact chromatic number of a nonempty connected graph, as bitmask classes."""
     order = _degeneracy_order(adj)
     greedy = _greedy_color_classes(adj, order)
-    lower = max(2, len(_greedy_clique(adj)))
+    lower = max(2, _greedy_clique_size(adj))
     for k in range(lower, len(greedy)):
         found = _kcolor_feasible(adj, order, k, search)
         if found is not None:
@@ -295,13 +297,8 @@ def _clique_cover_count(adj: list[int], free: int) -> int:
     rem = free
     while rem:
         v = (rem & -rem).bit_length() - 1
-        clique = 1 << v
-        cand = adj[v] & rem
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            clique |= 1 << u
-            cand &= adj[u]
-        rem &= ~clique
+        for u in _grow_clique(adj, v, adj[v] & rem):
+            rem &= ~(1 << u)
         count += 1
     return count
 
@@ -494,11 +491,11 @@ def _ktdc_feasible(
     """Feasibility of a total dominator coloring with exactly k classes.
 
     compat[c] tracks the vertices whose open neighborhood still contains
-    class c; rescue[p] tracks the vertices with at least one neighbor
-    among the objects not yet assigned at position p, i.e. the vertices a
-    newly opened class could still come to serve.  others[p][c] is the OR
-    of compat over the opened classes other than c when position p is
-    entered, so each candidate class costs one OR instead of a loop.
+    class c; rescue[p], the union of the neighborhoods of the objects not
+    yet assigned at position p, holds the vertices a newly opened class
+    could still come to serve.  others[p][c] is the OR of compat over the
+    opened classes other than c when position p is entered, so each
+    candidate class costs one OR instead of a loop.
 
     Witness-capacity bound: the vertices outside every opened class's
     compat must be witnessed by the m classes still unopened.  Each of
@@ -514,20 +511,13 @@ def _ktdc_feasible(
     tests).
     """
     n = len(order)
-    nv = len(adj)
-    full = (1 << nv) - 1
+    full = (1 << len(adj)) - 1
     maxdeg = max(a.bit_count() for a in adj)
     ahead = [adj[u] for u in order]  # ahead[p:]: the unassigned vertices at position p
 
-    suffix = 0
     rescue = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
-        suffix |= 1 << order[pos]
-        mask = 0
-        for v in range(nv):
-            if adj[v] & suffix:
-                mask |= 1 << v
-        rescue[pos] = mask
+        rescue[pos] = rescue[pos + 1] | ahead[pos]
 
     class_masks = [0] * k
     compat = [full] * k
@@ -598,11 +588,13 @@ def total_dominator_chromatic_number(
 ) -> InvariantResult:
     """Minimum total dominator coloring, exact; requires positive minimum degree.
 
-    Iterative deepening over the class count proves every level below the
-    answer infeasible by exhaustion.  The initial incumbent (greedy total
-    dominating set as singletons plus a greedy coloring of the rest) is
-    returned when a budget runs out, and short-circuits the final level when
-    every smaller count has already been refuted.
+    Iterative deepening over the class count, from the greedy clique bound
+    (at least 2), proves every level below the answer infeasible by
+    exhaustion; a level below the chromatic number fails on properness
+    inside the same search.  The initial incumbent (greedy total dominating
+    set as singletons plus a greedy coloring of the rest) is returned when a
+    budget runs out, and short-circuits the final level when every smaller
+    count has already been refuted.
     """
     _require_min_degree_one(g, "total dominator coloring")
     start = time.perf_counter()
@@ -612,19 +604,15 @@ def total_dominator_chromatic_number(
     order = _degeneracy_order(adj)
 
     tds = sorted(_greedy_tds(adj))
-    tds_mask = 0
-    for v in tds:
-        tds_mask |= 1 << v
-    rest_order = [v for v in order if not (tds_mask >> v & 1)]
+    in_tds = set(tds)
+    rest_order = [v for v in order if v not in in_tds]
     rest_classes = _greedy_color_classes(adj, rest_order)
     incumbent = [1 << v for v in tds] + rest_classes
 
     proven = True
     answer = incumbent
     try:
-        chi_value, _ = _chromatic(adj, search)
-        lower = max(2, chi_value)
-        for k in range(lower, len(incumbent)):
+        for k in range(max(2, _greedy_clique_size(adj)), len(incumbent)):
             found = _ktdc_feasible(adj, order, k, search, prune=prune)
             if found is not None:
                 answer = found

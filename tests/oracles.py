@@ -27,8 +27,12 @@ def set_partitions(items):
         yield part + [[first]]
 
 
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    return (min(i, j), max(i, j)) in g.edges
+
+
 def _independent(g: Graph, cls) -> bool:
-    return all(not g.has_edge(a, b) for a, b in combinations(sorted(cls), 2))
+    return all(not has_edge(g, a, b) for a, b in combinations(sorted(cls), 2))
 
 
 def brute_alpha(g: Graph) -> int:
@@ -89,7 +93,7 @@ def objects_adjacent(g: Graph, a, b) -> bool:
     if a == b:
         return False
     if isinstance(a, Vertex) and isinstance(b, Vertex):
-        return g.has_edge(a.i, b.i)
+        return has_edge(g, a.i, b.i)
     if isinstance(a, Edge) and isinstance(b, Edge):
         return len({a.i, a.j} & {b.i, b.j}) == 1
     v, e = (a, b) if isinstance(a, Vertex) else (b, a)

@@ -1,5 +1,7 @@
 """The benchmark's tracer against the library: every function it wraps must
-exist, and installing it must still yield a working, traced CLI.
+exist, and installing it must still yield a working, traced CLI.  The
+library must also still give the benchmark's self-check the failure it
+provokes.
 
 ``bench/`` is only read here; its modules are loaded without writing
 bytecode next to them.
@@ -64,3 +66,12 @@ def test_tracer_installs_and_traces_a_sweep():
         assert metrics[f"{name}.calls"] > 0, name
     assert metrics["verify.rejected"] == 0
     assert metrics["solvers.nodes"] > 0
+
+
+def test_selfcheck_budget_stays_too_small_for_c10():
+    """``bench/selfcheck.py`` (about 90 s, so not run here) starves
+    chi_tt_d(C_10) of nodes and expects the operation to fail; a search gain
+    that proves C_10 within its 1,000 nodes must fail here first."""
+    from tdtc import SearchBudget, cycle, tdtc_number
+
+    assert not tdtc_number(cycle(10), SearchBudget(max_nodes=1000)).proven_optimal

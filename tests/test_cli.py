@@ -95,6 +95,24 @@ class TestCompute:
         assert code == 4 and "budget exhausted" in out
 
     @pytest.mark.parametrize(
+        "flag,value",
+        [("--max-nodes", "-5"), ("--max-time", "-1"), ("--max-time", "nan")],
+        ids=["negative-nodes", "negative-time", "nan-time"],
+    )
+    def test_bad_budget_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--family", "cycle", "--n", "9", "--invariant", "chi_tt_d", "--exact",
+                      flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: ") and f"argument {flag}: must be non-negative" in captured.err
+
+    def test_zero_node_budget_expands_no_node(self, capsys):
+        code, out, _ = run(capsys, "compute", "--family", "cycle", "--n", "9", "--invariant", "chi",
+                           "--exact", "--max-nodes", "0", "--format", "json")
+        assert code == 4 and json.loads(out)["nodes_explored"] == 0
+
+    @pytest.mark.parametrize(
         "edges,invariant,max_nodes,kind,value",
         [
             (G7_EDGES, "alpha", "4", "independent", 3),

@@ -21,6 +21,13 @@ TWO_TRIANGLES = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
 G7 = Graph(7, [(1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (2, 7), (3, 6), (3, 7), (4, 5), (4, 7), (5, 6)])
 G6 = Graph(6, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6)])
 
+# Mycielski graph of C_5: triangle-free (omega = 2) with chi = 4 and
+# chi_t^d = 5, so the chi_t^d level search starts two levels below chi.
+# Too large for SMALL_CORPUS, whose oracles enumerate its set partitions.
+GROTZSCH = Graph(11, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+                 + [(j, i + 5) for i in range(1, 6) for j in (i % 5 + 1, (i - 2) % 5 + 1)]
+                 + [(i, 11) for i in range(6, 11)])
+
 SMALL_CORPUS = [
     t.path(2), t.path(3), t.path(4), t.path(5), t.path(6),
     t.cycle(3), t.cycle(4), t.cycle(5), t.cycle(6),
@@ -119,7 +126,7 @@ class TestTotalDominatorChromatic:
         with pytest.raises(DomainError):
             t.total_dominator_chromatic_number(Graph(2, []))
 
-    @pytest.mark.parametrize("g", [t.path(3), t.path(4), t.cycle(4), t.cycle(5), PAW, TWO_TRIANGLES])
+    @pytest.mark.parametrize("g", [t.path(3), t.path(4), t.cycle(4), t.cycle(5), PAW, TWO_TRIANGLES, GROTZSCH])
     def test_pruning_soundness(self, g):
         _assert_pruning_sound(t.total_dominator_chromatic_number, g)
 
@@ -211,7 +218,7 @@ class TestNodeCountGate:
     P_11 184,158, and C_13 ended unproven at 12 after 300,000."""
 
     # (family, n, measured nodes, ceiling)
-    PROVEN = [("cycle", 10, 3_704, 7_500), ("path", 11, 4_655, 9_500)]
+    PROVEN = [("cycle", 10, 3_587, 7_500), ("path", 11, 4_655, 9_500)]
 
     @pytest.mark.parametrize("family,n,measured,ceiling", PROVEN)
     def test_proven_within_ceiling(self, family, n, measured, ceiling):
@@ -220,9 +227,16 @@ class TestNodeCountGate:
         assert r.nodes_explored <= ceiling, f"{r.nodes_explored} nodes, {measured} measured"
 
     def test_c13_proven_within_frontier_budget(self):
-        # measured: 59,862 nodes
+        # measured: 59,715 nodes
         r = t.tdtc_number(t.cycle(13), SearchBudget(max_nodes=300_000))
         assert r.proven_optimal and r.value == 11
+
+    def test_grotzsch_levels_below_chi_refuted_in_search(self):
+        # measured: 62 nodes; 228 when an exact chromatic solve picked the
+        # first level
+        r = t.total_dominator_chromatic_number(GROTZSCH)
+        assert r.proven_optimal and r.value == 5
+        assert r.nodes_explored <= 120, f"{r.nodes_explored} nodes, 62 measured"
 
 
 class TestAgainstBruteForce:
@@ -255,7 +269,7 @@ class TestAgainstBruteForce:
 
 
 class TestBoundsAndProperties:
-    @pytest.mark.parametrize("g", SMALL_CORPUS)
+    @pytest.mark.parametrize("g", [*SMALL_CORPUS, GROTZSCH])
     def test_sandwich_chi_below_chi_t_d(self, g):
         if g.min_degree < 1:
             pytest.skip("needs positive minimum degree")
@@ -290,7 +304,7 @@ class TestDeterminismAndBudget:
 
     def test_node_budget_flags_result(self):
         r = t.tdtc_number(t.cycle(9), budget=SearchBudget(max_nodes=5))
-        assert not r.proven_optimal
+        assert not r.proven_optimal and r.nodes_explored == 5
         assert r.value >= 8  # true optimum; the flagged value is an upper bound
         assert t.is_tdtc(t.cycle(9), r.certificate).valid
         assert r.certificate.num_classes == r.value
