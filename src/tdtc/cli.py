@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: compute, verify, sweep, ratio, export.  All results go to
-stdout; files are written only through --out.  Exit codes: 0 ok,
-1 verification or agreement failure, 2 parse error, 3 domain error,
-4 budget exhausted.
+stdout; files are written only through --out.  ``compute --format json``
+prints a solver's elapsed time on stderr, so identical runs give
+identical stdout.  Exit codes: 0 ok, 1 verification or agreement
+failure, 2 parse error, 3 domain error, 4 budget exhausted.
 
 For cycle/path instances the formula-backed invariants (alpha_mix,
 gamma_tm, chi_tt_d) are answered from the closed forms with a verified
@@ -229,6 +230,7 @@ def cmd_compute(args) -> int:
             "certificate": _certificate_json(inv.universe, cert, inv.provenance(family, n)),
         }
         exhausted = False
+        elapsed = None
     else:
         result = inv.solve(g, _budget(args))
         cert = result.certificate
@@ -239,20 +241,23 @@ def cmd_compute(args) -> int:
             "route": "solver",
             "proven_optimal": result.proven_optimal,
             "nodes_explored": result.nodes_explored,
-            "elapsed": round(result.elapsed, 6),
             "certificate": _certificate_json(inv.universe, cert),
         }
         exhausted = not result.proven_optimal
+        elapsed = result.elapsed
 
     if args.format == "json":
+        # the one field that differs between identical runs stays off stdout
         print(json.dumps(payload, indent=2))
+        if elapsed is not None:
+            print(f"elapsed: {elapsed:.6f}s", file=sys.stderr)
     else:
         print(f"{key}({name}) = {payload['value']}")
         print(f"  route: {payload['route']}" + (f" [{payload['case']}]" if "case" in payload else ""))
         print(f"  certificate: {_cert_summary(cert)}")
         if payload["route"] == "solver":
             flag = "yes" if payload["proven_optimal"] else "NO (budget exhausted; value is a bound)"
-            print(f"  nodes: {payload['nodes_explored']}, elapsed: {payload['elapsed']:.3f}s, proven optimal: {flag}")
+            print(f"  nodes: {payload['nodes_explored']}, elapsed: {elapsed:.3f}s, proven optimal: {flag}")
     if args.out:
         Path(args.out).write_text(json.dumps(payload["certificate"], indent=2) + "\n")
         print(f"certificate written to {args.out}")

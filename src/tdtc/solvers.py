@@ -10,11 +10,12 @@ Search strategies
 * independence_number: branch and bound with dominance reductions
   (degree 0/1 vertices and degree-2 vertices inside a triangle are taken
   greedily) and a greedy clique-cover upper bound.
-* chromatic_number: per-component iterative deepening on the class count,
-  between a greedy clique lower bound and a smallest-last greedy upper
-  bound; within a level, backtracking in degeneracy order with first-use
-  symmetry breaking.  The smallest-last order comes from a lazy-deletion
-  heap on (degree, index), so ties break toward the lowest index.
+* chromatic_number: per component, the exact-k level search of
+  total_dominator_chromatic_number below with an empty witness set, so
+  only properness, the class count and first-use symmetry prune; a
+  smallest-last greedy coloring is the incumbent.  The smallest-last
+  order comes from a lazy-deletion heap on (degree, index), so ties
+  break toward the lowest index.
 * total_domination_number: branch on an uncovered vertex with the fewest
   remaining dominators, with candidate-exclusion so no subset is visited
   twice; a greedy cover seeds the incumbent and search below it proves
@@ -56,6 +57,12 @@ class SearchBudget:
 
     max_nodes: int | None = None
     max_time: float | None = None  # seconds
+
+    def __post_init__(self):
+        for name in ("max_nodes", "max_time"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # also true for NaN
+                raise DomainError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,10 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _coloring(masks: list[int]) -> Coloring:
+    return Coloring(tuple(frozenset(v + 1 for v in _bits(m)) for m in masks))
+
+
 def _degeneracy_order(adj: list[int]) -> list[int]:
     """Smallest-last order: color/assign positions so that each vertex sees
     at most degeneracy-many already-processed neighbors.
@@ -178,61 +189,6 @@ def _greedy_color_classes(adj: list[int], order: list[int]) -> list[int]:
     return classes
 
 
-def _kcolor_feasible(adj: list[int], order: list[int], k: int, search: _Search) -> list[int] | None:
-    """Backtracking k-coloring feasibility; returns class bitmasks or None.
-
-    Classes are opened in first-use order, which removes color-permutation
-    symmetry, so an exhausted run is a proof that no k-coloring exists.
-    """
-    n = len(order)
-    if n == 0:
-        return []
-    class_masks = [0] * k
-    chosen = [-1] * n
-    used_before = [0] * n
-    cand = [0] * n
-    used = 0
-    pos = 0
-    cand[0] = 1
-    while True:
-        if cand[pos] == 0:
-            pos -= 1
-            if pos < 0:
-                return None
-            c = chosen[pos]
-            class_masks[c] &= ~(1 << order[pos])
-            used = used_before[pos]
-            continue
-        search.tick()
-        low = cand[pos] & -cand[pos]
-        cand[pos] ^= low
-        c = low.bit_length() - 1
-        v = order[pos]
-        if class_masks[c] & adj[v]:
-            continue
-        chosen[pos] = c
-        used_before[pos] = used
-        class_masks[c] |= 1 << v
-        if c == used:
-            used += 1
-        if pos == n - 1:
-            return [m for m in class_masks if m]
-        pos += 1
-        cand[pos] = (1 << min(used + 1, k)) - 1
-
-
-def _chromatic_masks(adj: list[int], search: _Search) -> tuple[int, list[int]]:
-    """Exact chromatic number of a nonempty connected graph, as bitmask classes."""
-    order = _degeneracy_order(adj)
-    greedy = _greedy_color_classes(adj, order)
-    lower = max(2, _greedy_clique_size(adj))
-    for k in range(lower, len(greedy)):
-        found = _kcolor_feasible(adj, order, k, search)
-        if found is not None:
-            return len(found), found
-    return len(greedy), greedy
-
-
 def _components(adj: list[int]) -> list[int]:
     n = len(adj)
     seen = 0
@@ -253,27 +209,44 @@ def _components(adj: list[int]) -> list[int]:
     return comps
 
 
-def _chromatic(adj: list[int], search: _Search) -> tuple[int, Coloring]:
-    """Exact chromatic number with certificate, solved per component.
+def _chromatic(adj: list[int], search: _Search) -> Coloring:
+    """Exact minimum proper coloring, solved per component by the level
+    search with no vertex needing a witness.
 
     Each component is relabelled 0..size-1 in index order on the caller's
     masks; a component that is the whole graph keeps them as they are.
     """
     global_classes: list[set[int]] = []
-    value = 0
     for comp in _components(adj):
         old = list(_bits(comp))
         sub_adj = adj
         if len(old) < len(adj):
             new = {v: k for k, v in enumerate(old)}
             sub_adj = [sum(1 << new[u] for u in _bits(adj[v])) for v in old]
-        k, masks = _chromatic_masks(sub_adj, search)
-        value = max(value, k)
-        for idx, mask in enumerate(masks):
+        order = _degeneracy_order(sub_adj)
+        greedy = _greedy_color_classes(sub_adj, order)
+        for idx, mask in enumerate(_first_feasible_level(sub_adj, order, greedy, 0, search)):
             if idx == len(global_classes):
                 global_classes.append(set())
             global_classes[idx].update(old[v] + 1 for v in _bits(mask))
-    return value, Coloring(tuple(frozenset(c) for c in global_classes))
+    return Coloring(tuple(frozenset(c) for c in global_classes))
+
+
+def _best_set(g: Graph, budget: SearchBudget | None, seed, improve) -> InvariantResult:
+    """Start from the set ``seed(adj)`` and let the branch and bound
+    ``improve(adj, best, search)`` overwrite it; the set it holds when the
+    search ends, or its budget runs out, is the certificate."""
+    start = time.perf_counter()
+    search = _Search(budget)
+    adj = _adj_masks(g)
+    best = seed(adj)
+    proven = True
+    try:
+        improve(adj, best, search)
+    except _OutOfBudget:
+        proven = False
+    cert = frozenset(v + 1 for v in best)
+    return InvariantResult(len(cert), cert, search.nodes, time.perf_counter() - start, proven)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +326,7 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Maximum independent set, exact."""
-    start = time.perf_counter()
-    search = _Search(budget)
-    adj = _adj_masks(g)
-    proven = True
-    best = _greedy_independent(adj)
-    try:
-        _mis_search(adj, best, search)
-    except _OutOfBudget:
-        proven = False
-    cert = frozenset(v + 1 for v in best)
-    return InvariantResult(len(cert), cert, search.nodes, time.perf_counter() - start, proven)
+    return _best_set(g, budget, _greedy_independent, _mis_search)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +345,11 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
     proven = True
     adj = _adj_masks(g)
     try:
-        value, cert = _chromatic(adj, search)
+        cert = _chromatic(adj, search)
     except _OutOfBudget:
         proven = False
-        masks = _greedy_color_classes(adj, _degeneracy_order(adj))
-        cert = Coloring(tuple(frozenset(v + 1 for v in _bits(m)) for m in masks))
-        value = cert.num_classes
-    return InvariantResult(value, cert, search.nodes, time.perf_counter() - start, proven)
+        cert = _coloring(_greedy_color_classes(adj, _degeneracy_order(adj)))
+    return InvariantResult(cert.num_classes, cert, search.nodes, time.perf_counter() - start, proven)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +407,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominating set, exact; requires positive minimum degree."""
     _require_min_degree_one(g, "total domination")
-    start = time.perf_counter()
-    search = _Search(budget)
-    adj = _adj_masks(g)
-    best = _greedy_tds(adj)
-    proven = True
-    try:
-        _tds_search(adj, best, search)
-    except _OutOfBudget:
-        proven = False
-    cert = frozenset(v + 1 for v in best)
-    return InvariantResult(len(cert), cert, search.nodes, time.perf_counter() - start, proven)
+    return _best_set(g, budget, _greedy_tds, _tds_search)
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +436,37 @@ def _ktdc_feasible(
     adj: list[int],
     order: list[int],
     k: int,
+    need: int,
     search: _Search,
     prune: bool = True,
 ) -> list[int] | None:
-    """Feasibility of a total dominator coloring with exactly k classes.
+    """Feasibility of a proper coloring with exactly k classes in which
+    every vertex of the bit mask ``need`` has a class inside its open
+    neighborhood.  All vertices gives a total dominator coloring, none a
+    plain proper coloring: every witness test below compares against
+    ``need`` and passes trivially when it is empty.
 
-    compat[c] tracks the vertices whose open neighborhood still contains
-    class c; rescue[p], the union of the neighborhoods of the objects not
-    yet assigned at position p, holds the vertices a newly opened class
-    could still come to serve.  others[p][c] is the OR of compat over the
-    opened classes other than c when position p is entered, so each
-    candidate class costs one OR instead of a loop.
+    Classes are opened in first-use order, which removes color-permutation
+    symmetry, so an exhausted run proves that no such coloring exists.
+    Asking for exactly k classes loses nothing for k up to the number of
+    vertices: splitting a class of a coloring with fewer classes keeps it
+    proper, and any witness of the class witnesses each part.  So the
+    first feasible level of an ascending search is the least class count.
+    The branches the exact count cuts (too few positions left to open the
+    remaining classes) complete only to colorings with fewer classes,
+    which the lower levels or the clique bound under them rule out, so the
+    first coloring found is the one a search for at most k classes finds.
 
-    Witness-capacity bound: the vertices outside every opened class's
-    compat must be witnessed by the m classes still unopened.  Each of
+    compat[c] tracks the vertices of ``need`` whose open neighborhood
+    still contains class c; rescue[p], the union of the neighborhoods of
+    the objects not yet assigned at position p, restricted to ``need``,
+    holds the vertices a newly opened class could still come to serve.
+    others[p][c] is the OR of compat over the opened classes other than c
+    when position p is entered, so each candidate class costs one OR
+    instead of a loop.
+
+    Witness-capacity bound: the vertices of ``need`` outside every opened
+    class's compat must be witnessed by the m classes still unopened.  Each of
     those ends with a member u among the unassigned vertices, distinct for
     distinct classes, and witnesses only vertices of N(u).  So a branch
     dies when these vertices number more than m times the maximum degree,
@@ -511,16 +479,15 @@ def _ktdc_feasible(
     tests).
     """
     n = len(order)
-    full = (1 << len(adj)) - 1
     maxdeg = max(a.bit_count() for a in adj)
     ahead = [adj[u] for u in order]  # ahead[p:]: the unassigned vertices at position p
 
     rescue = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
-        rescue[pos] = rescue[pos + 1] | ahead[pos]
+        rescue[pos] = rescue[pos + 1] | (ahead[pos] & need)
 
     class_masks = [0] * k
-    compat = [full] * k
+    compat = [need] * k
     chosen = [-1] * n
     used_before = [0] * n
     compat_before = [0] * n
@@ -556,9 +523,9 @@ def _ktdc_feasible(
             union = others[pos][c] | new_compat
             unopened = k - new_used
             if unopened:
-                if union | rescue[pos + 1] != full:
+                if union | rescue[pos + 1] != need:
                     continue
-                open_ = full & ~union
+                open_ = need & ~union
                 count = open_.bit_count()
                 if count > unopened * maxdeg:
                     continue
@@ -566,7 +533,7 @@ def _ktdc_feasible(
                     loads = sorted([(a & open_).bit_count() for a in ahead[pos + 1:]])
                     if count > sum(loads[-unopened:]):
                         continue
-            elif union != full:
+            elif union != need:
                 continue
         chosen[pos] = c
         used_before[pos] = used
@@ -579,6 +546,25 @@ def _ktdc_feasible(
         pos += 1
         cand[pos] = (1 << min(used + 1, k)) - 1
         others[pos] = _others_union(compat, used)
+
+
+def _first_feasible_level(
+    adj: list[int],
+    order: list[int],
+    incumbent: list[int],
+    need: int,
+    search: _Search,
+    prune: bool = True,
+) -> list[int]:
+    """Classes of the first feasible level of ``_ktdc_feasible``, tried in
+    ascending order from the greedy clique bound (at least 2) up to one
+    below the incumbent's class count, or ``incumbent`` itself when every
+    such level is refuted."""
+    for k in range(max(2, _greedy_clique_size(adj)), len(incumbent)):
+        found = _ktdc_feasible(adj, order, k, need, search, prune)
+        if found is not None:
+            return found
+    return incumbent
 
 
 def total_dominator_chromatic_number(
@@ -595,12 +581,15 @@ def total_dominator_chromatic_number(
     set as singletons plus a greedy coloring of the rest) is returned when a
     budget runs out, and short-circuits the final level when every smaller
     count has already been refuted.
+
+    ``prune=False`` checks witnesses on complete colorings only: a slow
+    reference path that must return the same coloring, against which the
+    tests check that pruning is sound.
     """
     _require_min_degree_one(g, "total dominator coloring")
     start = time.perf_counter()
     search = _Search(budget)
     adj = _adj_masks(g)
-    n = g.n
     order = _degeneracy_order(adj)
 
     tds = sorted(_greedy_tds(adj))
@@ -612,14 +601,10 @@ def total_dominator_chromatic_number(
     proven = True
     answer = incumbent
     try:
-        for k in range(max(2, _greedy_clique_size(adj)), len(incumbent)):
-            found = _ktdc_feasible(adj, order, k, search, prune=prune)
-            if found is not None:
-                answer = found
-                break
+        answer = _first_feasible_level(adj, order, incumbent, (1 << g.n) - 1, search, prune)
     except _OutOfBudget:
         proven = False
-    cert = Coloring(tuple(frozenset(v + 1 for v in _bits(m)) for m in answer))
+    cert = _coloring(answer)
     return InvariantResult(cert.num_classes, cert, search.nodes, time.perf_counter() - start, proven)
 
 
@@ -660,6 +645,8 @@ def total_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> Inva
 
 def tdtc_number(g: Graph, budget: SearchBudget | None = None, prune: bool = True) -> InvariantResult:
     """Total dominator total chromatic number, via the total-graph reduction,
-    with a mixed-object coloring as certificate."""
+    with a mixed-object coloring as certificate.  ``prune`` is passed to
+    total_dominator_chromatic_number, whose unpruned path is the reference
+    for the pruning-soundness tests."""
     _require_min_degree_one(g, "total dominator total coloring")
     return _on_total_graph(g, total_dominator_chromatic_number, budget, prune=prune)

@@ -1,18 +1,23 @@
 """Independent oracles: exhaustive enumeration over subsets and set
 partitions, a direct search over mixed objects, the adjacent-or-incident
 relation decided case by case, the alternate printed forms of the
-cycle/path formulas, and the plain quadratic forms of the library's
-ordering and certificate-checking loops.
+cycle/path formulas, the plain quadratic forms of the library's ordering
+and certificate-checking loops, and the dedicated k-coloring backtracking
+that the chromatic-number search ran before it shared the total dominator
+coloring kernel.
 
 These deliberately share no search machinery with the solvers and no case
 split with the library's formulas; they are the ground truth the library is
-checked against.
+checked against.  The one exception is the chromatic reference, which uses
+the solver's ordering, greedy bounds and node counter so that its classes
+and node counts compare one to one with the library's.
 """
 
 from itertools import combinations
 
 import tdtc.closed_forms as cf
 from tdtc import Edge, Graph, Vertex, mixed_neighbors, mixed_objects, object_key
+from tdtc.solvers import _degeneracy_order, _greedy_clique_size, _greedy_color_classes, _Search
 
 
 def set_partitions(items):
@@ -224,3 +229,58 @@ def domination_report_scan(universe, neighbors, classes, mixed: bool) -> dict:
         "properness_violations": tuple(violations),
         "cn_sets": tuple(cn_sets),
     }
+
+
+def kcolor_feasible_reference(adj: list[int], order: list[int], k: int, search: _Search) -> list[int] | None:
+    """Backtracking coloring with at most k classes; returns class bitmasks
+    or None.  Classes are opened in first-use order, and each tried class
+    counts one node, as in the library's level search."""
+    n = len(order)
+    if n == 0:
+        return []
+    class_masks = [0] * k
+    chosen = [-1] * n
+    used_before = [0] * n
+    cand = [0] * n
+    used = 0
+    pos = 0
+    cand[0] = 1
+    while True:
+        if cand[pos] == 0:
+            pos -= 1
+            if pos < 0:
+                return None
+            c = chosen[pos]
+            class_masks[c] &= ~(1 << order[pos])
+            used = used_before[pos]
+            continue
+        search.tick()
+        low = cand[pos] & -cand[pos]
+        cand[pos] ^= low
+        c = low.bit_length() - 1
+        v = order[pos]
+        if class_masks[c] & adj[v]:
+            continue
+        chosen[pos] = c
+        used_before[pos] = used
+        class_masks[c] |= 1 << v
+        if c == used:
+            used += 1
+        if pos == n - 1:
+            return [m for m in class_masks if m]
+        pos += 1
+        cand[pos] = (1 << min(used + 1, k)) - 1
+
+
+def chromatic_masks_reference(adj: list[int], search: _Search) -> list[int]:
+    """Minimum proper coloring of a nonempty connected graph as bitmask
+    classes: levels from the greedy clique bound (at least 2) up to one
+    below the smallest-last greedy coloring, each by
+    ``kcolor_feasible_reference``."""
+    order = _degeneracy_order(adj)
+    greedy = _greedy_color_classes(adj, order)
+    for k in range(max(2, _greedy_clique_size(adj)), len(greedy)):
+        found = kcolor_feasible_reference(adj, order, k, search)
+        if found is not None:
+            return found
+    return greedy

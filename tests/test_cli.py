@@ -54,6 +54,13 @@ class TestCompute:
         data = json.loads(out)
         assert data["value"] == 2 and data["certificate"]["universe"] == "mixed"
 
+    def test_exact_json_stdout_byte_stable(self, capsys):
+        argv = ("compute", "--family", "cycle", "--n", "7", "--invariant", "chi_tt_d", "--exact", "--format", "json")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[0] == second[0] == 0 and first[1] == second[1]
+        assert "elapsed" not in json.loads(first[1])
+        assert first[2].startswith("elapsed: ")
+
     def test_missing_graph_source(self, capsys):
         code, _, err = run(capsys, "compute", "--invariant", "alpha")
         assert code == 2 and "graph source" in err

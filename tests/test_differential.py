@@ -2,6 +2,8 @@
 the quadratic reference loops in ``oracles``: equal lists, equal dict item
 order, on the total graphs of cycles and paths and on seeded random graphs
 with random (often improper or undominated) colorings in both universes.
+The chromatic number against the dedicated k-coloring search in
+``oracles``: equal classes in class order, and no more search nodes.
 """
 
 import random
@@ -10,9 +12,9 @@ from itertools import combinations
 import pytest
 
 import tdtc as t
-from oracles import degeneracy_order_scan, domination_report_scan
+from oracles import chromatic_masks_reference, degeneracy_order_scan, domination_report_scan
 from tdtc import Coloring, Graph
-from tdtc.solvers import _adj_masks, _degeneracy_order
+from tdtc.solvers import _adj_masks, _bits, _components, _degeneracy_order, _Search
 
 FAMILY_SIZES = {
     "cycle": [*range(3, 60), 100, 301],
@@ -134,3 +136,34 @@ def test_reports_match_scan_on_random_graphs():
             seen["undominated"] += bool(r["undominated"])
     # the corpus exercises every branch of the report, not only valid colorings
     assert min(seen.values()) >= 100, seen
+
+
+def _assert_chromatic_matches_reference(graphs: list[Graph]) -> int:
+    """Compare ``chromatic_number`` on connected graphs with the reference;
+    returns the reference's total node count."""
+    total = 0
+    for idx, g in enumerate(graphs):
+        search = _Search(None)
+        masks = chromatic_masks_reference(_adj_masks(g), search)
+        want = tuple(frozenset(v + 1 for v in _bits(m)) for m in masks)
+        got = t.chromatic_number(g)
+        assert got.proven_optimal and got.certificate.classes == want, idx
+        assert got.nodes_explored <= search.nodes, (idx, got.nodes_explored, search.nodes)
+        total += search.nodes
+    return total
+
+
+def test_chromatic_matches_reference_on_random_graphs():
+    connected = [g for g in RANDOM_GRAPHS if len(_components(_adj_masks(g))) == 1]
+    assert len(connected) >= 100
+    assert _assert_chromatic_matches_reference(connected) > 0
+
+
+def test_chromatic_matches_reference_on_small_graphs(exhaustive_connected_upto5):
+    assert _assert_chromatic_matches_reference(exhaustive_connected_upto5) > 0
+
+
+def test_chromatic_matches_reference_on_family_total_graphs():
+    graphs = [t.total_graph(t.cycle(n)).graph for n in range(3, 16)]
+    graphs += [t.total_graph(t.path(n)).graph for n in range(2, 16)]
+    assert _assert_chromatic_matches_reference(graphs) > 0

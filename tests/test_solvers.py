@@ -231,6 +231,18 @@ class TestNodeCountGate:
         r = t.tdtc_number(t.cycle(13), SearchBudget(max_nodes=300_000))
         assert r.proven_optimal and r.value == 11
 
+    def test_grotzsch_chi_within_ceiling(self):
+        # measured: 170 nodes
+        r = t.chromatic_number(GROTZSCH)
+        assert r.proven_optimal and r.value == 4
+        assert r.nodes_explored <= 340, f"{r.nodes_explored} nodes, 170 measured"
+
+    def test_grotzsch_total_chi_within_ceiling(self):
+        # measured: 145 nodes
+        r = t.total_chromatic_number(GROTZSCH)
+        assert r.proven_optimal and r.value == 6
+        assert r.nodes_explored <= 300, f"{r.nodes_explored} nodes, 145 measured"
+
     def test_grotzsch_levels_below_chi_refuted_in_search(self):
         # measured: 62 nodes; 228 when an exact chromatic solve picked the
         # first level
@@ -329,6 +341,19 @@ class TestDeterminismAndBudget:
         r = t.tdtc_number(t.cycle(9), budget=SearchBudget(max_time=1e-9))
         assert not r.proven_optimal
         assert t.is_tdtc(t.cycle(9), r.certificate).valid
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_nodes", -5), ("max_nodes", -1), ("max_time", -1.0), ("max_time", float("nan"))],
+        ids=["nodes-5", "nodes-1", "time-1", "time-nan"],
+    )
+    def test_bad_budget_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be non-negative"):
+            SearchBudget(**{field: value})
+
+    def test_zero_and_unbounded_budgets_accepted(self):
+        assert not t.chromatic_number(t.cycle(9), SearchBudget(max_nodes=0)).proven_optimal
+        assert t.tdtc_number(t.cycle(5), SearchBudget(max_nodes=None, max_time=float("inf"))).proven_optimal
 
     def test_unbudgeted_results_proven(self):
         assert t.tdtc_number(t.path(5)).proven_optimal
