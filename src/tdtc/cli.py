@@ -2,9 +2,10 @@
 
 Subcommands: compute, verify, sweep, ratio, export.  All results go to
 stdout; files are written only through --out.  ``compute --format json``
-prints a solver's elapsed time on stderr, so identical runs give
-identical stdout.  Exit codes: 0 ok, 1 verification or agreement
-failure, 2 parse error, 3 domain error, 4 budget exhausted.
+prints a solver's elapsed time and the --out notice on stderr, so its
+stdout is the JSON alone and identical runs give identical stdout.  Exit
+codes: 0 ok, 1 verification or agreement failure, 2 parse error or a file
+that cannot be read or written, 3 domain error, 4 budget exhausted.
 
 For cycle/path instances the formula-backed invariants (alpha_mix,
 gamma_tm, chi_tt_d) are answered from the closed forms with a verified
@@ -139,9 +140,16 @@ def _read_file(path_str: str) -> str:
         raise GraphParseError(f"cannot read {path_str}: {exc}") from exc
 
 
+def _write_file(path_str: str, text: str) -> None:
+    try:
+        Path(path_str).write_text(text)
+    except OSError as exc:
+        raise GraphParseError(f"cannot write {path_str}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write_file(out, text)
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
@@ -246,6 +254,8 @@ def cmd_compute(args) -> int:
         exhausted = not result.proven_optimal
         elapsed = result.elapsed
 
+    if args.out:  # before any output, so a failed write leaves stdout empty
+        _write_file(args.out, json.dumps(payload["certificate"], indent=2) + "\n")
     if args.format == "json":
         # the one field that differs between identical runs stays off stdout
         print(json.dumps(payload, indent=2))
@@ -259,8 +269,8 @@ def cmd_compute(args) -> int:
             flag = "yes" if payload["proven_optimal"] else "NO (budget exhausted; value is a bound)"
             print(f"  nodes: {payload['nodes_explored']}, elapsed: {elapsed:.3f}s, proven optimal: {flag}")
     if args.out:
-        Path(args.out).write_text(json.dumps(payload["certificate"], indent=2) + "\n")
-        print(f"certificate written to {args.out}")
+        # json stdout carries the payload alone
+        print(f"certificate written to {args.out}", file=sys.stderr if args.format == "json" else sys.stdout)
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 

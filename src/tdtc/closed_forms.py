@@ -302,25 +302,27 @@ def _cycle_scheme(n: int) -> Coloring:
     return Coloring(tuple(classes))
 
 
-def _stored(inst: FamilyInstance) -> list[list[str]] | None:
-    return (_STORED_CYCLE if inst.family == CYCLE else _STORED_PATH).get(inst.n)
+def _small_case(inst: FamilyInstance) -> Coloring | None:
+    """The stored table's coloring, or the cycle scheme for 5 <= n <= 8;
+    None for the instances whose coloring is constructed."""
+    table = (_STORED_CYCLE if inst.family == CYCLE else _STORED_PATH).get(inst.n)
+    if table is not None:
+        return _table_coloring(table)
+    if inst.family == CYCLE and 5 <= inst.n <= 8:
+        return _cycle_scheme(inst.n)
+    return None
 
 
 def tdtc_certificate(family: str, n: int) -> Coloring:
     """An optimal total dominator total coloring of the cycle or path of order n."""
     inst = FamilyInstance(family, n)
-    table = _stored(inst)
-    if table is not None:
-        return _table_coloring(table)
-    if inst.family == CYCLE and 5 <= n <= 8:
-        return _cycle_scheme(n)
+    small = _small_case(inst)
+    if small is not None:
+        return small
     tg = total_graph(inst.graph())
     return coloring_from_total(tg, tdc_from_tds(tg.graph, tg.to_vertex_ids(_tmds(inst))))
 
 
 def certificate_source(family: str, n: int) -> str:
     """How tdtc_certificate obtains its coloring for this instance."""
-    inst = FamilyInstance(family, n)
-    if _stored(inst) is not None or (inst.family == CYCLE and 5 <= n <= 8):
-        return STORED_TABLE
-    return CONSTRUCTED
+    return CONSTRUCTED if _small_case(FamilyInstance(family, n)) is None else STORED_TABLE

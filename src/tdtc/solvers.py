@@ -3,7 +3,9 @@
 All searches are deterministic: vertices are processed in fixed orders and
 ties break toward the lowest index, so identical inputs always produce
 identical certificates.  Each solver returns an InvariantResult whose
-certificate re-verifies under the ``verify`` module.
+certificate re-verifies under the ``verify`` module.  Every search runs in
+one frame, ``_solve``, and keeps its incumbent in a list it overwrites in
+place, so a run whose budget runs out returns the best answer found.
 
 Search strategies
 -----------------
@@ -209,14 +211,16 @@ def _components(adj: list[int]) -> list[int]:
     return comps
 
 
-def _chromatic(adj: list[int], search: _Search) -> Coloring:
+def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
     """Exact minimum proper coloring, solved per component by the level
-    search with no vertex needing a witness.
+    search with no vertex needing a witness.  ``best`` holds the components'
+    smallest-last greedy colorings merged class by class until every
+    component is solved, then their exact colorings merged the same way.
 
     Each component is relabelled 0..size-1 in index order on the caller's
     masks; a component that is the whole graph keeps them as they are.
     """
-    global_classes: list[set[int]] = []
+    parts = []
     for comp in _components(adj):
         old = list(_bits(comp))
         sub_adj = adj
@@ -224,29 +228,41 @@ def _chromatic(adj: list[int], search: _Search) -> Coloring:
             new = {v: k for k, v in enumerate(old)}
             sub_adj = [sum(1 << new[u] for u in _bits(adj[v])) for v in old]
         order = _degeneracy_order(sub_adj)
-        greedy = _greedy_color_classes(sub_adj, order)
-        for idx, mask in enumerate(_first_feasible_level(sub_adj, order, greedy, 0, search)):
-            if idx == len(global_classes):
-                global_classes.append(set())
-            global_classes[idx].update(old[v] + 1 for v in _bits(mask))
-    return Coloring(tuple(frozenset(c) for c in global_classes))
+        parts.append((old, sub_adj, order, _greedy_color_classes(sub_adj, order)))
+
+    def merged() -> list[int]:
+        out: list[int] = []
+        for old, _, _, classes in parts:
+            out += [0] * (len(classes) - len(out))
+            for idx, mask in enumerate(classes):
+                out[idx] |= mask if len(old) == len(adj) else sum(1 << old[v] for v in _bits(mask))
+        return out
+
+    best[:] = merged()
+    for _, sub_adj, order, classes in parts:
+        _first_feasible_level(sub_adj, order, 0, classes, search)
+    best[:] = merged()
 
 
-def _best_set(g: Graph, budget: SearchBudget | None, seed, improve) -> InvariantResult:
-    """Start from the set ``seed(adj)`` and let the branch and bound
-    ``improve(adj, best, search)`` overwrite it; the set it holds when the
-    search ends, or its budget runs out, is the certificate."""
+def _solve(g: Graph, budget: SearchBudget | None, improve, certificate) -> InvariantResult:
+    """Run the search ``improve(adj, best, search)``, which puts its
+    incumbent into the list ``best`` before its first node and overwrites it
+    in place with each better one; the list it holds when the search ends,
+    or its budget runs out, is the answer, of size ``len(best)``, and
+    ``certificate(best)`` its certificate."""
     start = time.perf_counter()
     search = _Search(budget)
-    adj = _adj_masks(g)
-    best = seed(adj)
+    best: list[int] = []
     proven = True
     try:
-        improve(adj, best, search)
+        improve(_adj_masks(g), best, search)
     except _OutOfBudget:
         proven = False
-    cert = frozenset(v + 1 for v in best)
-    return InvariantResult(len(cert), cert, search.nodes, time.perf_counter() - start, proven)
+    return InvariantResult(len(best), certificate(best), search.nodes, time.perf_counter() - start, proven)
+
+
+def _vertex_set(best: list[int]) -> frozenset:
+    return frozenset(v + 1 for v in best)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +293,10 @@ def _clique_cover_count(adj: list[int], free: int) -> int:
 
 
 def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
-    """Branch and bound that overwrites ``best`` with each larger independent
-    set it finds, so the best set survives a budget running out."""
+    """Branch and bound from a greedy independent set that overwrites
+    ``best`` with each larger one it finds."""
     n = len(adj)
+    best[:] = _greedy_independent(adj)
 
     def rec(free: int, cur: list[int]) -> None:
         search.tick()
@@ -326,7 +343,7 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Maximum independent set, exact."""
-    return _best_set(g, budget, _greedy_independent, _mis_search)
+    return _solve(g, budget, _mis_search, _vertex_set)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +357,7 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
     The class count below the reported value is exhausted by search (or
     excluded outright by a clique of the same size), so the value is proven.
     """
-    start = time.perf_counter()
-    search = _Search(budget)
-    proven = True
-    adj = _adj_masks(g)
-    try:
-        cert = _chromatic(adj, search)
-    except _OutOfBudget:
-        proven = False
-        cert = _coloring(_greedy_color_classes(adj, _degeneracy_order(adj)))
-    return InvariantResult(cert.num_classes, cert, search.nodes, time.perf_counter() - start, proven)
+    return _solve(g, budget, _chromatic, _coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +378,10 @@ def _greedy_tds(adj: list[int]) -> list[int]:
 
 
 def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
-    """Branch and bound that overwrites ``best`` with each smaller total
-    dominating set it finds, so the best set survives a budget running out."""
+    """Branch and bound from a greedy total dominating set that overwrites
+    ``best`` with each smaller one it finds."""
     n = len(adj)
+    best[:] = _greedy_tds(adj)
     full = (1 << n) - 1
     maxdeg = max(a.bit_count() for a in adj)
 
@@ -407,7 +416,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominating set, exact; requires positive minimum degree."""
     _require_min_degree_one(g, "total domination")
-    return _best_set(g, budget, _greedy_tds, _tds_search)
+    return _solve(g, budget, _tds_search, _vertex_set)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +441,7 @@ def _others_union(compat: list[int], used: int) -> list[int]:
     return out
 
 
-def _ktdc_feasible(
-    adj: list[int],
-    order: list[int],
-    k: int,
-    need: int,
-    search: _Search,
-    prune: bool = True,
-) -> list[int] | None:
+def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: _Search) -> list[int] | None:
     """Feasibility of a proper coloring with exactly k classes in which
     every vertex of the bit mask ``need`` has a class inside its open
     neighborhood.  All vertices gives a total dominator coloring, none a
@@ -473,10 +475,6 @@ def _ktdc_feasible(
     or more than the m largest counts of them inside N(u) over the
     unassigned u.  Both tests cut infeasible subtrees only and leave the
     search order alone, so the first coloring found does not change.
-
-    With ``prune`` off only completed assignments are checked, which is
-    slower but must find the same coloring (used by the pruning-soundness
-    tests).
     """
     n = len(order)
     maxdeg = max(a.bit_count() for a in adj)
@@ -518,60 +516,58 @@ def _ktdc_feasible(
         if k - new_used > n - pos - 1:
             continue
         new_compat = compat[c] & adj[v]
-        last = pos == n - 1
-        if prune or last:
-            union = others[pos][c] | new_compat
-            unopened = k - new_used
-            if unopened:
-                if union | rescue[pos + 1] != need:
-                    continue
-                open_ = need & ~union
-                count = open_.bit_count()
-                if count > unopened * maxdeg:
-                    continue
-                if open_:
-                    loads = sorted([(a & open_).bit_count() for a in ahead[pos + 1:]])
-                    if count > sum(loads[-unopened:]):
-                        continue
-            elif union != need:
+        union = others[pos][c] | new_compat
+        unopened = k - new_used
+        if unopened:
+            if union | rescue[pos + 1] != need:
                 continue
+            open_ = need & ~union
+            count = open_.bit_count()
+            if count > unopened * maxdeg:
+                continue
+            if open_:
+                loads = sorted([(a & open_).bit_count() for a in ahead[pos + 1:]])
+                if count > sum(loads[-unopened:]):
+                    continue
+        elif union != need:
+            continue
         chosen[pos] = c
         used_before[pos] = used
         compat_before[pos] = compat[c]
         class_masks[c] |= 1 << v
         compat[c] = new_compat
         used = new_used
-        if last:
+        if pos == n - 1:
             return list(class_masks)
         pos += 1
         cand[pos] = (1 << min(used + 1, k)) - 1
         others[pos] = _others_union(compat, used)
 
 
-def _first_feasible_level(
-    adj: list[int],
-    order: list[int],
-    incumbent: list[int],
-    need: int,
-    search: _Search,
-    prune: bool = True,
-) -> list[int]:
-    """Classes of the first feasible level of ``_ktdc_feasible``, tried in
-    ascending order from the greedy clique bound (at least 2) up to one
-    below the incumbent's class count, or ``incumbent`` itself when every
-    such level is refuted."""
-    for k in range(max(2, _greedy_clique_size(adj)), len(incumbent)):
-        found = _ktdc_feasible(adj, order, k, need, search, prune)
+def _first_feasible_level(adj: list[int], order: list[int], need: int, best: list[int],
+                          search: _Search) -> None:
+    """Overwrite ``best`` with the classes of the first feasible level of
+    ``_ktdc_feasible``, tried in ascending order from the greedy clique
+    bound (at least 2) up to one below ``len(best)``; ``best`` stays as it
+    is when every such level is refuted."""
+    for k in range(max(2, _greedy_clique_size(adj)), len(best)):
+        found = _ktdc_feasible(adj, order, k, need, search)
         if found is not None:
-            return found
-    return incumbent
+            best[:] = found
+            return
 
 
-def total_dominator_chromatic_number(
-    g: Graph,
-    budget: SearchBudget | None = None,
-    prune: bool = True,
-) -> InvariantResult:
+def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
+    """The level search with every vertex needing a witness, below the
+    incumbent that total_dominator_chromatic_number describes."""
+    order = _degeneracy_order(adj)
+    tds = sorted(_greedy_tds(adj))
+    in_tds = set(tds)
+    best[:] = [1 << v for v in tds] + _greedy_color_classes(adj, [v for v in order if v not in in_tds])
+    _first_feasible_level(adj, order, (1 << len(adj)) - 1, best, search)
+
+
+def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominator coloring, exact; requires positive minimum degree.
 
     Iterative deepening over the class count, from the greedy clique bound
@@ -581,31 +577,9 @@ def total_dominator_chromatic_number(
     set as singletons plus a greedy coloring of the rest) is returned when a
     budget runs out, and short-circuits the final level when every smaller
     count has already been refuted.
-
-    ``prune=False`` checks witnesses on complete colorings only: a slow
-    reference path that must return the same coloring, against which the
-    tests check that pruning is sound.
     """
     _require_min_degree_one(g, "total dominator coloring")
-    start = time.perf_counter()
-    search = _Search(budget)
-    adj = _adj_masks(g)
-    order = _degeneracy_order(adj)
-
-    tds = sorted(_greedy_tds(adj))
-    in_tds = set(tds)
-    rest_order = [v for v in order if v not in in_tds]
-    rest_classes = _greedy_color_classes(adj, rest_order)
-    incumbent = [1 << v for v in tds] + rest_classes
-
-    proven = True
-    answer = incumbent
-    try:
-        answer = _first_feasible_level(adj, order, incumbent, (1 << g.n) - 1, search, prune)
-    except _OutOfBudget:
-        proven = False
-    cert = _coloring(answer)
-    return InvariantResult(cert.num_classes, cert, search.nodes, time.perf_counter() - start, proven)
+    return _solve(g, budget, _tdc_search, _coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +587,12 @@ def total_dominator_chromatic_number(
 # ---------------------------------------------------------------------------
 
 
-def _on_total_graph(g: Graph, solve, budget: SearchBudget | None, **kw) -> InvariantResult:
+def _on_total_graph(g: Graph, solve, budget: SearchBudget | None) -> InvariantResult:
     """Run ``solve`` on the total graph of g and map its certificate back to
     the base graph's objects."""
     start = time.perf_counter()
     tg = total_graph(g)
-    inner = solve(tg.graph, budget, **kw)
+    inner = solve(tg.graph, budget)
     cert = inner.certificate
     cert = coloring_from_total(tg, cert) if isinstance(cert, Coloring) else tg.to_objects(cert)
     return InvariantResult(inner.value, cert, inner.nodes_explored,
@@ -643,10 +617,8 @@ def total_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> Inva
     return _on_total_graph(g, chromatic_number, budget)
 
 
-def tdtc_number(g: Graph, budget: SearchBudget | None = None, prune: bool = True) -> InvariantResult:
+def tdtc_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total dominator total chromatic number, via the total-graph reduction,
-    with a mixed-object coloring as certificate.  ``prune`` is passed to
-    total_dominator_chromatic_number, whose unpruned path is the reference
-    for the pruning-soundness tests."""
+    with a mixed-object coloring as certificate."""
     _require_min_degree_one(g, "total dominator total coloring")
-    return _on_total_graph(g, total_dominator_chromatic_number, budget, prune=prune)
+    return _on_total_graph(g, total_dominator_chromatic_number, budget)

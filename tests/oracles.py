@@ -2,22 +2,24 @@
 partitions, a direct search over mixed objects, the adjacent-or-incident
 relation decided case by case, the alternate printed forms of the
 cycle/path formulas, the plain quadratic forms of the library's ordering
-and certificate-checking loops, and the dedicated k-coloring backtracking
-that the chromatic-number search ran before it shared the total dominator
-coloring kernel.
+and certificate-checking loops, and a plain k-coloring backtracking.
 
 These deliberately share no search machinery with the solvers and no case
 split with the library's formulas; they are the ground truth the library is
-checked against.  The one exception is the chromatic reference, which uses
-the solver's ordering, greedy bounds and node counter so that its classes
-and node counts compare one to one with the library's.
+checked against.  The one exception is the k-coloring reference, which uses
+the solver's ordering, greedy bounds, greedy incumbents and node counter so
+that its classes and node counts compare one to one with the library's
+level search.  Through its ``need`` mask, checked only on complete
+assignments, it serves both the chromatic number (an empty mask) and the
+total dominator chromatic number (every vertex), whose witness pruning it
+checks.
 """
 
 from itertools import combinations
 
 import tdtc.closed_forms as cf
 from tdtc import Edge, Graph, Vertex, mixed_neighbors, mixed_objects, object_key
-from tdtc.solvers import _degeneracy_order, _greedy_clique_size, _greedy_color_classes, _Search
+from tdtc.solvers import _degeneracy_order, _greedy_clique_size, _greedy_color_classes, _greedy_tds, _Search
 
 
 def set_partitions(items):
@@ -231,16 +233,27 @@ def domination_report_scan(universe, neighbors, classes, mixed: bool) -> dict:
     }
 
 
-def kcolor_feasible_reference(adj: list[int], order: list[int], k: int, search: _Search) -> list[int] | None:
-    """Backtracking coloring with at most k classes; returns class bitmasks
-    or None.  Classes are opened in first-use order, and each tried class
-    counts one node, as in the library's level search."""
+def kcolor_feasible_reference(
+    adj: list[int], order: list[int], k: int, search: _Search, need: int = 0,
+) -> list[int] | None:
+    """Backtracking coloring with at most k classes in which every vertex of
+    the bit mask ``need`` has a class inside its open neighborhood; returns
+    class bitmasks or None.  Classes are opened in first-use order, and each
+    tried class counts one node, as in the library's level search.
+
+    compat[c] keeps the vertices of ``need`` whose neighborhood still holds
+    class c, but the witness condition is checked only at a complete
+    assignment, so an empty ``need`` (a plain proper coloring) explores the
+    same nodes as the search without it.
+    """
     n = len(order)
     if n == 0:
         return []
     class_masks = [0] * k
+    compat = [need] * k
     chosen = [-1] * n
     used_before = [0] * n
+    compat_before = [0] * n
     cand = [0] * n
     used = 0
     pos = 0
@@ -252,6 +265,7 @@ def kcolor_feasible_reference(adj: list[int], order: list[int], k: int, search: 
                 return None
             c = chosen[pos]
             class_masks[c] &= ~(1 << order[pos])
+            compat[c] = compat_before[pos]
             used = used_before[pos]
             continue
         search.tick()
@@ -263,24 +277,49 @@ def kcolor_feasible_reference(adj: list[int], order: list[int], k: int, search: 
             continue
         chosen[pos] = c
         used_before[pos] = used
+        compat_before[pos] = compat[c]
         class_masks[c] |= 1 << v
+        compat[c] &= adj[v]
         if c == used:
             used += 1
-        if pos == n - 1:
+        if pos < n - 1:
+            pos += 1
+            cand[pos] = (1 << min(used + 1, k)) - 1
+            continue
+        witnessed = 0
+        for cls in compat[:used]:
+            witnessed |= cls
+        if witnessed == need:
             return [m for m in class_masks if m]
-        pos += 1
-        cand[pos] = (1 << min(used + 1, k)) - 1
+        class_masks[c] &= ~(1 << v)
+        compat[c] = compat_before[pos]
+        used = used_before[pos]
+
+
+def level_search_reference(adj: list[int], incumbent: list[int], need: int, search: _Search) -> list[int]:
+    """Classes of the first level, from the greedy clique bound (at least 2)
+    up to one below the incumbent's class count, that
+    ``kcolor_feasible_reference`` finds feasible along the smallest-last
+    order, or ``incumbent`` when every such level is refuted."""
+    order = _degeneracy_order(adj)
+    for k in range(max(2, _greedy_clique_size(adj)), len(incumbent)):
+        found = kcolor_feasible_reference(adj, order, k, search, need)
+        if found is not None:
+            return found
+    return incumbent
 
 
 def chromatic_masks_reference(adj: list[int], search: _Search) -> list[int]:
     """Minimum proper coloring of a nonempty connected graph as bitmask
-    classes: levels from the greedy clique bound (at least 2) up to one
-    below the smallest-last greedy coloring, each by
-    ``kcolor_feasible_reference``."""
-    order = _degeneracy_order(adj)
-    greedy = _greedy_color_classes(adj, order)
-    for k in range(max(2, _greedy_clique_size(adj)), len(greedy)):
-        found = kcolor_feasible_reference(adj, order, k, search)
-        if found is not None:
-            return found
-    return greedy
+    classes, below the smallest-last greedy coloring."""
+    return level_search_reference(adj, _greedy_color_classes(adj, _degeneracy_order(adj)), 0, search)
+
+
+def tdc_masks_reference(adj: list[int], search: _Search) -> list[int]:
+    """Minimum total dominator coloring as bitmask classes, below the
+    incumbent the library starts from: a greedy total dominating set as
+    singletons, then a greedy coloring of the other vertices in
+    smallest-last order."""
+    tds = sorted(_greedy_tds(adj))
+    rest = _greedy_color_classes(adj, [v for v in _degeneracy_order(adj) if v not in tds])
+    return level_search_reference(adj, [1 << v for v in tds] + rest, (1 << len(adj)) - 1, search)

@@ -61,6 +61,17 @@ class TestCompute:
         assert "elapsed" not in json.loads(first[1])
         assert first[2].startswith("elapsed: ")
 
+    def test_json_stdout_parses_with_out(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        argv = ("compute", "--family", "cycle", "--n", "5", "--invariant", "chi_tt_d", "--out", str(cert))
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["certificate"] == json.loads(cert.read_text())
+        assert err == f"certificate written to {cert}\n"
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (f"chi_tt_d(cycle(5)) = 5\n  route: closed-form [3 <= n <= 8]\n"
+                       f"  certificate: coloring with 5 classes\ncertificate written to {cert}\n")
+
     def test_missing_graph_source(self, capsys):
         code, _, err = run(capsys, "compute", "--invariant", "alpha")
         assert code == 2 and "graph source" in err
@@ -158,6 +169,22 @@ class TestCompute:
         code, out, _ = run(capsys, "verify", "--family", "path", "--n", "4",
                            "--kind", kind, str(cert))
         assert code == 0, out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--family", "cycle", "--n", "5", "--invariant", "chi_tt_d"),
+        ("sweep", "--family", "cycle", "--from", "3", "--to", "5"),
+        ("export", "--family", "cycle", "--n", "5", "--what", "tdtc"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exit_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and f"cannot write {target}: " in err
+    assert "Traceback" not in err
 
 
 class TestVerify:

@@ -2,8 +2,9 @@
 the quadratic reference loops in ``oracles``: equal lists, equal dict item
 order, on the total graphs of cycles and paths and on seeded random graphs
 with random (often improper or undominated) colorings in both universes.
-The chromatic number against the dedicated k-coloring search in
-``oracles``: equal classes in class order, and no more search nodes.
+The chromatic number against the k-coloring reference in ``oracles``:
+equal classes in class order, and no more search nodes; and, when its
+budget runs out, the greedy coloring of the whole graph.
 """
 
 import random
@@ -13,8 +14,16 @@ import pytest
 
 import tdtc as t
 from oracles import chromatic_masks_reference, degeneracy_order_scan, domination_report_scan
-from tdtc import Coloring, Graph
-from tdtc.solvers import _adj_masks, _bits, _components, _degeneracy_order, _Search
+from tdtc import Coloring, Graph, SearchBudget
+from tdtc.solvers import (
+    _adj_masks,
+    _bits,
+    _coloring,
+    _components,
+    _degeneracy_order,
+    _greedy_color_classes,
+    _Search,
+)
 
 FAMILY_SIZES = {
     "cycle": [*range(3, 60), 100, 301],
@@ -167,3 +176,39 @@ def test_chromatic_matches_reference_on_family_total_graphs():
     graphs = [t.total_graph(t.cycle(n)).graph for n in range(3, 16)]
     graphs += [t.total_graph(t.path(n)).graph for n in range(2, 16)]
     assert _assert_chromatic_matches_reference(graphs) > 0
+
+
+def _greedy_coloring(g: Graph) -> Coloring:
+    adj = _adj_masks(g)
+    return _coloring(_greedy_color_classes(adj, _degeneracy_order(adj)))
+
+
+@pytest.mark.parametrize("max_nodes", [0, 3])
+def test_exhausted_chromatic_returns_whole_graph_greedy(max_nodes):
+    """A budget that runs out returns the smallest-last greedy coloring of
+    the whole graph.  Four of these graphs run out at either budget; the
+    others need no search node, so their exact coloring is that greedy one
+    too."""
+    two_triangles = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+    disconnected = [g for g in RANDOM_GRAPHS if len(_components(_adj_masks(g))) > 1]
+    assert len(disconnected) >= 100
+    exhausted = 0
+    for idx, g in enumerate([two_triangles, *disconnected]):
+        got = t.chromatic_number(g, SearchBudget(max_nodes=max_nodes))
+        assert got.certificate == _greedy_coloring(g), idx
+        exhausted += not got.proven_optimal
+    assert exhausted >= 4
+
+
+def test_exhausted_chromatic_drops_solved_components():
+    """The first component's exact coloring (3 classes, 15 nodes) beats its
+    greedy one (4 classes); the budget then runs out on the Grotzsch graph
+    after it, and the whole graph's greedy coloring is returned."""
+    first = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)]
+    grotzsch = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+    grotzsch += [(j, i + 5) for i in range(1, 6) for j in (i % 5 + 1, (i - 2) % 5 + 1)]
+    grotzsch += [(i, 11) for i in range(6, 11)]
+    assert t.chromatic_number(Graph(6, first)).certificate != _greedy_coloring(Graph(6, first))
+    g = Graph(17, first + [(i + 6, j + 6) for i, j in grotzsch])
+    got = t.chromatic_number(g, SearchBudget(max_nodes=50))
+    assert not got.proven_optimal and got.certificate == _greedy_coloring(g)

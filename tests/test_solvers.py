@@ -1,10 +1,20 @@
+import inspect
 from itertools import combinations
 
 import pytest
 
 import tdtc as t
-from oracles import brute_alpha, brute_chi, brute_chi_t_d, brute_gamma_t, total_mixed_domination_number_direct
-from tdtc import Coloring, DomainError, Graph, SearchBudget
+import tdtc.cli as cli
+from oracles import (
+    brute_alpha,
+    brute_chi,
+    brute_chi_t_d,
+    brute_gamma_t,
+    tdc_masks_reference,
+    total_mixed_domination_number_direct,
+)
+from tdtc import DomainError, Graph, SearchBudget
+from tdtc.solvers import _adj_masks, _coloring, _Search
 
 
 def complete(n):
@@ -97,13 +107,19 @@ class TestTotalDomination:
 
 def _assert_pruning_sound(solve, g):
     """Pruning cuts only infeasible subtrees of the same search: the value
-    and the certificate, class order included, match the search that checks
-    completed assignments only, and no node is added."""
-    pruned = solve(g, prune=True)
-    plain = solve(g, prune=False)
-    assert pruned.value == plain.value
-    assert pruned.certificate == plain.certificate
-    assert pruned.nodes_explored <= plain.nodes_explored
+    and the certificate, class order included, match the oracle's search
+    that checks witnesses on completed assignments only, and no node is
+    added.  ``solve`` is total_dominator_chromatic_number, or tdtc_number,
+    whose reference runs on the total graph."""
+    got = solve(g)
+    tg = t.total_graph(g) if solve is t.tdtc_number else None
+    search = _Search(None)
+    want = _coloring(tdc_masks_reference(_adj_masks(g if tg is None else tg.graph), search))
+    if tg is not None:
+        want = t.coloring_from_total(tg, want)
+    assert got.value == want.num_classes
+    assert got.certificate == want
+    assert got.nodes_explored <= search.nodes
 
 
 class TestTotalDominatorChromatic:
@@ -134,7 +150,7 @@ class TestTotalDominatorChromatic:
         for g in [*exhaustive_connected_upto5, *random_corpus]:
             _assert_pruning_sound(t.total_dominator_chromatic_number, g)
 
-    # C_7 and P_8 take 1.2 s and 8 s with pruning off
+    # the reference takes 1.0 s on C_7 and 8 s on P_8
     @pytest.mark.parametrize(
         "family,n", [("cycle", n) for n in range(3, 7)] + [("path", n) for n in range(2, 8)],
     )
@@ -361,3 +377,15 @@ class TestDeterminismAndBudget:
     def test_nodes_and_elapsed_recorded(self):
         r = t.tdtc_number(t.cycle(5))
         assert r.nodes_explored > 0 and r.elapsed >= 0.0
+
+
+def test_public_solvers_take_graph_and_budget_only():
+    """Every solver the CLI dispatches to, and every other solver that tdtc
+    exports, takes exactly (g, budget=None): how a search runs is not a
+    caller's option."""
+    exported = {f for f in vars(t).values() if inspect.isfunction(f) and f.__module__ == "tdtc.solvers"}
+    assert len(exported) == 8
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    for solve in exported | {inv.solve for inv in cli.INVARIANTS.values()}:
+        params = [(p.name, p.kind, p.default) for p in inspect.signature(solve).parameters.values()]
+        assert params == [("g", positional, inspect.Parameter.empty), ("budget", positional, None)], solve.__name__
