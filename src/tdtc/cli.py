@@ -401,7 +401,7 @@ def cmd_ratio(args) -> int:
     for n in range(args.from_n, args.to_n + 1):
         chi_tt = cf.chi_tt(args.family, n).value
         g = cf.FamilyInstance(args.family, n).graph()
-        result = solvers.total_dominator_chromatic_number(g, budget)
+        result = INVARIANTS["chi_t_d"].solve(g, budget)
         if not result.proven_optimal:
             rows.append((n, chi_tt, None, None))
             continue

@@ -12,12 +12,12 @@ Search strategies
 * independence_number: branch and bound with dominance reductions
   (degree 0/1 vertices and degree-2 vertices inside a triangle are taken
   greedily) and a greedy clique-cover upper bound.
-* chromatic_number: per component, the exact-k level search of
-  total_dominator_chromatic_number below with an empty witness set, so
-  only properness, the class count and first-use symmetry prune; a
-  smallest-last greedy coloring is the incumbent.  The smallest-last
-  order comes from a lazy-deletion heap on (degree, index), so ties
-  break toward the lowest index.
+* chromatic_number: the exact-k level search of
+  total_dominator_chromatic_number below with an empty witness set, so only
+  properness, the class count and first-use symmetry prune, on the caller's
+  masks over one component's slice of one smallest-last order at a time,
+  from that slice's greedy coloring.  The order comes from a lazy-deletion
+  heap on (degree, index), so ties break toward the lowest index.
 * total_domination_number: branch on an uncovered vertex with the fewest
   remaining dominators, with candidate-exclusion so no subset is visited
   twice; a greedy cover seeds the incumbent and search below it proves
@@ -40,7 +40,8 @@ Search strategies
   the unopened classes can serve: each of those classes needs a member
   among the unassigned vertices, and witnesses only neighbors of it.
 
-The mixed invariants reduce to the total graph.
+The mixed invariants run these searches on the total graph in the same
+frame and map the certificate back to the base graph's objects.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class InvariantResult:
     When a budget ran out, ``proven_optimal`` is False and ``value`` is only
     the best bound witnessed by the certificate (an upper bound for
     minimization problems, a lower bound for independence numbers).
+    ``elapsed`` covers the ``_solve`` frame, the search and the certificate
+    mapping; for a mixed invariant it leaves out building the total graph.
     """
 
     value: int
@@ -172,10 +175,10 @@ def _grow_clique(adj: list[int], v: int, cand: int) -> list[int]:
     return clique
 
 
-def _greedy_clique_size(adj: list[int]) -> int:
-    """Size of the largest clique grown from each vertex in turn: a lower
-    bound on the class count of any proper coloring."""
-    return max(len(_grow_clique(adj, v, adj[v])) for v in range(len(adj)))
+def _greedy_clique_size(adj: list[int], vertices: list[int]) -> int:
+    """Size of the largest clique grown from each of ``vertices`` in turn: a
+    lower bound on the class count of any proper coloring of them."""
+    return max(len(_grow_clique(adj, v, adj[v])) for v in vertices)
 
 
 def _greedy_color_classes(adj: list[int], order: list[int]) -> list[int]:
@@ -212,36 +215,31 @@ def _components(adj: list[int]) -> list[int]:
 
 
 def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
-    """Exact minimum proper coloring, solved per component by the level
-    search with no vertex needing a witness.  ``best`` holds the components'
-    smallest-last greedy colorings merged class by class until every
-    component is solved, then their exact colorings merged the same way.
-
-    Each component is relabelled 0..size-1 in index order on the caller's
-    masks; a component that is the whole graph keeps them as they are.
-    """
-    parts = []
-    for comp in _components(adj):
-        old = list(_bits(comp))
-        sub_adj = adj
-        if len(old) < len(adj):
-            new = {v: k for k, v in enumerate(old)}
-            sub_adj = [sum(1 << new[u] for u in _bits(adj[v])) for v in old]
-        order = _degeneracy_order(sub_adj)
-        parts.append((old, sub_adj, order, _greedy_color_classes(sub_adj, order)))
+    """Exact minimum proper coloring by the level search with no vertex needing
+    a witness, one component at a time on its slice of the whole graph's
+    smallest-last order, which is its own: the heap pops its vertices as it
+    would alone.  ``best`` merges the components' colorings class by class,
+    each greedy until its search ends: a spent budget keeps those solved."""
+    slices = {comp: [] for comp in _components(adj)}  # filled in one pass, so many components stay cheap
+    owner = {v: sub for comp, sub in slices.items() for v in _bits(comp)}
+    for v in _degeneracy_order(adj):
+        owner[v].append(v)
+    parts = [(sub, _greedy_color_classes(adj, sub)) for sub in slices.values()]
 
     def merged() -> list[int]:
         out: list[int] = []
-        for old, _, _, classes in parts:
+        for _, classes in parts:
             out += [0] * (len(classes) - len(out))
             for idx, mask in enumerate(classes):
-                out[idx] |= mask if len(old) == len(adj) else sum(1 << old[v] for v in _bits(mask))
+                out[idx] |= mask
         return out
 
     best[:] = merged()
-    for _, sub_adj, order, classes in parts:
-        _first_feasible_level(sub_adj, order, 0, classes, search)
-    best[:] = merged()
+    try:
+        for sub, classes in parts:
+            _first_feasible_level(adj, sub, 0, classes, search)
+    finally:  # also when the budget runs out; merging once keeps many components linear
+        best[:] = merged()
 
 
 def _solve(g: Graph, budget: SearchBudget | None, improve, certificate) -> InvariantResult:
@@ -477,8 +475,8 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
     search order alone, so the first coloring found does not change.
     """
     n = len(order)
-    maxdeg = max(a.bit_count() for a in adj)
     ahead = [adj[u] for u in order]  # ahead[p:]: the unassigned vertices at position p
+    maxdeg = max(a.bit_count() for a in ahead)
 
     rescue = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
@@ -547,10 +545,10 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
 def _first_feasible_level(adj: list[int], order: list[int], need: int, best: list[int],
                           search: _Search) -> None:
     """Overwrite ``best`` with the classes of the first feasible level of
-    ``_ktdc_feasible``, tried in ascending order from the greedy clique
-    bound (at least 2) up to one below ``len(best)``; ``best`` stays as it
-    is when every such level is refuted."""
-    for k in range(max(2, _greedy_clique_size(adj)), len(best)):
+    ``_ktdc_feasible`` on ``order``, tried in ascending order from its greedy
+    clique bound (at least 2) up to one below ``len(best)``; ``best`` stays
+    as it is when every such level is refuted."""
+    for k in range(max(2, _greedy_clique_size(adj, order)), len(best)):
         found = _ktdc_feasible(adj, order, k, need, search)
         if found is not None:
             best[:] = found
@@ -587,38 +585,30 @@ def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _on_total_graph(g: Graph, solve, budget: SearchBudget | None) -> InvariantResult:
-    """Run ``solve`` on the total graph of g and map its certificate back to
-    the base graph's objects."""
-    start = time.perf_counter()
-    tg = total_graph(g)
-    inner = solve(tg.graph, budget)
-    cert = inner.certificate
-    cert = coloring_from_total(tg, cert) if isinstance(cert, Coloring) else tg.to_objects(cert)
-    return InvariantResult(inner.value, cert, inner.nodes_explored,
-                           time.perf_counter() - start, inner.proven_optimal)
-
-
 def mixed_independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Mixed independence number: maximum independent set of the total graph,
     reported over the base graph's objects."""
-    return _on_total_graph(g, independence_number, budget)
+    tg = total_graph(g)
+    return _solve(tg.graph, budget, _mis_search, lambda best: tg.to_objects(_vertex_set(best)))
 
 
 def total_mixed_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total mixed domination number via the reduction to the total graph."""
     _require_min_degree_one(g, "total mixed domination")
-    return _on_total_graph(g, total_domination_number, budget)
+    tg = total_graph(g)
+    return _solve(tg.graph, budget, _tds_search, lambda best: tg.to_objects(_vertex_set(best)))
 
 
 def total_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total chromatic number: chromatic number of the total graph, with a
     proper total coloring over the base graph's objects as certificate."""
-    return _on_total_graph(g, chromatic_number, budget)
+    tg = total_graph(g)
+    return _solve(tg.graph, budget, _chromatic, lambda best: coloring_from_total(tg, _coloring(best)))
 
 
 def tdtc_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total dominator total chromatic number, via the total-graph reduction,
     with a mixed-object coloring as certificate."""
     _require_min_degree_one(g, "total dominator total coloring")
-    return _on_total_graph(g, total_dominator_chromatic_number, budget)
+    tg = total_graph(g)
+    return _solve(tg.graph, budget, _tdc_search, lambda best: coloring_from_total(tg, _coloring(best)))

@@ -302,7 +302,7 @@ def level_search_reference(adj: list[int], incumbent: list[int], need: int, sear
     ``kcolor_feasible_reference`` finds feasible along the smallest-last
     order, or ``incumbent`` when every such level is refuted."""
     order = _degeneracy_order(adj)
-    for k in range(max(2, _greedy_clique_size(adj)), len(incumbent)):
+    for k in range(max(2, _greedy_clique_size(adj, order)), len(incumbent)):
         found = kcolor_feasible_reference(adj, order, k, search, need)
         if found is not None:
             return found

@@ -2,9 +2,10 @@
 the quadratic reference loops in ``oracles``: equal lists, equal dict item
 order, on the total graphs of cycles and paths and on seeded random graphs
 with random (often improper or undominated) colorings in both universes.
-The chromatic number against the k-coloring reference in ``oracles``:
-equal classes in class order, and no more search nodes; and, when its
-budget runs out, the greedy coloring of the whole graph.
+The chromatic number against the k-coloring reference in ``oracles`` run
+on each component: equal classes in class order, and no more search nodes;
+and, when its budget runs out, the exact colorings of the components
+already solved merged with the greedy colorings of the others.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 
 import tdtc as t
 from oracles import chromatic_masks_reference, degeneracy_order_scan, domination_report_scan
-from tdtc import Coloring, Graph, SearchBudget
+from tdtc import Coloring, Graph, SearchBudget, induced_subgraph
 from tdtc.solvers import (
     _adj_masks,
     _bits,
@@ -147,16 +148,29 @@ def test_reports_match_scan_on_random_graphs():
     assert min(seen.values()) >= 100, seen
 
 
+def _merged(colorings) -> Coloring:
+    """Colorings of disjoint vertex sets merged class by class."""
+    classes = [frozenset()] * max(len(c.classes) for c in colorings)
+    for c in colorings:
+        for idx, cls in enumerate(c.classes):
+            classes[idx] |= cls
+    return Coloring(tuple(classes))
+
+
 def _assert_chromatic_matches_reference(graphs: list[Graph]) -> int:
-    """Compare ``chromatic_number`` on connected graphs with the reference;
+    """Compare ``chromatic_number`` with the reference run on each
+    component's induced subgraph, mapped back and merged class by class;
     returns the reference's total node count."""
     total = 0
     for idx, g in enumerate(graphs):
         search = _Search(None)
-        masks = chromatic_masks_reference(_adj_masks(g), search)
-        want = tuple(frozenset(v + 1 for v in _bits(m)) for m in masks)
+        parts = []
+        for comp in _components(_adj_masks(g)):
+            sub, old = induced_subgraph(g, {v + 1 for v in _bits(comp)})
+            masks = chromatic_masks_reference(_adj_masks(sub), search)
+            parts.append(Coloring(tuple(frozenset(old[v] for v in _bits(m)) for m in masks)))
         got = t.chromatic_number(g)
-        assert got.proven_optimal and got.certificate.classes == want, idx
+        assert got.proven_optimal and got.certificate == _merged(parts), idx
         assert got.nodes_explored <= search.nodes, (idx, got.nodes_explored, search.nodes)
         total += search.nodes
     return total
@@ -166,6 +180,18 @@ def test_chromatic_matches_reference_on_random_graphs():
     connected = [g for g in RANDOM_GRAPHS if len(_components(_adj_masks(g))) == 1]
     assert len(connected) >= 100
     assert _assert_chromatic_matches_reference(connected) > 0
+
+
+def test_chromatic_matches_reference_on_disconnected_graphs():
+    """Each component is searched from its own greedy coloring and clique
+    bound, so a triangle beside a bipartite component whose greedy
+    coloring has 3 classes still gets a 2-class coloring there."""
+    interleaved = Graph(9, [(1, 4), (4, 7), (1, 7), (2, 5), (5, 8), (3, 6)])
+    bipartite = [(1, 6), (1, 8), (2, 6), (2, 7), (3, 4), (3, 8), (4, 5), (5, 8), (6, 9), (7, 9)]
+    beside_triangle = Graph(12, bipartite + [(10, 11), (10, 12), (11, 12)])
+    disconnected = [g for g in RANDOM_GRAPHS if len(_components(_adj_masks(g))) > 1]
+    assert len(disconnected) >= 100
+    assert _assert_chromatic_matches_reference([interleaved, beside_triangle, *disconnected]) > 0
 
 
 def test_chromatic_matches_reference_on_small_graphs(exhaustive_connected_upto5):
@@ -200,15 +226,26 @@ def test_exhausted_chromatic_returns_whole_graph_greedy(max_nodes):
     assert exhausted >= 4
 
 
-def test_exhausted_chromatic_drops_solved_components():
-    """The first component's exact coloring (3 classes, 15 nodes) beats its
-    greedy one (4 classes); the budget then runs out on the Grotzsch graph
-    after it, and the whole graph's greedy coloring is returned."""
-    first = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)]
-    grotzsch = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
-    grotzsch += [(j, i + 5) for i in range(1, 6) for j in (i % 5 + 1, (i - 2) % 5 + 1)]
-    grotzsch += [(i, 11) for i in range(6, 11)]
-    assert t.chromatic_number(Graph(6, first)).certificate != _greedy_coloring(Graph(6, first))
-    g = Graph(17, first + [(i + 6, j + 6) for i, j in grotzsch])
-    got = t.chromatic_number(g, SearchBudget(max_nodes=50))
-    assert not got.proven_optimal and got.certificate == _greedy_coloring(g)
+# chi = 3, found in 15 nodes, below its smallest-last greedy coloring's 4 classes
+SOLVED_BELOW_GREEDY = Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)])
+GROTZSCH = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+GROTZSCH += [(j, i + 5) for i in range(1, 6) for j in (i % 5 + 1, (i - 2) % 5 + 1)]
+GROTZSCH += [(i, 11) for i in range(6, 11)]
+
+
+@pytest.mark.parametrize("second, max_nodes, value", [
+    (Graph(11, GROTZSCH), 50, 4),
+    (t.cycle(51), 30, 3),
+], ids=["grotzsch", "c51"])
+def test_exhausted_chromatic_keeps_solved_components(second, max_nodes, value):
+    """The first component is solved below its greedy count; the budget
+    then runs out on the second, and the answer merges the first's exact
+    coloring with the second's greedy one.  Beside the Grotzsch graph that
+    is still 4 classes; beside C_51 (greedy 3) it is 3, the true chi."""
+    first = t.chromatic_number(SOLVED_BELOW_GREEDY)
+    assert first.value == 3 and len(_greedy_coloring(SOLVED_BELOW_GREEDY).classes) == 4
+    g = Graph(6 + second.n, [*SOLVED_BELOW_GREEDY.edges, *((i + 6, j + 6) for i, j in second.edges)])
+    shifted = Coloring(tuple(frozenset(v + 6 for v in cls) for cls in _greedy_coloring(second).classes))
+    got = t.chromatic_number(g, SearchBudget(max_nodes=max_nodes))
+    assert (got.value, got.nodes_explored, got.proven_optimal) == (value, max_nodes, False)
+    assert got.certificate == _merged([first.certificate, shifted])

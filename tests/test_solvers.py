@@ -1,5 +1,7 @@
+import ast
 import inspect
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -389,3 +391,28 @@ def test_public_solvers_take_graph_and_budget_only():
     for solve in exported | {inv.solve for inv in cli.INVARIANTS.values()}:
         params = [(p.name, p.kind, p.default) for p in inspect.signature(solve).parameters.values()]
         assert params == [("g", positional, inspect.Parameter.empty), ("budget", positional, None)], solve.__name__
+
+
+def test_invariant_result_built_only_in_solve():
+    """Every solver's result comes out of one frame, ``solvers._solve``, so
+    a field added to InvariantResult is filled in one place."""
+    sites = []
+
+    class Sites(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "InvariantResult":
+                sites.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(Path(t.__file__).parent.glob("*.py")):
+        Sites(path.stem).visit(ast.parse(path.read_text()))
+    assert sites == ["solvers._solve"]
