@@ -21,7 +21,17 @@ Search strategies
 * total_domination_number: branch on an uncovered vertex with the fewest
   remaining dominators, with candidate-exclusion so no subset is visited
   twice; a greedy cover seeds the incumbent and search below it proves
-  optimality.
+  optimality.  A table of failed states, kept for one search, maps an
+  uncovered set to a proven lower bound on the vertices that cover it,
+  recorded when a node's branches end without an improvement; a later
+  node with that uncovered set and no more room below the incumbent
+  returns at once.  Candidate exclusion does not weaken the bound: a set
+  using an excluded vertex was searched in an earlier branch, so it cannot
+  beat the incumbent.  Only subtrees without a strict improvement are
+  skipped, so every incumbent, certificate and proven flag is the one the
+  search finds without the table, in fewer nodes (the frontier-style
+  nogood recording of Kawahara, Inoue, Iwashita and Minato, IEICE Trans.
+  Fundamentals E100-A, 2017).
 * total_dominator_chromatic_number: iterative deepening on the class
   count from the greedy clique bound (at least 2) up to a greedy
   incumbent.  The level search rejects improper colorings itself, so it
@@ -375,13 +385,35 @@ def _greedy_tds(adj: list[int]) -> list[int]:
     return out
 
 
+_TDS_MEMO_CAP = 1 << 18  # entries per search: about 21 MB at the ~80 B each measured on T(C_56)
+
+
 def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
     """Branch and bound from a greedy total dominating set that overwrites
-    ``best`` with each smaller one it finds."""
+    ``best`` with each smaller one it finds.
+
+    ``failed`` maps a set of uncovered vertices to a number r such that
+    every vertex set covering it has at least r members.  A node whose
+    ``room`` (the size of ``best`` less that of ``cur``) is at most the
+    entry for its uncovered set returns at once; a node whose branches end
+    without shrinking ``best`` records its room.  That record is sound
+    although the branches avoided ``excluded``: a vertex is excluded only
+    once the branch that added it to a prefix of ``cur`` has ended, having
+    searched every set through it that could beat ``best``; so any set X
+    whose union with ``cur`` uses an excluded vertex gives a total
+    dominating set no smaller than ``best``, hence |X| >= room.
+    Only subtrees holding no strict improvement are skipped and the order
+    of the others is unchanged, so ``best`` takes the same lists as without
+    the table, and ``search`` counts no more nodes.  The table stops
+    growing at ``_TDS_MEMO_CAP`` entries; every entry kept is still true
+    and the order of recording is fixed, so a full table leaves the search
+    sound and deterministic, only slower.
+    """
     n = len(adj)
     best[:] = _greedy_tds(adj)
     full = (1 << n) - 1
     maxdeg = max(a.bit_count() for a in adj)
+    failed: dict[int, int] = {}
 
     def rec(cur: list[int], covered: int, excluded: int) -> None:
         search.tick()
@@ -391,9 +423,9 @@ def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
             return
         uncovered = full & ~covered
         need = (uncovered.bit_count() + maxdeg - 1) // maxdeg
-        if len(cur) + need >= len(best):
+        room = len(best) - len(cur)
+        if need >= room or failed.get(uncovered, 0) >= room:
             return
-        pick = -1
         options = 0
         options_count = n + 1
         for v in _bits(uncovered):
@@ -402,11 +434,14 @@ def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
             if cnt == 0:
                 return
             if cnt < options_count:
-                pick, options, options_count = v, opts, cnt
+                options, options_count = opts, cnt
+        size = len(best)
         ex = excluded
         for u in _bits(options):
             rec(cur + [u], covered | adj[u], ex)
             ex |= 1 << u
+        if len(best) == size and len(failed) < _TDS_MEMO_CAP:
+            failed[uncovered] = room
 
     rec([], 0, 0)
 

@@ -12,14 +12,16 @@ that its classes and node counts compare one to one with the library's
 level search.  Through its ``need`` mask, checked only on complete
 assignments, it serves both the chromatic number (an empty mask) and the
 total dominator chromatic number (every vertex), whose witness pruning it
-checks.
+checks.  The total domination reference is the other exception: the
+library's branch and bound without its table of failed states, from the
+same greedy seed and with the same node counter.
 """
 
 from itertools import combinations
 
 import tdtc.closed_forms as cf
 from tdtc import Edge, Graph, Vertex, mixed_neighbors, mixed_objects, object_key
-from tdtc.solvers import _degeneracy_order, _greedy_clique_size, _greedy_color_classes, _greedy_tds, _Search
+from tdtc.solvers import _bits, _degeneracy_order, _greedy_clique_size, _greedy_color_classes, _greedy_tds, _Search
 
 
 def set_partitions(items):
@@ -323,3 +325,41 @@ def tdc_masks_reference(adj: list[int], search: _Search) -> list[int]:
     tds = sorted(_greedy_tds(adj))
     rest = _greedy_color_classes(adj, [v for v in _degeneracy_order(adj) if v not in tds])
     return level_search_reference(adj, [1 << v for v in tds] + rest, (1 << len(adj)) - 1, search)
+
+
+def tds_search_reference(adj: list[int], best: list[int], search: _Search) -> None:
+    """Branch and bound from a greedy total dominating set that overwrites
+    ``best`` with each smaller one it finds: the library's search without
+    its failed-state table, so its lists and node counts bound the
+    library's one to one."""
+    n = len(adj)
+    best[:] = _greedy_tds(adj)
+    full = (1 << n) - 1
+    maxdeg = max(a.bit_count() for a in adj)
+
+    def rec(cur: list[int], covered: int, excluded: int) -> None:
+        search.tick()
+        if covered == full:
+            if len(cur) < len(best):
+                best[:] = cur
+            return
+        uncovered = full & ~covered
+        need = (uncovered.bit_count() + maxdeg - 1) // maxdeg
+        if len(cur) + need >= len(best):
+            return
+        pick = -1
+        options = 0
+        options_count = n + 1
+        for v in _bits(uncovered):
+            opts = adj[v] & ~excluded
+            cnt = opts.bit_count()
+            if cnt == 0:
+                return
+            if cnt < options_count:
+                pick, options, options_count = v, opts, cnt
+        ex = excluded
+        for u in _bits(options):
+            rec(cur + [u], covered | adj[u], ex)
+            ex |= 1 << u
+
+    rec([], 0, 0)

@@ -233,3 +233,14 @@ def test_criterion_12_stored_exceptions_proven_by_search():
         if not r.proven_optimal or r.value != want:
             failures.append((family, n, r.value, r.proven_optimal, want))
     _report(12, "the solver proves chi_tt_d of every stored-table instance", failures, started)
+
+
+def test_criterion_13_gamma_tm_exactness_to_30():
+    started = time.time()
+    failures = []
+    for family, low in (("cycle", 3), ("path", 2)):
+        for n in range(low, 31):
+            r = t.total_mixed_domination_number(t.FamilyInstance(family, n).graph())
+            if not r.proven_optimal or r.value != t.gamma_tm(family, n).value:
+                failures.append((family, n, r.value, r.proven_optimal))
+    _report(13, "solver gamma_tm proves the formulas up to n=30", failures, started)

@@ -5,16 +5,21 @@ with random (often improper or undominated) colorings in both universes.
 The chromatic number against the k-coloring reference in ``oracles`` run
 on each component: equal classes in class order, and no more search nodes;
 and, when its budget runs out, the exact colorings of the components
-already solved merged with the greedy colorings of the others.
+already solved merged with the greedy colorings of the others.  The total
+domination search against its reference in ``oracles``, which keeps no
+table of failed states: the same incumbent lists and no more nodes, and
+under a budget a value no worse and a proof never lost.
 """
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import tdtc as t
-from oracles import chromatic_masks_reference, degeneracy_order_scan, domination_report_scan
+from oracles import chromatic_masks_reference, degeneracy_order_scan, domination_report_scan, tds_search_reference
 from tdtc import Coloring, Graph, SearchBudget, induced_subgraph
 from tdtc.solvers import (
     _adj_masks,
@@ -24,6 +29,8 @@ from tdtc.solvers import (
     _degeneracy_order,
     _greedy_color_classes,
     _Search,
+    _solve,
+    _tds_search,
 )
 
 FAMILY_SIZES = {
@@ -249,3 +256,66 @@ def test_exhausted_chromatic_keeps_solved_components(second, max_nodes, value):
     got = t.chromatic_number(g, SearchBudget(max_nodes=max_nodes))
     assert (got.value, got.nodes_explored, got.proven_optimal) == (value, max_nodes, False)
     assert got.certificate == _merged([first.certificate, shifted])
+
+
+def _pool_graphs() -> list[Graph]:
+    """The 300 random connected 7-vertex graphs of the benchmark's pool."""
+    golden = json.loads((Path(__file__).resolve().parent.parent / "bench" / "golden.json").read_text())
+    return [Graph(e["n"], [tuple(pair) for pair in e["edges"]]) for e in golden["random_pool"]]
+
+
+POOL_GRAPHS = _pool_graphs()
+TDS_GRAPHS = [
+    *POOL_GRAPHS,
+    *(t.total_graph(g).graph for g in POOL_GRAPHS),
+    *(g for g in RANDOM_GRAPHS if g.n and g.min_degree >= 1),
+    *(t.total_graph(t.cycle(n)).graph for n in range(3, 21)),
+    *(t.total_graph(t.path(n)).graph for n in range(2, 21)),
+]
+
+
+def _tds(g: Graph, search, budget: SearchBudget | None = None):
+    """The run of ``search`` on g, with its incumbent list as certificate."""
+    return _solve(g, budget, search, list)
+
+
+def test_tds_search_matches_reference():
+    fewer = 0
+    for idx, g in enumerate(TDS_GRAPHS):
+        got, want = _tds(g, _tds_search), _tds(g, tds_search_reference)
+        assert got.proven_optimal and want.proven_optimal, idx
+        assert got.certificate == want.certificate, idx
+        assert got.nodes_explored <= want.nodes_explored, (idx, got.nodes_explored, want.nodes_explored)
+        fewer += got.nodes_explored < want.nodes_explored
+    assert len(TDS_GRAPHS) == 853 and fewer >= 40
+
+
+@pytest.mark.parametrize("max_nodes", [3, 50])
+def test_budgeted_tds_search_no_worse_than_reference(max_nodes):
+    """The table only skips subtrees, so a budgeted run gets at least as far
+    through the reference's search order: its incumbent is no larger and a
+    proof the reference completes within the budget is never lost."""
+    gained = 0
+    for idx, g in enumerate(TDS_GRAPHS):
+        budget = SearchBudget(max_nodes=max_nodes)
+        got, want = _tds(g, _tds_search, budget), _tds(g, tds_search_reference, budget)
+        assert got.value <= want.value, idx
+        assert got.proven_optimal or not want.proven_optimal, idx
+        gained += got.proven_optimal and not want.proven_optimal
+    assert gained == (0 if max_nodes == 3 else 4)
+
+
+def test_tds_search_with_tiny_table_matches_reference(monkeypatch):
+    """A full table stops recording but keeps its entries: the incumbents
+    stay the reference's, in no fewer nodes than with the whole table and no
+    more than without one."""
+    graphs = [t.total_graph(t.cycle(35)).graph, *(t.total_graph(g).graph for g in POOL_GRAPHS[:50])]
+    whole = [_tds(g, _tds_search) for g in graphs]
+    monkeypatch.setattr("tdtc.solvers._TDS_MEMO_CAP", 4)
+    capped = [_tds(g, _tds_search) for g in graphs]
+    for idx, (g, full_table, got) in enumerate(zip(graphs, whole, capped)):
+        want = _tds(g, tds_search_reference)
+        assert got.proven_optimal and got.certificate == want.certificate == full_table.certificate, idx
+        assert full_table.nodes_explored <= got.nodes_explored <= want.nodes_explored, idx
+    # T(C_35): 4,973 nodes with the whole table, 116,178 without one
+    assert whole[0].nodes_explored < capped[0].nodes_explored < 116_178

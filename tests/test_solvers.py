@@ -233,16 +233,31 @@ class TestNodeCountGate:
     """Node counts are deterministic, so a ceiling catches a search that
     regresses on any machine.  Each ceiling is about twice the count measured
     with the witness-capacity bound; without it C_10 took 464,504 nodes and
-    P_11 184,158, and C_13 ended unproven at 12 after 300,000."""
+    P_11 184,158, and C_13 ended unproven at 12 after 300,000.  The gamma_tm
+    ceilings are about twice the counts measured with the table of failed
+    states; without it C_35 took 116,178 nodes and C_38 245,839, and C_49
+    ended unproven at 30 after 2,000,000."""
 
     # (family, n, measured nodes, ceiling)
     PROVEN = [("cycle", 10, 3_587, 7_500), ("path", 11, 4_655, 9_500)]
+    GAMMA_TM = [("cycle", 35, 4_973, 10_000), ("cycle", 38, 10_137, 20_000)]
 
     @pytest.mark.parametrize("family,n,measured,ceiling", PROVEN)
     def test_proven_within_ceiling(self, family, n, measured, ceiling):
         r = t.tdtc_number(t.FamilyInstance(family, n).graph())
         assert r.proven_optimal and r.value == t.chi_tt(family, n).value
         assert r.nodes_explored <= ceiling, f"{r.nodes_explored} nodes, {measured} measured"
+
+    @pytest.mark.parametrize("family,n,measured,ceiling", GAMMA_TM)
+    def test_gamma_tm_within_ceiling(self, family, n, measured, ceiling):
+        r = t.total_mixed_domination_number(t.FamilyInstance(family, n).graph())
+        assert r.proven_optimal and r.value == t.gamma_tm(family, n).value
+        assert r.nodes_explored <= ceiling, f"{r.nodes_explored} nodes, {measured} measured"
+
+    def test_c49_gamma_tm_proven_within_budget(self):
+        # measured: 25,336 nodes
+        r = t.total_mixed_domination_number(t.cycle(49), SearchBudget(max_nodes=50_000))
+        assert r.proven_optimal and r.value == 28
 
     def test_c13_proven_within_frontier_budget(self):
         # measured: 59,715 nodes
