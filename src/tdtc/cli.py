@@ -33,7 +33,6 @@ from .graphs import (
     read_edge_list,
     to_dot,
     total_graph,
-    total_graph_to_dot,
     write_edge_list,
 )
 
@@ -110,9 +109,7 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-time", type=_non_negative(float), default=None, help="search time limit in seconds")
 
 
-def _budget(args) -> solvers.SearchBudget | None:
-    if args.max_nodes is None and args.max_time is None:
-        return None
+def _budget(args) -> solvers.SearchBudget:
     return solvers.SearchBudget(max_nodes=args.max_nodes, max_time=args.max_time)
 
 
@@ -447,33 +444,23 @@ def cmd_export(args) -> int:
         _emit(json.dumps(data, indent=2) + "\n", args.out)
         return EXIT_OK
 
-    if what == "graph":
-        if fmt == "dot":
-            _emit(to_dot(g), args.out)
-        elif fmt == "edges":
-            _emit(write_edge_list(g), args.out)
-        else:
-            raise DomainError("--what graph supports --format edges or dot")
-    elif what == "total-graph":
-        tg = total_graph(g)
-        if fmt == "dot":
-            _emit(total_graph_to_dot(tg), args.out)
-        elif fmt == "edges":
-            _emit(write_edge_list(tg.graph), args.out)
-        else:
-            raise DomainError("--what total-graph supports --format edges or dot")
-    elif what == "line-graph":
-        lg, labels = line_graph(g)
-        if fmt == "dot":
-            _emit(to_dot(lg, labels=labels), args.out)
-        elif fmt == "edges":
-            _emit(write_edge_list(lg), args.out)
-        else:
-            raise DomainError("--what line-graph supports --format edges or dot")
-    else:  # labels
+    if what == "labels":
         if fmt != "json":
             raise DomainError("--what labels only supports --format json")
         _emit(labels_to_json(total_graph(g)), args.out)
+        return EXIT_OK
+
+    if fmt == "json":
+        raise DomainError(f"--what {what} supports --format edges or dot")
+    name = "G"
+    if what == "graph":
+        graph, labels = g, None
+    elif what == "total-graph":
+        tg = total_graph(g)
+        graph, labels, name = tg.graph, tg.labels, "T"
+    else:  # line-graph
+        graph, labels = line_graph(g)
+    _emit(to_dot(graph, labels, name) if fmt == "dot" else write_edge_list(graph), args.out)
     return EXIT_OK
 
 

@@ -73,9 +73,6 @@ class FormulaValue:
     value: int
     case_tag: str
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)

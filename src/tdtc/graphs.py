@@ -201,28 +201,6 @@ def induced_subgraph(g: Graph, keep: set[int] | frozenset[int]) -> tuple[Graph, 
 # ---------------------------------------------------------------------------
 
 
-def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
-    """Line graph of g: one vertex per edge, adjacent when the edges share an endpoint.
-
-    Returns the graph together with labels mapping line-graph vertex k to the
-    edge object of g it represents (edges taken in lexicographic order).
-    """
-    edge_list = g.sorted_edges()
-    index = {e: k + 1 for k, e in enumerate(edge_list)}
-    incident: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for e in edge_list:
-        incident[e[0]].append(index[e])
-        incident[e[1]].append(index[e])
-    line_edges = set()
-    for v in g.vertices:
-        ids = incident[v]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                line_edges.add((min(ids[a], ids[b]), max(ids[a], ids[b])))
-    labels = tuple(Edge(*e) for e in edge_list)
-    return Graph(len(edge_list), frozenset(line_edges)), labels
-
-
 @dataclass(frozen=True)
 class TotalGraph:
     """Total graph of a base graph plus the vertex -> object bijection.
@@ -267,6 +245,19 @@ def total_graph(g: Graph) -> TotalGraph:
 
     labels = tuple(Vertex(i) for i in g.vertices) + tuple(Edge(*e) for e in edge_list)
     return TotalGraph(Graph(n + m, frozenset(tedges)), labels)
+
+
+def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
+    """Line graph of g: one vertex per edge, adjacent when the edges share an endpoint.
+
+    It is the total graph restricted to its edge objects, so total_graph holds
+    the one edge-edge construction.  Returns the graph together with labels
+    mapping line-graph vertex k to the edge object of g it represents (edges
+    taken in lexicographic order).
+    """
+    tg = total_graph(g)
+    lg, _ = induced_subgraph(tg.graph, range(g.n + 1, g.n + g.m + 1))
+    return lg, tg.labels[g.n:]
 
 
 # ---------------------------------------------------------------------------

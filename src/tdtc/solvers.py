@@ -57,6 +57,8 @@ frame and map the certificate back to the base graph's objects.
 from __future__ import annotations
 
 import heapq
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -252,18 +254,36 @@ def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
         best[:] = merged()
 
 
+_RECURSION_LOCK = threading.Lock()
+
+
+def _allow_depth(depth: int) -> None:
+    """Raise the interpreter's recursion limit, never lower it, so that
+    ``depth`` more frames fit below the caller's; under the lock a
+    concurrent call cannot set it back below what another one needs."""
+    frame, used = sys._getframe(), 0
+    while frame is not None:
+        frame, used = frame.f_back, used + 1
+    with _RECURSION_LOCK:
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), used + depth))
+
+
 def _solve(g: Graph, budget: SearchBudget | None, improve, certificate) -> InvariantResult:
     """Run the search ``improve(adj, best, search)``, which puts its
     incumbent into the list ``best`` before its first node and overwrites it
     in place with each better one; the list it holds when the search ends,
     or its budget runs out, is the answer, of size ``len(best)``, and
-    ``certificate(best)`` its certificate."""
+    ``certificate(best)`` its certificate.  A recursive search nests at
+    most one node per vertex, so the recursion limit is made to fit that
+    and the search can never end in a RecursionError."""
     start = time.perf_counter()
     search = _Search(budget)
     best: list[int] = []
     proven = True
+    adj = _adj_masks(g)
+    _allow_depth(len(adj) + 8)  # the nodes, the search function and the calls one node makes
     try:
-        improve(_adj_masks(g), best, search)
+        improve(adj, best, search)
     except _OutOfBudget:
         proven = False
     return InvariantResult(len(best), certificate(best), search.nodes, time.perf_counter() - start, proven)
@@ -308,31 +328,17 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
 
     def rec(free: int, cur: list[int]) -> None:
         search.tick()
-        # dominance reductions
+        # dominance reductions: take the first vertex of degree 0 or 1, or of
+        # degree 2 whose two neighbors are adjacent
         while free:
-            picked = False
             for v in _bits(free):
                 nb = adj[v] & free
                 d = nb.bit_count()
-                if d == 0:
-                    cur.append(v)
-                    free &= ~(1 << v)
-                    picked = True
-                    break
-                if d == 1:
+                if d <= 1 or (d == 2 and adj[(nb & -nb).bit_length() - 1] & nb):
                     cur.append(v)
                     free &= ~(adj[v] | (1 << v))
-                    picked = True
                     break
-                if d == 2:
-                    a = (nb & -nb).bit_length() - 1
-                    b = (nb & (nb - 1)).bit_length() - 1
-                    if adj[a] >> b & 1:
-                        cur.append(v)
-                        free &= ~(adj[v] | (1 << v))
-                        picked = True
-                        break
-            if not picked:
+            else:
                 break
         if not free:
             if len(cur) > len(best):

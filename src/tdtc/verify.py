@@ -275,10 +275,7 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
     if not ok:
         raise DomainError(f"not a total dominating set, uncovered vertices: {list(uncovered)}")
     singletons = [frozenset([v]) for v in sorted(s)]
-    rest = frozenset(g.vertices) - s
-    if not rest:
-        return Coloring(tuple(singletons))
-    sub, old = induced_subgraph(g, rest)
+    sub, old = induced_subgraph(g, frozenset(g.vertices) - s)
     from .solvers import chromatic_number  # deferred: solvers imports this module
 
     sub_classes = chromatic_number(sub).certificate.classes
@@ -329,24 +326,21 @@ def _parse_member(token: str, mixed: bool):
     return obj.i
 
 
-def coloring_to_json(coloring: Coloring, universe: str, provenance: str | None = None) -> dict:
-    data = {
-        "universe": universe,
-        "classes": [[member_token(o, universe) for o in sorted(cls, key=_order)] for cls in coloring.classes],
-    }
+def _certificate_dict(universe: str, field: str, tokens: list, provenance: str | None) -> dict:
+    data = {"universe": universe, field: tokens}
     if provenance is not None:
         data["provenance"] = provenance
     return data
+
+
+def coloring_to_json(coloring: Coloring, universe: str, provenance: str | None = None) -> dict:
+    classes = [[member_token(o, universe) for o in sorted(cls, key=_order)] for cls in coloring.classes]
+    return _certificate_dict(universe, "classes", classes, provenance)
 
 
 def object_set_to_json(objects, universe: str, provenance: str | None = None) -> dict:
-    data = {
-        "universe": universe,
-        "objects": [member_token(o, universe) for o in sorted(objects, key=_order)],
-    }
-    if provenance is not None:
-        data["provenance"] = provenance
-    return data
+    tokens = [member_token(o, universe) for o in sorted(objects, key=_order)]
+    return _certificate_dict(universe, "objects", tokens, provenance)
 
 
 def certificate_from_json(data) -> tuple[str, object]:

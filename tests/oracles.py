@@ -12,16 +12,28 @@ that its classes and node counts compare one to one with the library's
 level search.  Through its ``need`` mask, checked only on complete
 assignments, it serves both the chromatic number (an empty mask) and the
 total dominator chromatic number (every vertex), whose witness pruning it
-checks.  The total domination reference is the other exception: the
+checks.  The total domination reference is another exception: the
 library's branch and bound without its table of failed states, from the
-same greedy seed and with the same node counter.
+same greedy seed and with the same node counter.  The last is the
+independent set reference: the library's branch and bound with each of its
+dominance reductions written out as its own case, so its lists and node
+counts compare one to one with the library's single rule.
 """
 
 from itertools import combinations
 
 import tdtc.closed_forms as cf
 from tdtc import Edge, Graph, Vertex, mixed_neighbors, mixed_objects, object_key
-from tdtc.solvers import _bits, _degeneracy_order, _greedy_clique_size, _greedy_color_classes, _greedy_tds, _Search
+from tdtc.solvers import (
+    _bits,
+    _clique_cover_count,
+    _degeneracy_order,
+    _greedy_clique_size,
+    _greedy_color_classes,
+    _greedy_independent,
+    _greedy_tds,
+    _Search,
+)
 
 
 def set_partitions(items):
@@ -363,3 +375,53 @@ def tds_search_reference(adj: list[int], best: list[int], search: _Search) -> No
             ex |= 1 << u
 
     rec([], 0, 0)
+
+
+def mis_search_reference(adj: list[int], best: list[int], search: _Search) -> None:
+    """Branch and bound from a greedy independent set that overwrites
+    ``best`` with each larger one it finds: the library's search with the
+    degree-0, degree-1 and triangle reductions taken case by case."""
+    n = len(adj)
+    best[:] = _greedy_independent(adj)
+
+    def rec(free: int, cur: list[int]) -> None:
+        search.tick()
+        # dominance reductions
+        while free:
+            picked = False
+            for v in _bits(free):
+                nb = adj[v] & free
+                d = nb.bit_count()
+                if d == 0:
+                    cur.append(v)
+                    free &= ~(1 << v)
+                    picked = True
+                    break
+                if d == 1:
+                    cur.append(v)
+                    free &= ~(adj[v] | (1 << v))
+                    picked = True
+                    break
+                if d == 2:
+                    a = (nb & -nb).bit_length() - 1
+                    b = (nb & (nb - 1)).bit_length() - 1
+                    if adj[a] >> b & 1:
+                        cur.append(v)
+                        free &= ~(adj[v] | (1 << v))
+                        picked = True
+                        break
+            if not picked:
+                break
+        if not free:
+            if len(cur) > len(best):
+                best[:] = cur
+            return
+        if len(cur) + free.bit_count() <= len(best):
+            return
+        if len(cur) + _clique_cover_count(adj, free) <= len(best):
+            return
+        v = max(_bits(free), key=lambda u: ((adj[u] & free).bit_count(), -u))
+        rec(free & ~(adj[v] | (1 << v)), cur + [v])
+        rec(free & ~(1 << v), list(cur))
+
+    rec((1 << n) - 1, [])

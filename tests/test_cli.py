@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +173,24 @@ class TestCompute:
         code, out, _ = run(capsys, "verify", "--family", "path", "--n", "4",
                            "--kind", kind, str(cert))
         assert code == 0, out
+
+    def test_deep_search_fits_any_recursion_limit(self):
+        """The total domination search nests one call per member of its
+        current set, about 400 deep here; a low recursion limit is raised to
+        fit, so the run ends on its budget as it does under a high one."""
+        script = (
+            "import sys\n"
+            "sys.setrecursionlimit(int(sys.argv[1]))\n"
+            "from tdtc import cli\n"
+            "sys.exit(cli.main(['compute', '--family', 'path', '--n', '600', '--invariant', 'gamma_tm',"
+            " '--exact', '--max-nodes', '3000', '--format', 'json']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        low, high = (subprocess.run([sys.executable, "-c", script, str(limit)], capture_output=True,
+                                    text=True, timeout=120, env=env) for limit in (150, 10_000))
+        assert "Traceback" not in low.stderr + high.stderr
+        assert low.returncode == high.returncode == 4
+        assert low.stdout == high.stdout and json.loads(low.stdout)["nodes_explored"] == 3000
 
 
 @pytest.mark.parametrize(
@@ -409,3 +431,29 @@ class TestExport:
         assert code == 0 and json.loads(out)["provenance"] == "stored-table"
         code, out, _ = run(capsys, "export", "--family", "path", "--n", "14", "--what", "tdtc")
         assert code == 0 and json.loads(out)["provenance"] == "constructed-from-tds"
+
+    @pytest.mark.parametrize(
+        "what,fmt,want",
+        [
+            ("graph", "edges", "4 3\n1 2\n2 3\n3 4\n"),
+            ("graph", "dot",
+             'graph G {\n  "v1";\n  "v2";\n  "v3";\n  "v4";\n'
+             '  "v1" -- "v2";\n  "v2" -- "v3";\n  "v3" -- "v4";\n}\n'),
+            ("total-graph", "edges", "7 11\n1 2\n1 5\n2 3\n2 5\n2 6\n3 4\n3 6\n3 7\n4 7\n5 6\n6 7\n"),
+            ("total-graph", "dot",
+             'graph T {\n  "v1";\n  "v2";\n  "v3";\n  "v4";\n  "e1_2";\n  "e2_3";\n  "e3_4";\n'
+             '  "v1" -- "v2";\n  "v1" -- "e1_2";\n  "v2" -- "v3";\n  "v2" -- "e1_2";\n  "v2" -- "e2_3";\n'
+             '  "v3" -- "v4";\n  "v3" -- "e2_3";\n  "v3" -- "e3_4";\n  "v4" -- "e3_4";\n'
+             '  "e1_2" -- "e2_3";\n  "e2_3" -- "e3_4";\n}\n'),
+            ("line-graph", "edges", "3 2\n1 2\n2 3\n"),
+            ("line-graph", "dot",
+             'graph G {\n  "e1_2";\n  "e2_3";\n  "e3_4";\n  "e1_2" -- "e2_3";\n  "e2_3" -- "e3_4";\n}\n'),
+        ],
+    )
+    def test_graph_exports_of_p4(self, capsys, what, fmt, want):
+        assert run(capsys, "export", "--family", "path", "--n", "4", "--what", what, "--format", fmt) == (0, want, "")
+
+    @pytest.mark.parametrize("what", ["graph", "total-graph", "line-graph"])
+    def test_graph_exports_reject_json(self, capsys, what):
+        code, out, err = run(capsys, "export", "--family", "path", "--n", "4", "--what", what, "--format", "json")
+        assert (code, out, err) == (3, "", f"domain error: --what {what} supports --format edges or dot\n")

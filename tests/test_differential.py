@@ -8,7 +8,10 @@ and, when its budget runs out, the exact colorings of the components
 already solved merged with the greedy colorings of the others.  The total
 domination search against its reference in ``oracles``, which keeps no
 table of failed states: the same incumbent lists and no more nodes, and
-under a budget a value no worse and a proof never lost.
+under a budget a value no worse and a proof never lost.  The independent
+set search against its reference in ``oracles``, which takes each
+dominance reduction case by case: the same incumbent lists and the same
+node counts, with and without a budget.
 """
 
 import json
@@ -19,7 +22,13 @@ from pathlib import Path
 import pytest
 
 import tdtc as t
-from oracles import chromatic_masks_reference, degeneracy_order_scan, domination_report_scan, tds_search_reference
+from oracles import (
+    chromatic_masks_reference,
+    degeneracy_order_scan,
+    domination_report_scan,
+    mis_search_reference,
+    tds_search_reference,
+)
 from tdtc import Coloring, Graph, SearchBudget, induced_subgraph
 from tdtc.solvers import (
     _adj_masks,
@@ -28,6 +37,7 @@ from tdtc.solvers import (
     _components,
     _degeneracy_order,
     _greedy_color_classes,
+    _mis_search,
     _Search,
     _solve,
     _tds_search,
@@ -274,7 +284,7 @@ TDS_GRAPHS = [
 ]
 
 
-def _tds(g: Graph, search, budget: SearchBudget | None = None):
+def _run(g: Graph, search, budget: SearchBudget | None = None):
     """The run of ``search`` on g, with its incumbent list as certificate."""
     return _solve(g, budget, search, list)
 
@@ -282,7 +292,7 @@ def _tds(g: Graph, search, budget: SearchBudget | None = None):
 def test_tds_search_matches_reference():
     fewer = 0
     for idx, g in enumerate(TDS_GRAPHS):
-        got, want = _tds(g, _tds_search), _tds(g, tds_search_reference)
+        got, want = _run(g, _tds_search), _run(g, tds_search_reference)
         assert got.proven_optimal and want.proven_optimal, idx
         assert got.certificate == want.certificate, idx
         assert got.nodes_explored <= want.nodes_explored, (idx, got.nodes_explored, want.nodes_explored)
@@ -298,7 +308,7 @@ def test_budgeted_tds_search_no_worse_than_reference(max_nodes):
     gained = 0
     for idx, g in enumerate(TDS_GRAPHS):
         budget = SearchBudget(max_nodes=max_nodes)
-        got, want = _tds(g, _tds_search, budget), _tds(g, tds_search_reference, budget)
+        got, want = _run(g, _tds_search, budget), _run(g, tds_search_reference, budget)
         assert got.value <= want.value, idx
         assert got.proven_optimal or not want.proven_optimal, idx
         gained += got.proven_optimal and not want.proven_optimal
@@ -310,12 +320,32 @@ def test_tds_search_with_tiny_table_matches_reference(monkeypatch):
     stay the reference's, in no fewer nodes than with the whole table and no
     more than without one."""
     graphs = [t.total_graph(t.cycle(35)).graph, *(t.total_graph(g).graph for g in POOL_GRAPHS[:50])]
-    whole = [_tds(g, _tds_search) for g in graphs]
+    whole = [_run(g, _tds_search) for g in graphs]
     monkeypatch.setattr("tdtc.solvers._TDS_MEMO_CAP", 4)
-    capped = [_tds(g, _tds_search) for g in graphs]
+    capped = [_run(g, _tds_search) for g in graphs]
     for idx, (g, full_table, got) in enumerate(zip(graphs, whole, capped)):
-        want = _tds(g, tds_search_reference)
+        want = _run(g, tds_search_reference)
         assert got.proven_optimal and got.certificate == want.certificate == full_table.certificate, idx
         assert full_table.nodes_explored <= got.nodes_explored <= want.nodes_explored, idx
     # T(C_35): 4,973 nodes with the whole table, 116,178 without one
     assert whole[0].nodes_explored < capped[0].nodes_explored < 116_178
+
+
+@pytest.mark.parametrize("max_nodes", [None, 3, 50])
+def test_mis_search_matches_reference(max_nodes, random_corpus, exhaustive_connected_upto5):
+    """One reduction rule takes the same vertices in the same order as the
+    three cases it replaces, so every run is the reference's, node for node."""
+    graphs = [
+        *random_corpus,
+        *exhaustive_connected_upto5,
+        *RANDOM_GRAPHS,
+        *(t.total_graph(g).graph for g in RANDOM_GRAPHS),
+        *(t.total_graph(t.cycle(n)).graph for n in range(3, 26)),
+        *(t.total_graph(t.path(n)).graph for n in range(2, 26)),
+    ]
+    budget = None if max_nodes is None else SearchBudget(max_nodes=max_nodes)
+    for idx, g in enumerate(graphs):
+        got, want = _run(g, _mis_search, budget), _run(g, mis_search_reference, budget)
+        assert (got.certificate, got.nodes_explored, got.proven_optimal) == (
+            want.certificate, want.nodes_explored, want.proven_optimal), idx
+    assert len(graphs) == 1818

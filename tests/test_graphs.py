@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -104,6 +105,15 @@ class TestLineGraph:
     def test_line_of_edgeless(self):
         lg, labels = t.line_graph(Graph(3, []))
         assert lg.n == 0 and lg.m == 0 and labels == ()
+
+    @pytest.mark.parametrize(
+        "g", [t.path(5), t.cycle(6), STAR_K13, complete(4), Graph(5, [(1, 2), (3, 4)]), Graph(6, [(2, 5), (1, 5)])]
+    )
+    def test_edges_are_adjacent_when_they_share_an_endpoint(self, g):
+        edges = g.sorted_edges()
+        lg, labels = t.line_graph(g)
+        assert lg.n == g.m and labels == tuple(Edge(*e) for e in edges)
+        assert lg.edges == {(a + 1, b + 1) for a, b in combinations(range(g.m), 2) if set(edges[a]) & set(edges[b])}
 
 
 class TestTotalGraph:
