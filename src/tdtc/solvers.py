@@ -25,7 +25,7 @@ Search strategies
   uncovered set to a proven lower bound on the vertices that cover it,
   recorded when a node's branches end without an improvement; a later
   node with that uncovered set and no more room below the incumbent
-  returns at once.  Candidate exclusion does not weaken the bound: a set
+  is skipped.  Candidate exclusion does not weaken the bound: a set
   using an excluded vertex was searched in an earlier branch, so it cannot
   beat the incumbent.  Only subtrees without a strict improvement are
   skipped, so every incumbent, certificate and proven flag is the one the
@@ -57,8 +57,6 @@ frame and map the certificate back to the base graph's objects.
 from __future__ import annotations
 
 import heapq
-import sys
-import threading
 import time
 from dataclasses import dataclass
 
@@ -254,34 +252,17 @@ def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
         best[:] = merged()
 
 
-_RECURSION_LOCK = threading.Lock()
-
-
-def _allow_depth(depth: int) -> None:
-    """Raise the interpreter's recursion limit, never lower it, so that
-    ``depth`` more frames fit below the caller's; under the lock a
-    concurrent call cannot set it back below what another one needs."""
-    frame, used = sys._getframe(), 0
-    while frame is not None:
-        frame, used = frame.f_back, used + 1
-    with _RECURSION_LOCK:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), used + depth))
-
-
 def _solve(g: Graph, budget: SearchBudget | None, improve, certificate) -> InvariantResult:
     """Run the search ``improve(adj, best, search)``, which puts its
     incumbent into the list ``best`` before its first node and overwrites it
     in place with each better one; the list it holds when the search ends,
     or its budget runs out, is the answer, of size ``len(best)``, and
-    ``certificate(best)`` its certificate.  A recursive search nests at
-    most one node per vertex, so the recursion limit is made to fit that
-    and the search can never end in a RecursionError."""
+    ``certificate(best)`` its certificate."""
     start = time.perf_counter()
     search = _Search(budget)
     best: list[int] = []
     proven = True
     adj = _adj_masks(g)
-    _allow_depth(len(adj) + 8)  # the nodes, the search function and the calls one node makes
     try:
         improve(adj, best, search)
     except _OutOfBudget:
@@ -322,11 +303,15 @@ def _clique_cover_count(adj: list[int], free: int) -> int:
 
 def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
     """Branch and bound from a greedy independent set that overwrites
-    ``best`` with each larger one it finds."""
+    ``best`` with each larger one it finds, depth first on an explicit
+    stack of (free vertices, current set) nodes.  Each node pushes the
+    branch that skips v, which keeps the node's own list, and then the one
+    that takes v, which is searched first."""
     n = len(adj)
     best[:] = _greedy_independent(adj)
-
-    def rec(free: int, cur: list[int]) -> None:
+    stack = [((1 << n) - 1, [])]
+    while stack:
+        free, cur = stack.pop()
         search.tick()
         # dominance reductions: take the first vertex of degree 0 or 1, or of
         # degree 2 whose two neighbors are adjacent
@@ -343,16 +328,14 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
         if not free:
             if len(cur) > len(best):
                 best[:] = cur
-            return
+            continue
         if len(cur) + free.bit_count() <= len(best):
-            return
+            continue
         if len(cur) + _clique_cover_count(adj, free) <= len(best):
-            return
+            continue
         v = max(_bits(free), key=lambda u: ((adj[u] & free).bit_count(), -u))
-        rec(free & ~(adj[v] | (1 << v)), cur + [v])
-        rec(free & ~(1 << v), list(cur))
-
-    rec((1 << n) - 1, [])
+        stack.append((free & ~(1 << v), cur))
+        stack.append((free & ~(adj[v] | (1 << v)), cur + [v]))
 
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
@@ -396,60 +379,69 @@ _TDS_MEMO_CAP = 1 << 18  # entries per search: about 21 MB at the ~80 B each mea
 
 def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
     """Branch and bound from a greedy total dominating set that overwrites
-    ``best`` with each smaller one it finds.
+    ``best`` with each smaller one it finds, depth first on an explicit
+    stack.  A branch (prefix, u, covered, excluded) is the node whose set
+    ``cur`` is prefix + [u], built when it is popped, so pending branches
+    share their parent's list; the root has u = -1 and the empty prefix.
 
     ``failed`` maps a set of uncovered vertices to a number r such that
     every vertex set covering it has at least r members.  A node whose
     ``room`` (the size of ``best`` less that of ``cur``) is at most the
-    entry for its uncovered set returns at once; a node whose branches end
-    without shrinking ``best`` records its room.  That record is sound
-    although the branches avoided ``excluded``: a vertex is excluded only
-    once the branch that added it to a prefix of ``cur`` has ended, having
-    searched every set through it that could beat ``best``; so any set X
-    whose union with ``cur`` uses an excluded vertex gives a total
-    dominating set no smaller than ``best``, hence |X| >= room.
-    Only subtrees holding no strict improvement are skipped and the order
-    of the others is unchanged, so ``best`` takes the same lists as without
-    the table, and ``search`` counts no more nodes.  The table stops
-    growing at ``_TDS_MEMO_CAP`` entries; every entry kept is still true
-    and the order of recording is fixed, so a full table leaves the search
-    sound and deterministic, only slower.
+    entry for its uncovered set is skipped.  Below its branches each node
+    pushes a marker (uncovered, room, size of ``best``); popped once the
+    branches have ended, it records the room if ``best`` did not shrink.
+    That record is sound although the branches avoided ``excluded``: a
+    vertex is excluded only once the branch that added it to a prefix of
+    ``cur`` has ended, having searched every set through it that could beat
+    ``best``; so any set X whose union with ``cur`` uses an excluded vertex
+    gives a total dominating set no smaller than ``best``, hence
+    |X| >= room.  Only subtrees holding no strict improvement are skipped
+    and the order of the others is unchanged, so ``best`` takes the same
+    lists as without the table, and ``search`` counts no more nodes.  The
+    table stops growing at ``_TDS_MEMO_CAP`` entries; every entry kept is
+    still true and the order of recording is fixed, so a full table leaves
+    the search sound and deterministic, only slower.
     """
     n = len(adj)
     best[:] = _greedy_tds(adj)
     full = (1 << n) - 1
     maxdeg = max(a.bit_count() for a in adj)
     failed: dict[int, int] = {}
-
-    def rec(cur: list[int], covered: int, excluded: int) -> None:
+    stack: list[tuple] = [([], -1, 0, 0)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 3:
+            uncovered, room, size = entry
+            if len(best) == size and len(failed) < _TDS_MEMO_CAP:
+                failed[uncovered] = room
+            continue
+        prefix, u, covered, excluded = entry
         search.tick()
+        cur = prefix + [u] if u >= 0 else prefix
         if covered == full:
             if len(cur) < len(best):
                 best[:] = cur
-            return
+            continue
         uncovered = full & ~covered
         need = (uncovered.bit_count() + maxdeg - 1) // maxdeg
         room = len(best) - len(cur)
         if need >= room or failed.get(uncovered, 0) >= room:
-            return
+            continue
         options = 0
         options_count = n + 1
         for v in _bits(uncovered):
             opts = adj[v] & ~excluded
             cnt = opts.bit_count()
             if cnt == 0:
-                return
+                break
             if cnt < options_count:
                 options, options_count = opts, cnt
-        size = len(best)
-        ex = excluded
-        for u in _bits(options):
-            rec(cur + [u], covered | adj[u], ex)
-            ex |= 1 << u
-        if len(best) == size and len(failed) < _TDS_MEMO_CAP:
-            failed[uncovered] = room
-
-    rec([], 0, 0)
+        else:
+            stack.append((uncovered, room, len(best)))
+            while options:  # from the highest option down, so the lowest is searched first
+                u = options.bit_length() - 1
+                options ^= 1 << u
+                stack.append((cur, u, covered | adj[u], excluded | options))
 
 
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:

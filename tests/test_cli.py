@@ -174,23 +174,34 @@ class TestCompute:
                            "--kind", kind, str(cert))
         assert code == 0, out
 
-    def test_deep_search_fits_any_recursion_limit(self):
-        """The total domination search nests one call per member of its
-        current set, about 400 deep here; a low recursion limit is raised to
-        fit, so the run ends on its budget as it does under a high one."""
+    def test_deep_search_fits_any_recursion_limit(self, tmp_path):
+        """The total domination search on T(P_600) holds about 400 vertices
+        in its current set, and the independent set search on 300 disjoint
+        copies of C_5 branches once per copy.  Neither nests a call per
+        level, so under a recursion limit of 150 each run ends on its budget
+        as it does under 10,000, and the limit is left as it was set."""
+        graph = tmp_path / "c5x300.edges"
+        edges = [(5 * c + i, 5 * c + i % 5 + 1) for c in range(300) for i in range(1, 6)]
+        graph.write_text(f"1500 {len(edges)}\n" + "".join(f"{min(e)} {max(e)}\n" for e in edges))
         script = (
             "import sys\n"
             "sys.setrecursionlimit(int(sys.argv[1]))\n"
             "from tdtc import cli\n"
-            "sys.exit(cli.main(['compute', '--family', 'path', '--n', '600', '--invariant', 'gamma_tm',"
-            " '--exact', '--max-nodes', '3000', '--format', 'json']))\n"
+            "code = cli.main(sys.argv[2:])\n"
+            "print(sys.getrecursionlimit())\n"
+            "sys.exit(code)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        low, high = (subprocess.run([sys.executable, "-c", script, str(limit)], capture_output=True,
-                                    text=True, timeout=120, env=env) for limit in (150, 10_000))
-        assert "Traceback" not in low.stderr + high.stderr
-        assert low.returncode == high.returncode == 4
-        assert low.stdout == high.stdout and json.loads(low.stdout)["nodes_explored"] == 3000
+        for argv in (["--family", "path", "--n", "600", "--invariant", "gamma_tm", "--exact"],
+                     ["--graph", str(graph), "--invariant", "alpha"]):
+            argv = ["compute", *argv, "--max-nodes", "3000", "--format", "json"]
+            low, high = (subprocess.run([sys.executable, "-c", script, str(limit), *argv], capture_output=True,
+                                        text=True, timeout=120, env=env) for limit in (150, 10_000))
+            assert "Traceback" not in low.stderr + high.stderr
+            assert low.returncode == high.returncode == 4
+            result, _, kept = low.stdout.rstrip("\n").rpartition("\n")
+            assert (kept, high.stdout) == ("150", f"{result}\n10000\n")
+            assert json.loads(result)["nodes_explored"] == 3000
 
 
 @pytest.mark.parametrize(

@@ -408,9 +408,9 @@ def test_public_solvers_take_graph_and_budget_only():
         assert params == [("g", positional, inspect.Parameter.empty), ("budget", positional, None)], solve.__name__
 
 
-def test_invariant_result_built_only_in_solve():
-    """Every solver's result comes out of one frame, ``solvers._solve``, so
-    a field added to InvariantResult is filled in one place."""
+def _call_sites(hit) -> list[str]:
+    """The scope (module, then enclosing functions, dotted) of each call in
+    the library whose callee name ``hit(name, scope)`` accepts."""
     sites = []
 
     class Sites(ast.NodeVisitor):
@@ -424,10 +424,23 @@ def test_invariant_result_built_only_in_solve():
 
         def visit_Call(self, node):
             func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "InvariantResult":
+            if hit(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None), self.scope):
                 sites.append(".".join(self.scope))
             self.generic_visit(node)
 
     for path in sorted(Path(t.__file__).parent.glob("*.py")):
         Sites(path.stem).visit(ast.parse(path.read_text()))
-    assert sites == ["solvers._solve"]
+    return sites
+
+
+def test_invariant_result_built_only_in_solve():
+    """Every solver's result comes out of one frame, ``solvers._solve``, so
+    a field added to InvariantResult is filled in one place."""
+    assert _call_sites(lambda name, scope: name == "InvariantResult") == ["solvers._solve"]
+
+
+def test_no_recursion_in_library():
+    """The searches run on explicit stacks: no function calls itself by
+    name, so no depth of search needs a recursion limit, and nothing in the
+    library changes the interpreter's."""
+    assert _call_sites(lambda name, scope: name in (scope[-1], "setrecursionlimit")) == []
