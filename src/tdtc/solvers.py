@@ -32,23 +32,26 @@ Search strategies
   search finds without the table, in fewer nodes (the frontier-style
   nogood recording of Kawahara, Inoue, Iwashita and Minato, IEICE Trans.
   Fundamentals E100-A, 2017).
-* total_dominator_chromatic_number: iterative deepening on the class
-  count from the greedy clique bound (at least 2) up to a greedy
-  incumbent.  The level search rejects improper colorings itself, so it
-  also refutes the levels below chi and needs no chromatic-number solve.
-  Within a level, backtracking in degeneracy order with first-use
-  symmetry breaking plus domination-aware pruning: for every class we
-  maintain the set of vertices whose open neighborhood still contains the
-  class, and a branch dies as soon as some vertex can witness neither an
-  opened class nor any class that could still be opened among the
-  unassigned objects ahead of it.  The neighborhood-containment
-  bookkeeping subsumes the generic size bounds (a witnessed class fits
-  inside an open neighborhood, hence has at most max-degree members and
-  is independent).  A witness-capacity bound,
-  the counting half of gamma_t <= chi_d^t <= gamma_t + chi, also kills
-  a branch when the vertices no opened class can witness outnumber what
-  the unopened classes can serve: each of those classes needs a member
-  among the unassigned vertices, and witnesses only neighbors of it.
+* total_dominator_chromatic_number: iterative deepening on the class count
+  from the greedy clique bound (at least 2) up to an incumbent built from
+  a total dominating set (its members as singletons, then a greedy
+  coloring of the rest): the greedy set's, or the exact minimum set's when
+  that has fewer classes, which is the upper half of Kazemi's gamma_t <=
+  chi_d^t <= gamma_t + chi (Trans. Comb. 2015).  The level search rejects
+  improper colorings itself, so it also refutes the levels below chi and
+  needs no chromatic-number solve.  Within a level, backtracking in
+  degeneracy order with first-use symmetry breaking plus domination-aware
+  pruning: for every class we maintain the set of vertices whose open
+  neighborhood still contains the class, and a branch dies as soon as some
+  vertex can witness neither an opened class nor any class that could
+  still be opened among the unassigned objects ahead of it.  The
+  neighborhood-containment bookkeeping subsumes the generic size bounds (a
+  witnessed class fits inside an open neighborhood, hence has at most
+  max-degree members and is independent).  A witness-capacity bound, the
+  counting half of gamma_t <= chi_d^t <= gamma_t + chi, also kills a
+  branch when the vertices no opened class can witness outnumber what the
+  unopened classes can serve: each of those classes needs a member among
+  the unassigned vertices, and witnesses only neighbors of it.
 
 The mixed invariants run these searches on the total graph in the same
 frame and map the certificate back to the base graph's objects.
@@ -363,26 +366,47 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
 
 
 def _greedy_tds(adj: list[int]) -> list[int]:
-    n = len(adj)
-    full = (1 << n) - 1
+    """Greedy total dominating set: repeatedly the vertex with the most
+    uncovered neighbors, ties to the lowest index.  Each vertex keeps that
+    count, lowered after a pick only for the neighbors of the vertices the
+    pick newly covers, and picks pop from a lazy heap on (-count, index):
+    counts only fall, so an entry whose count is no longer current is
+    skipped.  Requires positive minimum degree, so that an uncovered vertex
+    always has a neighbor to pick."""
+    gain = [a.bit_count() for a in adj]
+    heap = [(-d, v) for v, d in enumerate(gain)]
+    heapq.heapify(heap)
     covered = 0
+    left = len(adj)
     out: list[int] = []
-    while covered != full:
-        v = max(range(n), key=lambda u: ((adj[u] & ~covered).bit_count(), -u))
+    while left:
+        neg, v = heapq.heappop(heap)
+        if -neg != gain[v]:
+            continue
         out.append(v)
-        covered |= adj[v]
+        new = adj[v] & ~covered
+        covered |= new
+        left += neg
+        touched = 0
+        for w in _bits(new):
+            touched |= adj[w]
+        for u in _bits(touched):
+            gain[u] -= (adj[u] & new).bit_count()
+            if gain[u]:
+                heapq.heappush(heap, (-gain[u], u))
     return out
 
 
 _TDS_MEMO_CAP = 1 << 18  # entries per search: about 21 MB at the ~80 B each measured on T(C_56)
 
 
-def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
-    """Branch and bound from a greedy total dominating set that overwrites
-    ``best`` with each smaller one it finds, depth first on an explicit
-    stack.  A branch (prefix, u, covered, excluded) is the node whose set
-    ``cur`` is prefix + [u], built when it is popped, so pending branches
-    share their parent's list; the root has u = -1 and the empty prefix.
+def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int] | None = None) -> None:
+    """Branch and bound from ``seed``, by default the greedy total
+    dominating set, that overwrites ``best`` with each smaller one it
+    finds, depth first on an explicit stack.  A branch (prefix, u, covered,
+    excluded) is the node whose set ``cur`` is prefix + [u], built when it
+    is popped, so pending branches share their parent's list; the root has
+    u = -1 and the empty prefix.
 
     ``failed`` maps a set of uncovered vertices to a number r such that
     every vertex set covering it has at least r members.  A node whose
@@ -403,7 +427,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search) -> None:
     the search sound and deterministic, only slower.
     """
     n = len(adj)
-    best[:] = _greedy_tds(adj)
+    best[:] = _greedy_tds(adj) if seed is None else seed
     full = (1 << n) - 1
     maxdeg = max(a.bit_count() for a in adj)
     failed: dict[int, int] = {}
@@ -590,11 +614,23 @@ def _first_feasible_level(adj: list[int], order: list[int], need: int, best: lis
 
 def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
     """The level search with every vertex needing a witness, below the
-    incumbent that total_dominator_chromatic_number describes."""
+    incumbent that total_dominator_chromatic_number describes.  The exact
+    total domination search runs on ``search``, so its nodes count toward
+    the budget; ``best`` holds the greedy incumbent before its first node."""
     order = _degeneracy_order(adj)
-    tds = sorted(_greedy_tds(adj))
-    in_tds = set(tds)
-    best[:] = [1 << v for v in tds] + _greedy_color_classes(adj, [v for v in order if v not in in_tds])
+
+    def incumbent(tds: list[int]) -> list[int]:
+        in_tds = set(tds)
+        return [1 << v for v in sorted(tds)] + _greedy_color_classes(adj, [v for v in order if v not in in_tds])
+
+    greedy = _greedy_tds(adj)
+    best[:] = incumbent(greedy)
+    tds: list[int] = []
+    _tds_search(adj, tds, search, greedy)
+    if len(tds) < len(greedy):  # else tds is the greedy set itself
+        exact = incumbent(tds)
+        if len(exact) < len(best):
+            best[:] = exact
     _first_feasible_level(adj, order, (1 << len(adj)) - 1, best, search)
 
 
@@ -604,10 +640,13 @@ def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = Non
     Iterative deepening over the class count, from the greedy clique bound
     (at least 2), proves every level below the answer infeasible by
     exhaustion; a level below the chromatic number fails on properness
-    inside the same search.  The initial incumbent (greedy total dominating
-    set as singletons plus a greedy coloring of the rest) is returned when a
-    budget runs out, and short-circuits the final level when every smaller
-    count has already been refuted.
+    inside the same search.  The incumbent is a total dominating set as
+    singletons plus a greedy coloring of the other vertices in smallest-last
+    order, built first from the greedy set and then from a minimum one,
+    which replaces it only with fewer classes.  The minimum set's search
+    counts toward the budget; when the budget runs out, the incumbent held
+    at that point is returned.  The incumbent short-circuits the final level
+    when every smaller count has already been refuted.
     """
     _require_min_degree_one(g, "total dominator coloring")
     return _solve(g, budget, _tdc_search, _coloring)

@@ -1,8 +1,9 @@
 """Independent oracles: exhaustive enumeration over subsets and set
 partitions, a direct search over mixed objects, the adjacent-or-incident
 relation decided case by case, the alternate printed forms of the
-cycle/path formulas, the plain quadratic forms of the library's ordering
-and certificate-checking loops, and a plain k-coloring backtracking.
+cycle/path formulas, the plain quadratic forms of the library's ordering,
+greedy total domination and certificate-checking loops, and a plain
+k-coloring backtracking.
 
 These deliberately share no search machinery with the solvers and no case
 split with the library's formulas; they are the ground truth the library is
@@ -12,7 +13,10 @@ that its classes and node counts compare one to one with the library's
 level search.  Through its ``need`` mask, checked only on complete
 assignments, it serves both the chromatic number (an empty mask) and the
 total dominator chromatic number (every vertex), whose witness pruning it
-checks.  The total domination reference is another exception: the
+checks; for the latter it starts, as the library does, from the smaller of
+the incumbents built from a greedy and from a minimum total dominating set,
+the minimum one found by the total domination reference on the same node
+counter.  The total domination reference is another exception: the
 library's branch and bound without its table of failed states, from the
 same greedy seed and with the same node counter.  The last is the
 independent set reference: the library's branch and bound with each of its
@@ -189,6 +193,21 @@ def verify_formula_consistency(max_n: int) -> int:
     return count
 
 
+def greedy_tds_scan(adj: list[int]) -> list[int]:
+    """Greedy total dominating set by rescanning every vertex for the most
+    uncovered neighbors (ties to the lowest index) at each pick; O(V^2)
+    mask operations."""
+    n = len(adj)
+    full = (1 << n) - 1
+    covered = 0
+    out: list[int] = []
+    while covered != full:
+        v = max(range(n), key=lambda u: ((adj[u] & ~covered).bit_count(), -u))
+        out.append(v)
+        covered |= adj[v]
+    return out
+
+
 def degeneracy_order_scan(adj: list[int]) -> list[int]:
     """Smallest-last order by rescanning every live vertex for the lowest
     (degree, index) at each step; O(V^2)."""
@@ -329,14 +348,27 @@ def chromatic_masks_reference(adj: list[int], search: _Search) -> list[int]:
     return level_search_reference(adj, _greedy_color_classes(adj, _degeneracy_order(adj)), 0, search)
 
 
+def tdc_incumbent_reference(adj: list[int], tds: list[int]) -> list[int]:
+    """The total dominator coloring built from the total dominating set
+    ``tds``: its members as singletons in index order, then a greedy
+    coloring of the other vertices in smallest-last order."""
+    rest = _greedy_color_classes(adj, [v for v in _degeneracy_order(adj) if v not in tds])
+    return [1 << v for v in sorted(tds)] + rest
+
+
 def tdc_masks_reference(adj: list[int], search: _Search) -> list[int]:
     """Minimum total dominator coloring as bitmask classes, below the
-    incumbent the library starts from: a greedy total dominating set as
-    singletons, then a greedy coloring of the other vertices in
-    smallest-last order."""
-    tds = sorted(_greedy_tds(adj))
-    rest = _greedy_color_classes(adj, [v for v in _degeneracy_order(adj) if v not in tds])
-    return level_search_reference(adj, [1 << v for v in tds] + rest, (1 << len(adj)) - 1, search)
+    incumbent the library starts from: the coloring built from a greedy
+    total dominating set, or the one built from a minimum set, found by
+    ``tds_search_reference`` on the same node counter, when that has fewer
+    classes."""
+    incumbent = tdc_incumbent_reference(adj, _greedy_tds(adj))
+    tds: list[int] = []
+    tds_search_reference(adj, tds, search)
+    exact = tdc_incumbent_reference(adj, tds)
+    if len(exact) < len(incumbent):
+        incumbent = exact
+    return level_search_reference(adj, incumbent, (1 << len(adj)) - 1, search)
 
 
 def tds_search_reference(adj: list[int], best: list[int], search: _Search) -> None:

@@ -1,7 +1,8 @@
-"""The library's smallest-last order and dominator-coloring reports against
-the quadratic reference loops in ``oracles``: equal lists, equal dict item
-order, on the total graphs of cycles and paths and on seeded random graphs
-with random (often improper or undominated) colorings in both universes.
+"""The library's smallest-last order, greedy total dominating set and
+dominator-coloring reports against the quadratic reference loops in
+``oracles``: equal lists, equal dict item order, on the total graphs of
+cycles and paths and on seeded random graphs, the latter with random (often
+improper or undominated) colorings in both universes.
 The chromatic number against the k-coloring reference in ``oracles`` run
 on each component: equal classes in class order, and no more search nodes;
 and, when its budget runs out, the exact colorings of the components
@@ -26,6 +27,7 @@ from oracles import (
     chromatic_masks_reference,
     degeneracy_order_scan,
     domination_report_scan,
+    greedy_tds_scan,
     mis_search_reference,
     tds_search_reference,
 )
@@ -37,6 +39,7 @@ from tdtc.solvers import (
     _components,
     _degeneracy_order,
     _greedy_color_classes,
+    _greedy_tds,
     _mis_search,
     _Search,
     _solve,
@@ -329,6 +332,24 @@ def test_tds_search_with_tiny_table_matches_reference(monkeypatch):
         assert full_table.nodes_explored <= got.nodes_explored <= want.nodes_explored, idx
     # T(C_35): 4,973 nodes with the whole table, 116,178 without one
     assert whole[0].nodes_explored < capped[0].nodes_explored < 116_178
+
+
+def test_greedy_tds_matches_scan_on_corpora(random_corpus, exhaustive_connected_upto5):
+    graphs = [*TDS_GRAPHS, *random_corpus, *exhaustive_connected_upto5]
+    for idx, g in enumerate(graphs):
+        adj = _adj_masks(g)
+        assert _greedy_tds(adj) == greedy_tds_scan(adj), idx
+
+
+# every n up to 60, then a stride coprime to the period 7 of the formulas,
+# since the scan is quadratic (about 13 s for every n up to 300)
+@pytest.mark.parametrize("family", ["cycle", "path"])
+def test_greedy_tds_matches_scan_on_family_total_graphs(family):
+    for n in [*range(2, 61), *range(61, 300, 11), 300]:
+        if family == "cycle" and n < 3:
+            continue
+        adj = _adj_masks(t.total_graph(t.FamilyInstance(family, n).graph()).graph)
+        assert _greedy_tds(adj) == greedy_tds_scan(adj), n
 
 
 @pytest.mark.parametrize("max_nodes", [None, 3, 50])

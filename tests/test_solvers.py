@@ -12,11 +12,12 @@ from oracles import (
     brute_chi,
     brute_chi_t_d,
     brute_gamma_t,
+    tdc_incumbent_reference,
     tdc_masks_reference,
     total_mixed_domination_number_direct,
 )
 from tdtc import DomainError, Graph, SearchBudget
-from tdtc.solvers import _adj_masks, _coloring, _Search
+from tdtc.solvers import _adj_masks, _coloring, _degeneracy_order, _greedy_tds, _ktdc_feasible, _Search
 
 
 def complete(n):
@@ -159,6 +160,30 @@ class TestTotalDominatorChromatic:
     def test_pruning_soundness_tdtc_number(self, family, n):
         _assert_pruning_sound(t.tdtc_number, t.FamilyInstance(family, n).graph())
 
+    def test_value_never_above_greedy_incumbent(self, exhaustive_connected_upto5, random_corpus):
+        """The exact total dominating set only replaces the greedy incumbent
+        when its coloring is smaller: a run with no nodes returns the greedy
+        incumbent, and a full run never does worse."""
+        for idx, g in enumerate([*exhaustive_connected_upto5, *random_corpus]):
+            greedy = len(tdc_incumbent_reference(_adj_masks(g), _greedy_tds(_adj_masks(g))))
+            starved = t.total_dominator_chromatic_number(g, SearchBudget(max_nodes=0))
+            assert starved.value == greedy and not starved.proven_optimal, idx
+            assert t.is_tdc(g, starved.certificate).valid, idx
+            assert t.total_dominator_chromatic_number(g).value <= greedy, idx
+
+    def test_levels_are_monotone(self, exhaustive_connected_upto5):
+        """The lemma in ``_ktdc_feasible``: splitting a class keeps a total
+        dominator coloring valid, so every class count from chi_t^d up to
+        |V| is feasible, and exhausting the level below an incumbent proves
+        it."""
+        for idx, g in enumerate(exhaustive_connected_upto5):
+            adj = _adj_masks(g)
+            order = _degeneracy_order(adj)
+            for k in range(t.total_dominator_chromatic_number(g).value, g.n + 1):
+                found = _ktdc_feasible(adj, order, k, (1 << g.n) - 1, _Search(None))
+                assert found is not None and len(found) == k and all(found), (idx, k)
+                assert t.is_tdc(g, _coloring(found)).valid, (idx, k)
+
 
 class TestMixedInvariants:
     def test_alpha_mix_examples(self):
@@ -231,15 +256,29 @@ class TestMixedInvariants:
 
 class TestNodeCountGate:
     """Node counts are deterministic, so a ceiling catches a search that
-    regresses on any machine.  Each ceiling is about twice the count measured
-    with the witness-capacity bound; without it C_10 took 464,504 nodes and
-    P_11 184,158, and C_13 ended unproven at 12 after 300,000.  The gamma_tm
-    ceilings are about twice the counts measured with the table of failed
-    states; without it C_35 took 116,178 nodes and C_38 245,839, and C_49
-    ended unproven at 30 after 2,000,000."""
+    regresses on any machine.  The chi_tt_d ceilings are about twice the
+    counts measured with the witness-capacity bound and the incumbent built
+    from an exact total dominating set, whose search nodes they include.
+    Without the bound C_10 took 464,504 nodes and P_11 184,158, and C_13
+    ended unproven at 12 after 300,000; from the greedy incumbent alone C_10
+    took 3,587 nodes, P_11 4,655, C_13 59,715 and P_18 3,046,451, while P_14
+    ended unproven at 12 after 300,000 and P_19 unproven at 15 after
+    3,000,000.  The first two PROVEN rows keep the ceilings set from those
+    greedy-incumbent counts, which every later search must stay within; the
+    rows after them hold C_10 and P_11 to the tighter ceilings measured with
+    the exact incumbent.  The gamma_tm ceilings are about twice the counts
+    measured with the table of failed states; without it C_35 took 116,178
+    nodes and C_38 245,839, and C_49 ended unproven at 30 after 2,000,000."""
 
     # (family, n, measured nodes, ceiling)
-    PROVEN = [("cycle", 10, 3_587, 7_500), ("path", 11, 4_655, 9_500)]
+    PROVEN = [
+        ("cycle", 10, 3_587, 7_500),
+        ("path", 11, 4_655, 9_500),
+        ("cycle", 10, 3_426, 7_000),
+        ("path", 11, 491, 1_000),
+        ("path", 18, 5_246, 10_500),
+        ("path", 19, 204_596, 410_000),  # about 0.3 s
+    ]
     GAMMA_TM = [("cycle", 35, 4_973, 10_000), ("cycle", 38, 10_137, 20_000)]
 
     @pytest.mark.parametrize("family,n,measured,ceiling", PROVEN)
@@ -260,9 +299,15 @@ class TestNodeCountGate:
         assert r.proven_optimal and r.value == 28
 
     def test_c13_proven_within_frontier_budget(self):
-        # measured: 59,715 nodes
+        # measured: 57,613 nodes
         r = t.tdtc_number(t.cycle(13), SearchBudget(max_nodes=300_000))
         assert r.proven_optimal and r.value == 11
+
+    def test_p14_proven_within_frontier_budget(self):
+        # measured: 5,142 nodes
+        r = t.tdtc_number(t.path(14), SearchBudget(max_nodes=300_000))
+        assert r.proven_optimal and r.value == 11
+        assert r.nodes_explored <= 10_500, f"{r.nodes_explored} nodes, 5,142 measured"
 
     def test_grotzsch_chi_within_ceiling(self):
         # measured: 170 nodes
@@ -369,6 +414,13 @@ class TestDeterminismAndBudget:
         r = t.total_domination_number(G6, budget=SearchBudget(max_nodes=6))
         assert not r.proven_optimal and r.value == 2
         assert t.is_total_dominating_set(G6, r.certificate) == (True, ())
+
+    def test_budget_spent_in_gamma_t_search_returns_greedy_incumbent(self):
+        # the exact total domination search of T(P_14) takes 108 nodes
+        r = t.tdtc_number(t.path(14), budget=SearchBudget(max_nodes=50))
+        assert not r.proven_optimal and r.nodes_explored == 50
+        assert r.value == 12
+        assert t.is_tdtc(t.path(14), r.certificate).valid
 
     def test_time_budget(self):
         r = t.tdtc_number(t.cycle(9), budget=SearchBudget(max_time=1e-9))
