@@ -22,6 +22,7 @@ from .closed_forms import (
     tdtc_certificate,
 )
 from .graphs import (
+    Coloring,
     DomainError,
     Edge,
     Graph,
@@ -29,6 +30,8 @@ from .graphs import (
     ObjectId,
     TotalGraph,
     Vertex,
+    coloring_from_total,
+    coloring_to_total,
     cycle,
     format_object,
     induced_subgraph,
@@ -42,7 +45,6 @@ from .graphs import (
     read_edge_list,
     to_dot,
     total_graph,
-    total_graph_to_dot,
     write_edge_list,
 )
 from .solvers import (
@@ -60,11 +62,8 @@ from .solvers import (
 from .verify import (
     MIXED_UNIVERSE,
     VERTEX_UNIVERSE,
-    Coloring,
     DominationReport,
-    coloring_from_total,
     coloring_to_json,
-    coloring_to_total,
     common_neighborhood,
     is_independent_set,
     is_mixed_independent_set,

@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 from . import closed_forms as cf
 from . import solvers, verify
 from .graphs import (
+    Coloring,
     DomainError,
     Graph,
     GraphParseError,
@@ -115,8 +116,7 @@ def _budget(args) -> solvers.SearchBudget:
 
 def _graph_source(args) -> tuple[Graph, str, tuple[str, int] | None]:
     """Resolve (--family, --n) or --graph into (graph, display name, family info)."""
-    family = getattr(args, "family", None)
-    graph_file = getattr(args, "graph", None)
+    family, graph_file = args.family, args.graph
     if family is not None and graph_file is not None:
         raise GraphParseError("give either --family/--n or --graph, not both")
     if family is not None:
@@ -158,17 +158,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _size(certificate) -> int:
-    return certificate.num_classes if isinstance(certificate, verify.Coloring) else len(certificate)
+    return certificate.num_classes if isinstance(certificate, Coloring) else len(certificate)
 
 
 def _certificate_json(universe: str, certificate, provenance: str | None = None) -> dict:
-    if isinstance(certificate, verify.Coloring):
+    if isinstance(certificate, Coloring):
         return verify.coloring_to_json(certificate, universe, provenance)
     return verify.object_set_to_json(certificate, universe, provenance)
 
 
 def _cert_summary(certificate) -> str:
-    if isinstance(certificate, verify.Coloring):
+    if isinstance(certificate, Coloring):
         return f"coloring with {certificate.num_classes} classes"
     return f"object set with {len(certificate)} elements"
 

@@ -30,17 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
+    Coloring,
     DomainError,
     Edge,
     Graph,
     ObjectId,
     Vertex,
+    coloring_from_total,
     cycle,
     parse_object,
     path,
     total_graph,
 )
-from .verify import Coloring, coloring_from_total, tdc_from_tds
+from .verify import tdc_from_tds
 
 CYCLE = "cycle"
 PATH = "path"

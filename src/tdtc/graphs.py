@@ -6,7 +6,9 @@ derived graphs used throughout the package: the line graph (one vertex
 per edge, adjacency = shared endpoint) and the total graph (one vertex
 per vertex *and* per edge, adjacency = "adjacent or incident"), together
 with the label bookkeeping needed to map results on the derived graphs
-back to the objects of the base graph.
+back to the objects of the base graph: ``Coloring``, the ordered partition
+every coloring certificate uses, and ``coloring_to_total`` /
+``coloring_from_total``, which carry one across the total graph's labels.
 
 Everything here is immutable after construction, so values can be shared
 freely between threads and reused as dictionary keys.
@@ -197,8 +199,39 @@ def induced_subgraph(g: Graph, keep: set[int] | frozenset[int]) -> tuple[Graph, 
 
 
 # ---------------------------------------------------------------------------
-# Line graph and total graph
+# Colorings, line graph and total graph
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Coloring:
+    """Ordered partition into disjoint nonempty color classes.
+
+    Class members are plain 1-based vertex ids for vertex colorings, or
+    ObjectId values for mixed (total) colorings.  Class order matters only
+    for serialization and for reporting the lowest-index witness.
+    """
+
+    classes: tuple[frozenset, ...]
+
+    def __post_init__(self) -> None:
+        classes = tuple(frozenset(c) for c in self.classes)
+        object.__setattr__(self, "classes", classes)
+        seen: set = set()
+        for k, cls in enumerate(classes):
+            if not cls:
+                raise DomainError(f"color class {k} is empty")
+            if seen & cls:
+                raise DomainError(f"color class {k} overlaps an earlier class")
+            seen |= cls
+        object.__setattr__(self, "_members", frozenset(seen))
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    def members(self) -> frozenset:
+        return self._members  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -243,8 +276,17 @@ def total_graph(g: Graph) -> TotalGraph:
             for b in range(a + 1, len(ids)):
                 tedges.add((ids[a], ids[b]))
 
-    labels = tuple(Vertex(i) for i in g.vertices) + tuple(Edge(*e) for e in edge_list)
-    return TotalGraph(Graph(n + m, frozenset(tedges)), labels)
+    return TotalGraph(Graph(n + m, frozenset(tedges)), mixed_objects(g))
+
+
+def coloring_to_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
+    """Map a mixed-object coloring of the base graph onto the total graph's vertices."""
+    return Coloring(tuple(tg.to_vertex_ids(cls) for cls in coloring.classes))
+
+
+def coloring_from_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
+    """Map a coloring of the total graph's vertices back to mixed objects."""
+    return Coloring(tuple(tg.to_objects(cls) for cls in coloring.classes))
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
@@ -364,10 +406,6 @@ def to_dot(g: Graph, labels: tuple[ObjectId, ...] | None = None, name: str = "G"
     out.extend(f'  "{node[i - 1]}" -- "{node[j - 1]}";' for i, j in g.sorted_edges())
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def total_graph_to_dot(tg: TotalGraph) -> str:
-    return to_dot(tg.graph, labels=tg.labels, name="T")
 
 
 def labels_to_json(tg: TotalGraph) -> str:

@@ -33,10 +33,10 @@ Search strategies
   nogood recording of Kawahara, Inoue, Iwashita and Minato, IEICE Trans.
   Fundamentals E100-A, 2017).
 * total_dominator_chromatic_number: iterative deepening on the class count
-  from the greedy clique bound (at least 2) up to an incumbent built from
-  a total dominating set (its members as singletons, then a greedy
-  coloring of the rest): the greedy set's, or the exact minimum set's when
-  that has fewer classes, which is the upper half of Kazemi's gamma_t <=
+  from the greedy clique bound up to an incumbent built from a total
+  dominating set (its members as singletons, then a greedy coloring of
+  the rest): the greedy set's, or the exact minimum set's when that has
+  fewer classes, which is the upper half of Kazemi's gamma_t <=
   chi_d^t <= gamma_t + chi (Trans. Comb. 2015).  The level search rejects
   improper colorings itself, so it also refutes the levels below chi and
   needs no chromatic-number solve.  Within a level, backtracking in
@@ -63,8 +63,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .graphs import DomainError, Graph, total_graph
-from .verify import Coloring, coloring_from_total
+from .graphs import Coloring, DomainError, Graph, coloring_from_total, total_graph
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,8 @@ def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
     a witness, one component at a time on its slice of the whole graph's
     smallest-last order, which is its own: the heap pops its vertices as it
     would alone.  ``best`` merges the components' colorings class by class,
-    each greedy until its search ends: a spent budget keeps those solved."""
+    each greedy until its search ends: a spent budget keeps those solved.
+    The ``finally`` writes it on every exit; ``_solve`` reads it only then."""
     slices = {comp: [] for comp in _components(adj)}  # filled in one pass, so many components stay cheap
     owner = {v: sub for comp, sub in slices.items() for v in _bits(comp)}
     for v in _degeneracy_order(adj):
@@ -247,7 +247,6 @@ def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
                 out[idx] |= mask
         return out
 
-    best[:] = merged()
     try:
         for sub, classes in parts:
             _first_feasible_level(adj, sub, 0, classes, search)
@@ -256,11 +255,11 @@ def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
 
 
 def _solve(g: Graph, budget: SearchBudget | None, improve, certificate) -> InvariantResult:
-    """Run the search ``improve(adj, best, search)``, which puts its
-    incumbent into the list ``best`` before its first node and overwrites it
-    in place with each better one; the list it holds when the search ends,
-    or its budget runs out, is the answer, of size ``len(best)``, and
-    ``certificate(best)`` its certificate."""
+    """Run the search ``improve(adj, best, search)``, which keeps its
+    incumbent in the list ``best``, overwritten in place with each better
+    one, so that ``best`` holds the incumbent whenever ``improve`` returns
+    or runs out of budget; that list is the answer, of size ``len(best)``,
+    and ``certificate(best)`` its certificate."""
     start = time.perf_counter()
     search = _Search(budget)
     best: list[int] = []
@@ -309,7 +308,8 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
     ``best`` with each larger one it finds, depth first on an explicit
     stack of (free vertices, current set) nodes.  Each node pushes the
     branch that skips v, which keeps the node's own list, and then the one
-    that takes v, which is searched first."""
+    that takes v, which is searched first.  The one size bound, a greedy
+    clique cover of the free vertices, never exceeds their count."""
     n = len(adj)
     best[:] = _greedy_independent(adj)
     stack = [((1 << n) - 1, [])]
@@ -331,8 +331,6 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
         if not free:
             if len(cur) > len(best):
                 best[:] = cur
-            continue
-        if len(cur) + free.bit_count() <= len(best):
             continue
         if len(cur) + _clique_cover_count(adj, free) <= len(best):
             continue
@@ -425,6 +423,11 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
     table stops growing at ``_TDS_MEMO_CAP`` entries; every entry kept is
     still true and the order of recording is fixed, so a full table leaves
     the search sound and deterministic, only slower.
+
+    Every uncovered vertex has an option outside ``excluded``: the root
+    excludes nothing and the minimum degree is positive, and a branch
+    excludes fewer than c vertices, c being the fewest options any
+    uncovered vertex has at its parent.
     """
     n = len(adj)
     best[:] = _greedy_tds(adj) if seed is None else seed
@@ -456,16 +459,13 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
         for v in _bits(uncovered):
             opts = adj[v] & ~excluded
             cnt = opts.bit_count()
-            if cnt == 0:
-                break
             if cnt < options_count:
                 options, options_count = opts, cnt
-        else:
-            stack.append((uncovered, room, len(best)))
-            while options:  # from the highest option down, so the lowest is searched first
-                u = options.bit_length() - 1
-                options ^= 1 << u
-                stack.append((cur, u, covered | adj[u], excluded | options))
+        stack.append((uncovered, room, len(best)))
+        while options:  # from the highest option down, so the lowest is searched first
+            u = options.bit_length() - 1
+            options ^= 1 << u
+            stack.append((cur, u, covered | adj[u], excluded | options))
 
 
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
@@ -603,9 +603,10 @@ def _first_feasible_level(adj: list[int], order: list[int], need: int, best: lis
                           search: _Search) -> None:
     """Overwrite ``best`` with the classes of the first feasible level of
     ``_ktdc_feasible`` on ``order``, tried in ascending order from its greedy
-    clique bound (at least 2) up to one below ``len(best)``; ``best`` stays
-    as it is when every such level is refuted."""
-    for k in range(max(2, _greedy_clique_size(adj, order)), len(best)):
+    clique bound up to one below ``len(best)``; ``best`` stays as it is when
+    every such level is refuted.  The bound is 1 only when ``order`` spans no
+    edge, and then ``best``, its greedy coloring, has one class."""
+    for k in range(_greedy_clique_size(adj, order), len(best)):
         found = _ktdc_feasible(adj, order, k, need, search)
         if found is not None:
             best[:] = found
@@ -637,16 +638,16 @@ def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
 def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominator coloring, exact; requires positive minimum degree.
 
-    Iterative deepening over the class count, from the greedy clique bound
-    (at least 2), proves every level below the answer infeasible by
-    exhaustion; a level below the chromatic number fails on properness
-    inside the same search.  The incumbent is a total dominating set as
-    singletons plus a greedy coloring of the other vertices in smallest-last
-    order, built first from the greedy set and then from a minimum one,
-    which replaces it only with fewer classes.  The minimum set's search
-    counts toward the budget; when the budget runs out, the incumbent held
-    at that point is returned.  The incumbent short-circuits the final level
-    when every smaller count has already been refuted.
+    Iterative deepening over the class count, from the greedy clique bound,
+    proves every level below the answer infeasible by exhaustion; a level
+    below the chromatic number fails on properness inside the same search.
+    The incumbent is a total dominating set as singletons plus a greedy
+    coloring of the other vertices in smallest-last order, built first from
+    the greedy set and then from a minimum one, which replaces it only with
+    fewer classes.  The minimum set's search counts toward the budget; when
+    the budget runs out, the incumbent held at that point is returned.  The
+    incumbent short-circuits the final level when every smaller count has
+    already been refuted.
     """
     _require_min_degree_one(g, "total dominator coloring")
     return _solve(g, budget, _tdc_search, _coloring)

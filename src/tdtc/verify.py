@@ -2,11 +2,13 @@
 
 A certificate is either an object set (independent set, total dominating
 set) or a coloring (ordered partition into color classes).  The checks
-here are definitional and independent of the solvers: a class totally
-dominates an object exactly when the object is adjacent (or incident) to
-every member of the class.  An object never witnesses its own class,
-because nothing is adjacent to itself; in particular a singleton class is
-never witnessed by its own member.
+here are definitional and use no solver: a class totally dominates an
+object exactly when the object is adjacent (or incident) to every member
+of the class.  An object never witnesses its own class, because nothing
+is adjacent to itself; in particular a singleton class is never witnessed
+by its own member.  Only ``tdc_from_tds``, the one construction here,
+calls a solver: it colors the remainder of a total dominating set
+exactly.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .graphs import (
+    Coloring,
     DomainError,
     Edge,
     Graph,
     GraphParseError,
-    TotalGraph,
     Vertex,
     format_object,
     induced_subgraph,
@@ -28,40 +30,10 @@ from .graphs import (
     object_key,
     parse_object,
 )
+from .solvers import chromatic_number
 
 VERTEX_UNIVERSE = "vertices"
 MIXED_UNIVERSE = "mixed"
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Ordered partition into disjoint nonempty color classes.
-
-    Class members are plain 1-based vertex ids for vertex colorings, or
-    ObjectId values for mixed (total) colorings.  Class order matters only
-    for serialization and for reporting the lowest-index witness.
-    """
-
-    classes: tuple[frozenset, ...]
-
-    def __post_init__(self) -> None:
-        classes = tuple(frozenset(c) for c in self.classes)
-        object.__setattr__(self, "classes", classes)
-        seen: set = set()
-        for k, cls in enumerate(classes):
-            if not cls:
-                raise DomainError(f"color class {k} is empty")
-            if seen & cls:
-                raise DomainError(f"color class {k} overlaps an earlier class")
-            seen |= cls
-        object.__setattr__(self, "_members", frozenset(seen))
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    def members(self) -> frozenset:
-        return self._members  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -276,26 +248,9 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
         raise DomainError(f"not a total dominating set, uncovered vertices: {list(uncovered)}")
     singletons = [frozenset([v]) for v in sorted(s)]
     sub, old = induced_subgraph(g, frozenset(g.vertices) - s)
-    from .solvers import chromatic_number  # deferred: solvers imports this module
-
     sub_classes = chromatic_number(sub).certificate.classes
     mapped = [frozenset(old[v - 1] for v in cls) for cls in sub_classes]
     return Coloring(tuple(singletons) + tuple(mapped))
-
-
-# ---------------------------------------------------------------------------
-# Mapping between mixed colorings and total-graph colorings
-# ---------------------------------------------------------------------------
-
-
-def coloring_to_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
-    """Map a mixed-object coloring of the base graph onto the total graph's vertices."""
-    return Coloring(tuple(frozenset(tg.index[o] for o in cls) for cls in coloring.classes))
-
-
-def coloring_from_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
-    """Map a coloring of the total graph's vertices back to mixed objects."""
-    return Coloring(tuple(frozenset(tg.labels[v - 1] for v in cls) for cls in coloring.classes))
 
 
 # ---------------------------------------------------------------------------

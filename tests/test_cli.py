@@ -80,6 +80,19 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--invariant", "alpha")
         assert code == 2 and "graph source" in err
 
+    @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            (("--family", "cycle"), "--family requires --n"),
+            (("--graph", "{missing}"), "cannot read {missing}: "),
+        ],
+        ids=["family-without-n", "missing-file"],
+    )
+    def test_unusable_graph_source_exit_2(self, capsys, tmp_path, argv, detail):
+        missing = tmp_path / "missing.edges"
+        code, out, err = run(capsys, "compute", *(a.format(missing=missing) for a in argv), "--invariant", "alpha")
+        assert code == 2 and out == "" and err.startswith(f"parse error: {detail.format(missing=missing)}")
+
     def test_conflicting_graph_sources(self, capsys, k3_file):
         code, _, _ = run(capsys, "compute", "--family", "path", "--n", "4",
                          "--graph", k3_file, "--invariant", "alpha")
@@ -110,6 +123,17 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "--family", "cycle", "--n", "19", "--invariant", "chi_tt_d")
         assert code == 1 and out == ""
         assert err.startswith("closed-form certificate failed verification for cycle(19): improper: ")
+
+    def test_closed_form_size_mismatch_exit_1(self, capsys, monkeypatch):
+        def every_object(family, n):
+            return frozenset(mixed_objects(FamilyInstance(family, n).graph()))
+
+        record = cli.INVARIANTS["gamma_tm"]
+        monkeypatch.setitem(cli.INVARIANTS, "gamma_tm", record._replace(construct=every_object))
+        code, out, err = run(capsys, "compute", "--family", "cycle", "--n", "5", "--invariant", "gamma_tm")
+        assert (code, out) == (1, "")
+        assert err == ("closed-form certificate failed verification for cycle(5): "
+                       "certificate size 10, formula value 4\n")
 
     def test_budget_exhausted_exit_4(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "cycle", "--n", "9",
@@ -252,8 +276,11 @@ class TestVerify:
     def test_kind_payload_mismatch_exit_2(self, capsys, tmp_path):
         f = tmp_path / "set.json"
         f.write_text(json.dumps({"universe": "vertices", "objects": ["v2", "v3"]}))
-        code, _, _ = run(capsys, "verify", "--family", "path", "--n", "4", "--kind", "tdc", str(f))
-        assert code == 2
+        code, _, err = run(capsys, "verify", "--family", "path", "--n", "4", "--kind", "tdc", str(f))
+        assert code == 2 and "needs a coloring certificate, got an object set" in err
+        f.write_text(json.dumps({"universe": "mixed", "classes": [["v1"]]}))
+        code, _, err = run(capsys, "verify", "--family", "path", "--n", "4", "--kind", "tmds", str(f))
+        assert code == 2 and "needs an object-set certificate, got a coloring" in err
 
     def test_invalid_tds_exit_1(self, capsys, tmp_path):
         f = tmp_path / "set.json"
@@ -393,6 +420,30 @@ class TestRatio:
         assert chi_tt == "3" and float(ratio) == pytest.approx(3 / int(chi_t_d))
 
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            ((), "family     n  chi_tt_d  chi_t_d    ratio\n"
+                 "path       4         4        3   1.3333\n"
+                 "path       5         5        4   1.2500\n"),
+            (("--max-nodes", "0"),
+             "family     n  chi_tt_d  chi_t_d    ratio\n"
+             "path       4         4        -  skipped\n"
+             "path       5         5        -  skipped\n"),
+            (("--max-nodes", "0", "--format", "csv"),
+             "family,n,chi_tt_d,chi_t_d,ratio\npath,4,4,,skipped: budget exhausted\n"
+             "path,5,5,,skipped: budget exhausted\n"),
+        ],
+        ids=["text", "text-exhausted", "csv-exhausted"],
+    )
+    def test_path_4_5_table(self, capsys, argv, want):
+        assert run(capsys, "ratio", "--family", "path", "--from", "4", "--to", "5", *argv) == (0, want, "")
+
+    def test_empty_range_exit_3(self, capsys):
+        code, out, err = run(capsys, "ratio", "--family", "path", "--from", "6", "--to", "5")
+        assert (code, out, err) == (3, "", "domain error: empty range 6..5\n")
+
+
 class TestExport:
     def test_graph_edges_round_trip(self, capsys):
         code, out, _ = run(capsys, "export", "--family", "cycle", "--n", "5", "--what", "graph")
@@ -464,7 +515,21 @@ class TestExport:
     def test_graph_exports_of_p4(self, capsys, what, fmt, want):
         assert run(capsys, "export", "--family", "path", "--n", "4", "--what", what, "--format", fmt) == (0, want, "")
 
+    @pytest.mark.parametrize("what,fmt", [("tdtc", "edges"), ("labels", "dot")])
+    def test_json_exports_reject_other_formats(self, capsys, what, fmt):
+        code, out, err = run(capsys, "export", "--family", "path", "--n", "4", "--what", what, "--format", fmt)
+        assert (code, out, err) == (3, "", f"domain error: --what {what} only supports --format json\n")
+
     @pytest.mark.parametrize("what", ["graph", "total-graph", "line-graph"])
     def test_graph_exports_reject_json(self, capsys, what):
         code, out, err = run(capsys, "export", "--family", "path", "--n", "4", "--what", what, "--format", "json")
         assert (code, out, err) == (3, "", f"domain error: --what {what} supports --format edges or dot\n")
+
+
+def test_module_entry_point():
+    """``python -m tdtc`` runs the same front end as the ``tdtc`` script."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "tdtc", "compute", "--family", "cycle", "--n", "5",
+                           "--invariant", "chi_tt_d"], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("chi_tt_d(cycle(5)) = 5\n")

@@ -58,6 +58,14 @@ class TestGraphType:
         with pytest.raises(DomainError):
             Graph(3, [(1, 4)])
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(DomainError):
+            Graph(-1, ())
+
+    def test_empty_graph_degrees(self):
+        g = Graph(0, ())
+        assert g.min_degree == g.max_degree == 0
+
     def test_adjacency(self):
         g = t.path(4)
         assert g.adj[2] == frozenset({1, 3})
@@ -233,6 +241,8 @@ class TestSerialization:
             "3 2\n1 2\n2 1\n",  # duplicate after canonicalization
             "x y\n",
             "3 1\n1 2 3\n",
+            "-1 0\n",  # negative order
+            "2 1\n1 x\n",  # non-integer endpoint
         ],
     )
     def test_edge_list_errors(self, text):
@@ -242,7 +252,8 @@ class TestSerialization:
     def test_dot_exports(self):
         dot = t.to_dot(t.path(3))
         assert '"v1" -- "v2";' in dot
-        tdot = t.total_graph_to_dot(t.total_graph(t.path(3)))
+        tg = t.total_graph(t.path(3))
+        tdot = t.to_dot(tg.graph, tg.labels, "T")
         assert '"e2_3";' in tdot and '"v1" -- "e1_2";' in tdot
 
     def test_labels_json(self):

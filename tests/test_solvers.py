@@ -496,3 +496,24 @@ def test_no_recursion_in_library():
     name, so no depth of search needs a recursion limit, and nothing in the
     library changes the interpreter's."""
     assert _call_sites(lambda name, scope: name in (scope[-1], "setrecursionlimit")) == []
+
+
+def test_imports_follow_the_layers():
+    """Every import in the library sits at module top level, and each module
+    imports only modules before it in graphs -> solvers -> verify ->
+    closed_forms -> cli, with the package's ``__init__`` and ``__main__``
+    after all of them, so the package has no import cycle."""
+    layers = ("graphs", "solvers", "verify", "closed_forms", "cli", "__init__", "__main__")
+    wrong = []
+    for path in sorted(Path(t.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if node not in tree.body:
+                wrong.append(f"{path.stem}:{node.lineno} imports below module top level")
+            if isinstance(node, ast.ImportFrom) and node.level:
+                below = layers[:layers.index(path.stem)]
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                wrong += [f"{path.stem}:{node.lineno} imports {name}" for name in targets if name not in below]
+    assert wrong == []

@@ -323,6 +323,8 @@ class TestCertificateJson:
             '{"universe": "vertices", "classes": [["e1_2"]]}',
             '{"universe": "mixed", "classes": [["v1"], ["v1"]]}',
             '{"universe": "mixed", "objects": "v1"}',
+            "[]",
+            '{"universe": "vertices", "classes": "v1"}',
         ],
     )
     def test_malformed(self, text):
