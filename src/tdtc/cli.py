@@ -16,6 +16,7 @@ go through the solvers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -117,7 +118,7 @@ def _budget(args) -> solvers.SearchBudget:
 def _graph_source(args) -> tuple[Graph, str, tuple[str, int] | None]:
     """Resolve (--family, --n) or --graph into (graph, display name, family info)."""
     family, graph_file = args.family, args.graph
-    if family is not None and graph_file is not None:
+    if graph_file is not None and (family is not None or args.n is not None):
         raise GraphParseError("give either --family/--n or --graph, not both")
     if family is not None:
         if args.n is None:
@@ -133,7 +134,7 @@ def _graph_source(args) -> tuple[Graph, str, tuple[str, int] | None]:
 def _read_file(path_str: str) -> str:
     try:
         return Path(path_str).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path_str}: {exc}") from exc
 
 
@@ -525,9 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged, so
+    a process that calls ``main`` many times builds it once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphParseError as exc:

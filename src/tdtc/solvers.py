@@ -21,7 +21,11 @@ Search strategies
 * total_domination_number: branch on an uncovered vertex with the fewest
   remaining dominators, with candidate-exclusion so no subset is visited
   twice; a greedy cover seeds the incumbent and search below it proves
-  optimality.  A table of failed states, kept for one search, maps an
+  optimality.  Each node keeps every vertex's count of options as bit
+  planes, plane b holding bit b of every count (the bitset bookkeeping of
+  San Segundo, Matia, Rodriguez-Losada and Hernando, Computers & OR 2012),
+  so the branch vertex is found in one step per plane, not one per vertex.
+  A table of failed states, kept for one search, maps an
   uncovered set to a proven lower bound on the vertices that cover it,
   recorded when a node's branches end without an improvement; a later
   node with that uncovered set and no more room below the incumbent
@@ -428,13 +432,33 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
     excludes nothing and the minimum degree is positive, and a branch
     excludes fewer than c vertices, c being the fewest options any
     uncovered vertex has at its parent.
+
+    The branch vertex is the lowest uncovered vertex with the fewest
+    options, |N(v) - excluded|.  Those counts are kept as ``width`` bit
+    planes, the bit length of the maximum degree, plane b holding bit b of
+    every vertex's count; they are built from the degrees at the root, once
+    it passes the prune tests.  A branch carries its parent's planes and
+    ``newly``, the vertices it excludes that the parent did not: the
+    options left when it was pushed.  Once it passes the prune tests it
+    copies the planes and, for each x in ``newly``, takes 1 from the count
+    of each neighbor of x by a ripple borrow: starting from borrow = N(x),
+    each plane flips where borrow is set, and borrow stays only where the
+    plane had a 0.  Counts never go below 0, since x leaves each N(v) at
+    most once.  The pick narrows the uncovered set from the top plane down,
+    keeping those with a 0 in the plane whenever any has one: what is left
+    are the uncovered vertices of least count, and the lowest of them is
+    the vertex the ascending scan for a strictly smaller count finds.  So the search, its
+    node counts and its lists are those of the scan, at ``width`` mask
+    operations per pick and per newly excluded vertex, where the scan took
+    one per uncovered vertex.
     """
     n = len(adj)
     best[:] = _greedy_tds(adj) if seed is None else seed
     full = (1 << n) - 1
     maxdeg = max(a.bit_count() for a in adj)
+    width = maxdeg.bit_length()
     failed: dict[int, int] = {}
-    stack: list[tuple] = [([], -1, 0, 0)]
+    stack: list[tuple] = [([], -1, 0, 0, None, 0)]
     while stack:
         entry = stack.pop()
         if len(entry) == 3:
@@ -442,7 +466,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
             if len(best) == size and len(failed) < _TDS_MEMO_CAP:
                 failed[uncovered] = room
             continue
-        prefix, u, covered, excluded = entry
+        prefix, u, covered, excluded, planes, newly = entry
         search.tick()
         cur = prefix + [u] if u >= 0 else prefix
         if covered == full:
@@ -454,18 +478,33 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
         room = len(best) - len(cur)
         if need >= room or failed.get(uncovered, 0) >= room:
             continue
-        options = 0
-        options_count = n + 1
-        for v in _bits(uncovered):
-            opts = adj[v] & ~excluded
-            cnt = opts.bit_count()
-            if cnt < options_count:
-                options, options_count = opts, cnt
+        if planes is None:  # the root, which excludes nothing: the counts are the degrees
+            planes = [0] * width
+            for v, a in enumerate(adj):
+                for b in _bits(a.bit_count()):
+                    planes[b] |= 1 << v
+        elif newly:
+            planes = planes[:]
+            for x in _bits(newly):  # one option fewer for each neighbor of x
+                borrow = adj[x]
+                for b in range(width):
+                    plane = planes[b]
+                    planes[b] = plane ^ borrow
+                    borrow &= ~plane
+                    if not borrow:
+                        break
+        fewest = uncovered  # narrowed, from the top plane down, to the counts with a 0 there
+        for plane in reversed(planes):
+            zero = fewest & ~plane
+            if zero:
+                fewest = zero
+        v = (fewest & -fewest).bit_length() - 1
+        options = adj[v] & ~excluded
         stack.append((uncovered, room, len(best)))
         while options:  # from the highest option down, so the lowest is searched first
             u = options.bit_length() - 1
             options ^= 1 << u
-            stack.append((cur, u, covered | adj[u], excluded | options))
+            stack.append((cur, u, covered | adj[u], excluded | options, planes, options))
 
 
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:

@@ -18,7 +18,11 @@ the incumbents built from a greedy and from a minimum total dominating set,
 the minimum one found by the total domination reference on the same node
 counter.  The total domination reference is another exception: the
 library's branch and bound without its table of failed states, from the
-same greedy seed and with the same node counter.  The last is the
+same greedy seed and with the same node counter; and so is the total
+domination scan, the library's search with its table, whose branch vertex
+is found by rescanning the uncovered vertices where the library reads bit
+planes of option counts, so that its lists and node counts equal the
+library's.  The last is the
 independent set reference: the library's branch and bound with each of its
 dominance reductions written out as its own case, so its lists and node
 counts compare one to one with the library's single rule.
@@ -27,6 +31,7 @@ counts compare one to one with the library's single rule.
 from itertools import combinations
 
 import tdtc.closed_forms as cf
+import tdtc.solvers as solvers
 from tdtc import Edge, Graph, Vertex, mixed_neighbors, mixed_objects, object_key
 from tdtc.solvers import (
     _bits,
@@ -407,6 +412,51 @@ def tds_search_reference(adj: list[int], best: list[int], search: _Search) -> No
             ex |= 1 << u
 
     rec([], 0, 0)
+
+
+def tds_search_scan(adj: list[int], best: list[int], search: _Search, seed: list[int] | None = None) -> None:
+    """The library's total domination search, failed-state table and all,
+    with the branch vertex found by rescanning every uncovered vertex for
+    the fewest options outside ``excluded`` (ties to the lowest index) at
+    each node: O(V) mask operations per node.  The table's cap is read from
+    ``tdtc.solvers`` at each record, so a patched cap holds for both."""
+    n = len(adj)
+    best[:] = _greedy_tds(adj) if seed is None else seed
+    full = (1 << n) - 1
+    maxdeg = max(a.bit_count() for a in adj)
+    failed: dict[int, int] = {}
+    stack: list[tuple] = [([], -1, 0, 0)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 3:
+            uncovered, room, size = entry
+            if len(best) == size and len(failed) < solvers._TDS_MEMO_CAP:
+                failed[uncovered] = room
+            continue
+        prefix, u, covered, excluded = entry
+        search.tick()
+        cur = prefix + [u] if u >= 0 else prefix
+        if covered == full:
+            if len(cur) < len(best):
+                best[:] = cur
+            continue
+        uncovered = full & ~covered
+        need = (uncovered.bit_count() + maxdeg - 1) // maxdeg
+        room = len(best) - len(cur)
+        if need >= room or failed.get(uncovered, 0) >= room:
+            continue
+        options = 0
+        options_count = n + 1
+        for v in _bits(uncovered):
+            opts = adj[v] & ~excluded
+            cnt = opts.bit_count()
+            if cnt < options_count:
+                options, options_count = opts, cnt
+        stack.append((uncovered, room, len(best)))
+        while options:  # from the highest option down, so the lowest is searched first
+            u = options.bit_length() - 1
+            options ^= 1 << u
+            stack.append((cur, u, covered | adj[u], excluded | options))
 
 
 def mis_search_reference(adj: list[int], best: list[int], search: _Search) -> None:

@@ -98,6 +98,11 @@ class TestCompute:
                          "--graph", k3_file, "--invariant", "alpha")
         assert code == 2
 
+    def test_n_with_graph_exit_2(self, capsys, k3_file):
+        """--n names a family instance, so beside --graph it is an error, not ignored."""
+        code, out, err = run(capsys, "compute", "--graph", k3_file, "--n", "7", "--invariant", "gamma_t")
+        assert (code, out, err) == (2, "", "parse error: give either --family/--n or --graph, not both\n")
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.edges"
         f.write_text("oops\n")
@@ -242,6 +247,54 @@ def test_unwritable_out_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == "" and f"cannot write {target}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["compute", "verify"])
+def test_undecodable_file_exit_2(capsys, tmp_path, k3_file, subcommand):
+    """A file that is not UTF-8 cannot be read: exit 2 with a parse error,
+    not 1 (a failed verification) with a traceback."""
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe3 3\n1 2\n")
+    if subcommand == "compute":
+        argv = ("compute", "--graph", str(bad), "--invariant", "gamma_t")
+    else:
+        argv = ("verify", "--graph", k3_file, "--kind", "tds", str(bad))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(f"parse error: cannot read {bad}: ")
+    assert "Traceback" not in err
+
+
+def test_repeated_main_calls_share_no_state(tmp_path):
+    """One process that calls ``main`` for several subcommands, so that they
+    share one parser, prints what a fresh process prints for each and exits
+    with the same codes; the second compute runs without --format, so a
+    default left over from the first would show.  Importing the module
+    builds no parser."""
+    argvs = [
+        ["compute", "--family", "cycle", "--n", "7", "--invariant", "gamma_tm", "--format", "json"],
+        ["sweep", "--family", "path", "--from", "2", "--to", "6", "--invariant", "gamma_tm", "--format", "csv"],
+        ["export", "--family", "cycle", "--n", "5", "--what", "tdtc"],
+        ["compute", "--family", "path", "--n", "6", "--invariant", "chi_tt_d"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from tdtc import cli\n"
+        "print(cli._parser.cache_info().currsize)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = cli.main(argv)\n"
+        "    print(f'--- exit {code}')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def python(*args):
+        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        return proc.stdout
+
+    fresh = "".join(python("-c", script, json.dumps([argv]))[2:] for argv in argvs)
+    shared = python("-c", script, json.dumps(argvs))
+    assert shared == "0\n" + fresh
+    assert [line for line in shared.splitlines() if line.startswith("---")] == ["--- exit 0"] * 4
 
 
 class TestVerify:

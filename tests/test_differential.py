@@ -9,7 +9,9 @@ and, when its budget runs out, the exact colorings of the components
 already solved merged with the greedy colorings of the others.  The total
 domination search against its reference in ``oracles``, which keeps no
 table of failed states: the same incumbent lists and no more nodes, and
-under a budget a value no worse and a proof never lost.  The independent
+under a budget a value no worse and a proof never lost; and against the
+scan in ``oracles``, which finds each branch vertex by rescanning the
+uncovered vertices: the same lists, node counts and proven flags.  The independent
 set search against its reference in ``oracles``, which takes each
 dominance reduction case by case: the same incumbent lists and the same
 node counts, with and without a budget.
@@ -30,6 +32,7 @@ from oracles import (
     greedy_tds_scan,
     mis_search_reference,
     tds_search_reference,
+    tds_search_scan,
 )
 from tdtc import Coloring, Graph, SearchBudget, induced_subgraph
 from tdtc.solvers import (
@@ -332,6 +335,32 @@ def test_tds_search_with_tiny_table_matches_reference(monkeypatch):
         assert full_table.nodes_explored <= got.nodes_explored <= want.nodes_explored, idx
     # T(C_35): 4,973 nodes with the whole table, 116,178 without one
     assert whole[0].nodes_explored < capped[0].nodes_explored < 116_178
+
+
+# T(C_n) and T(P_n) past the n <= 20 of TDS_GRAPHS; T(C_60) takes 178,029 nodes
+FAMILY_TDS_GRAPHS = [
+    t.total_graph(t.FamilyInstance(family, n).graph()).graph for family in ("cycle", "path") for n in range(21, 61)
+]
+
+
+@pytest.mark.parametrize("mode", [None, 3, 50, "tiny table"])
+def test_tds_search_matches_scan(mode, monkeypatch, random_corpus, exhaustive_connected_upto5):
+    """The bit planes pick the branch vertex the scan picks, so every run is
+    the scan's: the same incumbent lists, node counts and proven flags,
+    unbudgeted, under 3- and 50-node budgets, and with a 4-entry table.  The
+    last runs under a 2,000-node budget: with a tiny table T(C_49) alone
+    takes the table-free search's millions of nodes."""
+    max_nodes = mode
+    if mode == "tiny table":
+        monkeypatch.setattr("tdtc.solvers._TDS_MEMO_CAP", 4)
+        max_nodes = 2_000
+    budget = None if max_nodes is None else SearchBudget(max_nodes=max_nodes)
+    graphs = [*TDS_GRAPHS, *random_corpus, *exhaustive_connected_upto5, *FAMILY_TDS_GRAPHS]
+    for idx, g in enumerate(graphs):
+        got, want = _run(g, _tds_search, budget), _run(g, tds_search_scan, budget)
+        assert (got.certificate, got.nodes_explored, got.proven_optimal) == (
+            want.certificate, want.nodes_explored, want.proven_optimal), idx
+    assert len(graphs) == 1904
 
 
 def test_greedy_tds_matches_scan_on_corpora(random_corpus, exhaustive_connected_upto5):

@@ -279,7 +279,11 @@ class TestNodeCountGate:
         ("path", 18, 5_246, 10_500),
         ("path", 19, 204_596, 410_000),  # about 0.3 s
     ]
-    GAMMA_TM = [("cycle", 35, 4_973, 10_000), ("cycle", 38, 10_137, 20_000)]
+    GAMMA_TM = [
+        ("cycle", 35, 4_973, 10_000),
+        ("cycle", 38, 10_137, 20_000),
+        ("cycle", 70, 212_339, 425_000),  # about 0.5 s
+    ]
 
     @pytest.mark.parametrize("family,n,measured,ceiling", PROVEN)
     def test_proven_within_ceiling(self, family, n, measured, ceiling):
