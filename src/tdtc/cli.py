@@ -470,7 +470,10 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged, so
+    a process that calls ``main`` many times builds it once."""
     parser = argparse.ArgumentParser(
         prog="tdtc",
         description="Exact domination-coloring invariants, closed-form certificates, and verification.",
@@ -498,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_n", type=int, required=True)
     p.add_argument("--to", dest="to_n", type=int, required=True)
     p.add_argument("--invariant", choices=FORMULA_INVARIANTS, default="chi_tt_d")
-    p.add_argument("--exact-up-to", type=int, default=None,
+    p.add_argument("--exact-up-to", type=_non_negative(int), default=None,
                    help="run the exact solver for n up to this bound")
     p.add_argument("--certify", action="store_true",
                    help="verify each constructed certificate")
@@ -524,13 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call: parsing leaves it unchanged, so
-    a process that calls ``main`` many times builds it once."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -16,10 +16,11 @@ The construction side produces matching certificates for every n:
 * ``tdtc_certificate`` - an optimal total dominator total coloring.
   Small cases come from literal stored tables (the hand-built optima) or,
   for cycles on 5..8 vertices, from the rotation scheme that pairs v_i
-  with e_{(i+1)(i+2)}; all remaining n use the generic construction that
-  turns the minimum dominating set into singleton classes and colors the
-  rest exactly (three more classes), which meets the formula on exactly
-  the n where the formula is dominating-number + 3.
+  with e_{(i+1)(i+2)}; ``certificate_source`` labels both kinds of small
+  case ``stored-table``.  All remaining n use the generic construction
+  that turns the minimum dominating set into singleton classes and colors
+  the rest exactly (three more classes), which meets the formula on
+  exactly the n where the formula is dominating-number + 3.
 
 Index arithmetic follows the 1-based constructions literally; cycle
 indices reduce mod n into 1..n, so the wrap edge is Edge(1, n).
@@ -323,5 +324,7 @@ def tdtc_certificate(family: str, n: int) -> Coloring:
 
 
 def certificate_source(family: str, n: int) -> str:
-    """How tdtc_certificate obtains its coloring for this instance."""
+    """How tdtc_certificate obtains its coloring for this instance:
+    ``stored-table`` for every hand-built small case, a literal table and
+    the cycle rotation scheme alike, else ``constructed-from-tds``."""
     return CONSTRUCTED if _small_case(FamilyInstance(family, n)) is None else STORED_TABLE

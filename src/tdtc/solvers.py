@@ -3,62 +3,20 @@
 All searches are deterministic: vertices are processed in fixed orders and
 ties break toward the lowest index, so identical inputs always produce
 identical certificates.  Each solver returns an InvariantResult whose
-certificate re-verifies under the ``verify`` module.  Every search runs in
-one frame, ``_solve``, and keeps its incumbent in a list it overwrites in
-place, so a run whose budget runs out returns the best answer found.
+certificate re-verifies under the ``verify`` module.  Every solver runs its
+search through ``_solve``; the function named below holds the strategy.
 
-Search strategies
------------------
-* independence_number: branch and bound with dominance reductions
-  (degree 0/1 vertices and degree-2 vertices inside a triangle are taken
-  greedily) and a greedy clique-cover upper bound.
-* chromatic_number: the exact-k level search of
-  total_dominator_chromatic_number below with an empty witness set, so only
-  properness, the class count and first-use symmetry prune, on the caller's
-  masks over one component's slice of one smallest-last order at a time,
-  from that slice's greedy coloring.  The order comes from a lazy-deletion
-  heap on (degree, index), so ties break toward the lowest index.
-* total_domination_number: branch on an uncovered vertex with the fewest
-  remaining dominators, with candidate-exclusion so no subset is visited
-  twice; a greedy cover seeds the incumbent and search below it proves
-  optimality.  Each node keeps every vertex's count of options as bit
-  planes, plane b holding bit b of every count (the bitset bookkeeping of
-  San Segundo, Matia, Rodriguez-Losada and Hernando, Computers & OR 2012),
-  so the branch vertex is found in one step per plane, not one per vertex.
-  A table of failed states, kept for one search, maps an
-  uncovered set to a proven lower bound on the vertices that cover it,
-  recorded when a node's branches end without an improvement; a later
-  node with that uncovered set and no more room below the incumbent
-  is skipped.  Candidate exclusion does not weaken the bound: a set
-  using an excluded vertex was searched in an earlier branch, so it cannot
-  beat the incumbent.  Only subtrees without a strict improvement are
-  skipped, so every incumbent, certificate and proven flag is the one the
-  search finds without the table, in fewer nodes (the frontier-style
-  nogood recording of Kawahara, Inoue, Iwashita and Minato, IEICE Trans.
-  Fundamentals E100-A, 2017).
-* total_dominator_chromatic_number: iterative deepening on the class count
-  from the greedy clique bound up to an incumbent built from a total
-  dominating set (its members as singletons, then a greedy coloring of
-  the rest): the greedy set's, or the exact minimum set's when that has
-  fewer classes, which is the upper half of Kazemi's gamma_t <=
-  chi_d^t <= gamma_t + chi (Trans. Comb. 2015).  The level search rejects
-  improper colorings itself, so it also refutes the levels below chi and
-  needs no chromatic-number solve.  Within a level, backtracking in
-  degeneracy order with first-use symmetry breaking plus domination-aware
-  pruning: for every class we maintain the set of vertices whose open
-  neighborhood still contains the class, and a branch dies as soon as some
-  vertex can witness neither an opened class nor any class that could
-  still be opened among the unassigned objects ahead of it.  The
-  neighborhood-containment bookkeeping subsumes the generic size bounds (a
-  witnessed class fits inside an open neighborhood, hence has at most
-  max-degree members and is independent).  A witness-capacity bound, the
-  counting half of gamma_t <= chi_d^t <= gamma_t + chi, also kills a
-  branch when the vertices no opened class can witness outnumber what the
-  unopened classes can serve: each of those classes needs a member among
-  the unassigned vertices, and witnesses only neighbors of it.
+* independence_number: ``_mis_search``.
+* chromatic_number: ``_chromatic``.
+* total_domination_number: ``_tds_search``.
+* total_dominator_chromatic_number: ``_tdc_search``.
+* mixed_independence_number, total_chromatic_number,
+  total_mixed_domination_number and tdtc_number: ``_mis_search``,
+  ``_chromatic``, ``_tds_search`` and ``_tdc_search`` on the total graph,
+  with the certificate mapped back to the base graph's objects.
 
-The mixed invariants run these searches on the total graph in the same
-frame and map the certificate back to the base graph's objects.
+``_chromatic`` and ``_tdc_search`` share the level search
+``_ktdc_feasible``.
 """
 
 from __future__ import annotations
@@ -118,7 +76,10 @@ class _Search:
 
     def tick(self) -> None:
         """Count one node, or raise first if the budget is spent, so that an
-        exhausted search reports exactly the nodes it expanded."""
+        exhausted search reports exactly the nodes it expanded.  An absent
+        limit stays None and is tested as such: infinite sentinels in its
+        place would make every node compare an int with a float, and every
+        256th read the clock with no deadline set, a slower tick."""
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             raise _OutOfBudget
         if self.deadline is not None and (self.nodes & 0xFF) == 0:
@@ -313,15 +274,17 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
     stack of (free vertices, current set) nodes.  Each node pushes the
     branch that skips v, which keeps the node's own list, and then the one
     that takes v, which is searched first.  The one size bound, a greedy
-    clique cover of the free vertices, never exceeds their count."""
+    clique cover of the free vertices, never exceeds their count.  Before
+    branching, a node takes, while any is left, the first free vertex of
+    degree 0 or 1, or of degree 2 with adjacent neighbors: some maximum
+    independent set of the free vertices contains it (a dominance
+    reduction)."""
     n = len(adj)
     best[:] = _greedy_independent(adj)
     stack = [((1 << n) - 1, [])]
     while stack:
         free, cur = stack.pop()
         search.tick()
-        # dominance reductions: take the first vertex of degree 0 or 1, or of
-        # degree 2 whose two neighbors are adjacent
         while free:
             for v in _bits(free):
                 nb = adj[v] & free
@@ -403,12 +366,19 @@ _TDS_MEMO_CAP = 1 << 18  # entries per search: about 21 MB at the ~80 B each mea
 
 
 def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int] | None = None) -> None:
-    """Branch and bound from ``seed``, by default the greedy total
-    dominating set, that overwrites ``best`` with each smaller one it
-    finds, depth first on an explicit stack.  A branch (prefix, u, covered,
-    excluded) is the node whose set ``cur`` is prefix + [u], built when it
-    is popped, so pending branches share their parent's list; the root has
-    u = -1 and the empty prefix.
+    """Branch and bound for a minimum total dominating set from ``seed``,
+    by default the greedy set, that overwrites ``best`` with each smaller
+    one it finds, depth first on an explicit stack.  ``seed`` lets
+    ``_tdc_search``, which builds its first incumbent from the greedy set,
+    pass that set in rather than have it computed twice.  A node is cut
+    when its uncovered vertices outnumber what the room left below
+    ``best`` covers at maximum degree; otherwise it branches on one
+    uncovered vertex v, once for each option u (a neighbor of v not in
+    ``excluded``), lowest first.  The branch through u excludes the options
+    below u, whose branches come first, so no set is visited twice.  A
+    branch (prefix, u, covered, excluded) is the node whose set ``cur`` is
+    prefix + [u], built when it is popped, so pending branches share their
+    parent's list; the root has u = -1 and the empty prefix.
 
     ``failed`` maps a set of uncovered vertices to a number r such that
     every vertex set covering it has at least r members.  A node whose
@@ -426,7 +396,9 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
     lists as without the table, and ``search`` counts no more nodes.  The
     table stops growing at ``_TDS_MEMO_CAP`` entries; every entry kept is
     still true and the order of recording is fixed, so a full table leaves
-    the search sound and deterministic, only slower.
+    the search sound and deterministic, only slower.  This is the
+    frontier-style nogood recording of Kawahara, Inoue, Iwashita and
+    Minato (IEICE Trans. Fundamentals E100-A, 2017).
 
     Every uncovered vertex has an option outside ``excluded``: the root
     excludes nothing and the minimum degree is positive, and a branch
@@ -436,8 +408,9 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
     The branch vertex is the lowest uncovered vertex with the fewest
     options, |N(v) - excluded|.  Those counts are kept as ``width`` bit
     planes, the bit length of the maximum degree, plane b holding bit b of
-    every vertex's count; they are built from the degrees at the root, once
-    it passes the prune tests.  A branch carries its parent's planes and
+    every vertex's count (the bitset bookkeeping of San Segundo, Matia,
+    Rodriguez-Losada and Hernando, Computers & OR 2012).  The root's
+    planes hold the degrees.  A branch carries its parent's planes and
     ``newly``, the vertices it excludes that the parent did not: the
     options left when it was pushed.  Once it passes the prune tests it
     copies the planes and, for each x in ``newly``, takes 1 from the count
@@ -447,18 +420,22 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
     most once.  The pick narrows the uncovered set from the top plane down,
     keeping those with a 0 in the plane whenever any has one: what is left
     are the uncovered vertices of least count, and the lowest of them is
-    the vertex the ascending scan for a strictly smaller count finds.  So the search, its
-    node counts and its lists are those of the scan, at ``width`` mask
-    operations per pick and per newly excluded vertex, where the scan took
-    one per uncovered vertex.
+    the vertex the ascending scan for a strictly smaller count finds.  So
+    the search, its node counts and its lists are those of the scan, at
+    ``width`` mask operations per pick and per newly excluded vertex, where
+    the scan took one per uncovered vertex.
     """
     n = len(adj)
     best[:] = _greedy_tds(adj) if seed is None else seed
     full = (1 << n) - 1
     maxdeg = max(a.bit_count() for a in adj)
     width = maxdeg.bit_length()
+    planes = [0] * width
+    for v, a in enumerate(adj):
+        for b in _bits(a.bit_count()):
+            planes[b] |= 1 << v
     failed: dict[int, int] = {}
-    stack: list[tuple] = [([], -1, 0, 0, None, 0)]
+    stack: list[tuple] = [([], -1, 0, 0, planes, 0)]
     while stack:
         entry = stack.pop()
         if len(entry) == 3:
@@ -478,12 +455,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
         room = len(best) - len(cur)
         if need >= room or failed.get(uncovered, 0) >= room:
             continue
-        if planes is None:  # the root, which excludes nothing: the counts are the degrees
-            planes = [0] * width
-            for v, a in enumerate(adj):
-                for b in _bits(a.bit_count()):
-                    planes[b] |= 1 << v
-        elif newly:
+        if newly:
             planes = planes[:]
             for x in _bits(newly):  # one option fewer for each neighbor of x
                 borrow = adj[x]
@@ -543,7 +515,11 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
     ``need`` and passes trivially when it is empty.
 
     Classes are opened in first-use order, which removes color-permutation
-    symmetry, so an exhausted run proves that no such coloring exists.
+    symmetry, so an exhausted run proves that no such coloring exists.  It
+    also means that undoing a position empties its class exactly when that
+    position opened it, so backtracking restores the class count from the
+    class masks alone.
+
     Asking for exactly k classes loses nothing for k up to the number of
     vertices: splitting a class of a coloring with fewer classes keeps it
     proper, and any witness of the class witnesses each part.  So the
@@ -552,23 +528,33 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
     remaining classes) complete only to colorings with fewer classes,
     which the lower levels or the clique bound under them rule out, so the
     first coloring found is the one a search for at most k classes finds.
+    The cut stays for callers that ask for any other k: without it, a k
+    above the least count could return a coloring with empty classes.
 
     compat[c] tracks the vertices of ``need`` whose open neighborhood
     still contains class c; rescue[p], the union of the neighborhoods of
     the objects not yet assigned at position p, restricted to ``need``,
-    holds the vertices a newly opened class could still come to serve.
-    others[p][c] is the OR of compat over the opened classes other than c
-    when position p is entered, so each candidate class costs one OR
-    instead of a loop.
+    holds the vertices a newly opened class could still come to serve.  A
+    branch dies when a vertex of ``need`` is in no compat and outside
+    rescue: it can witness neither an opened class nor one still to be
+    opened.  A class that some vertex witnesses lies inside that vertex's
+    open neighborhood, so this bookkeeping needs no separate bound on
+    class size.  others[p][c] is the OR of compat over the opened classes
+    other than c when position p is entered, so each candidate class costs
+    one OR instead of a loop.
 
-    Witness-capacity bound: the vertices of ``need`` outside every opened
-    class's compat must be witnessed by the m classes still unopened.  Each of
-    those ends with a member u among the unassigned vertices, distinct for
-    distinct classes, and witnesses only vertices of N(u).  So a branch
-    dies when these vertices number more than m times the maximum degree,
-    or more than the m largest counts of them inside N(u) over the
-    unassigned u.  Both tests cut infeasible subtrees only and leave the
-    search order alone, so the first coloring found does not change.
+    Witness-capacity bound, the counting half of Kazemi's gamma_t <=
+    chi_d^t <= gamma_t + chi (Trans. Comb. 2015): the vertices of ``need``
+    outside every opened class's compat must be witnessed by the m classes
+    still unopened.  Each of those ends with a member u among the
+    unassigned vertices, distinct for distinct classes, and witnesses only
+    vertices of N(u).  So a branch dies when these vertices number more
+    than m times the maximum degree, or more than the m largest counts of
+    them inside N(u) over the unassigned u.  The second test cuts every
+    branch the first does; the first stays because it is cheap and ends
+    branches before the sort the second needs.  Both cut infeasible
+    subtrees only and leave the search order alone, so the first coloring
+    found does not change.
     """
     n = len(order)
     ahead = [adj[u] for u in order]  # ahead[p:]: the unassigned vertices at position p
@@ -581,7 +567,6 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
     class_masks = [0] * k
     compat = [need] * k
     chosen = [-1] * n
-    used_before = [0] * n
     compat_before = [0] * n
     cand = [0] * n
     others: list[list[int]] = [[]] * n
@@ -597,7 +582,8 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
             c = chosen[pos]
             class_masks[c] &= ~(1 << order[pos])
             compat[c] = compat_before[pos]
-            used = used_before[pos]
+            if not class_masks[c]:
+                used = c
             continue
         search.tick()
         low = cand[pos] & -cand[pos]
@@ -626,7 +612,6 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
         elif union != need:
             continue
         chosen[pos] = c
-        used_before[pos] = used
         compat_before[pos] = compat[c]
         class_masks[c] |= 1 << v
         compat[c] = new_compat
@@ -653,10 +638,22 @@ def _first_feasible_level(adj: list[int], order: list[int], need: int, best: lis
 
 
 def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
-    """The level search with every vertex needing a witness, below the
-    incumbent that total_dominator_chromatic_number describes.  The exact
-    total domination search runs on ``search``, so its nodes count toward
-    the budget; ``best`` holds the greedy incumbent before its first node."""
+    """Minimum total dominator coloring by iterative deepening on the class
+    count: ``_first_feasible_level`` with every vertex needing a witness,
+    on the smallest-last order and below an incumbent, refutes each level
+    from the greedy clique bound up to the answer by exhaustion.  The
+    level search rejects improper colorings itself, so it refutes the
+    levels below the chromatic number too and needs no chromatic-number
+    solve.
+
+    The incumbent is a total dominating set as singletons plus a greedy
+    coloring of the other vertices in smallest-last order, the upper half
+    of Kazemi's gamma_t <= chi_d^t <= gamma_t + chi.  It is built first
+    from the greedy set, then from the minimum set ``_tds_search`` finds
+    from it, which replaces it only with fewer classes, so a tie keeps the
+    greedy coloring.  That search runs on ``search``, so its nodes count
+    toward the budget; ``best`` holds the greedy incumbent before its first
+    node."""
     order = _degeneracy_order(adj)
 
     def incumbent(tds: list[int]) -> list[int]:
@@ -667,26 +664,17 @@ def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
     best[:] = incumbent(greedy)
     tds: list[int] = []
     _tds_search(adj, tds, search, greedy)
-    if len(tds) < len(greedy):  # else tds is the greedy set itself
-        exact = incumbent(tds)
-        if len(exact) < len(best):
-            best[:] = exact
+    exact = incumbent(tds)
+    if len(exact) < len(best):
+        best[:] = exact
     _first_feasible_level(adj, order, (1 << len(adj)) - 1, best, search)
 
 
 def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominator coloring, exact; requires positive minimum degree.
 
-    Iterative deepening over the class count, from the greedy clique bound,
-    proves every level below the answer infeasible by exhaustion; a level
-    below the chromatic number fails on properness inside the same search.
-    The incumbent is a total dominating set as singletons plus a greedy
-    coloring of the other vertices in smallest-last order, built first from
-    the greedy set and then from a minimum one, which replaces it only with
-    fewer classes.  The minimum set's search counts toward the budget; when
-    the budget runs out, the incumbent held at that point is returned.  The
-    incumbent short-circuits the final level when every smaller count has
-    already been refuted.
+    Every class count below the reported value is refuted by search (or
+    excluded outright by a clique of the same size), so the value is proven.
     """
     _require_min_degree_one(g, "total dominator coloring")
     return _solve(g, budget, _tdc_search, _coloring)

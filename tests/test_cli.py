@@ -444,6 +444,13 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--family", "cycle", "--from", "9", "--to", "3")
         assert code == 3
 
+    def test_negative_exact_bound_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--family", "cycle", "--from", "3", "--to", "5", "--exact-up-to", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --exact-up-to: must be non-negative" in captured.err
+
     def test_budget_exhaustion_marks_row_and_continues(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "cycle", "--from", "8", "--to", "10",
                            "--exact-up-to", "9", "--max-nodes", "3", "--format", "csv")

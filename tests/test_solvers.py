@@ -521,3 +521,15 @@ def test_imports_follow_the_layers():
                 targets = [node.module] if node.module else [alias.name for alias in node.names]
                 wrong += [f"{path.stem}:{node.lineno} imports {name}" for name in targets if name not in below]
     assert wrong == []
+
+
+def test_no_self_check_vanishes_under_optimization():
+    """The library holds no ``assert`` statement and reads no ``__debug__``:
+    ``python -O`` drops asserts and makes ``__debug__`` false, so a check
+    written either way would stop running there."""
+    stripped = []
+    for path in sorted(Path(t.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
+                stripped.append(f"{path.stem}:{node.lineno}")
+    assert stripped == []
