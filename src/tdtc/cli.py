@@ -11,6 +11,9 @@ For cycle/path instances the formula-backed invariants (alpha_mix,
 gamma_tm, chi_tt_d) are answered from the closed forms with a verified
 certificate; --exact forces the solver instead.  Arbitrary graphs always
 go through the solvers.
+
+``INVARIANTS`` is the one place an invariant is defined, and ``KINDS`` the
+one place a ``verify --kind`` is defined.
 """
 
 from __future__ import annotations
@@ -64,7 +67,35 @@ class Invariant(NamedTuple):
     provenance: Callable = lambda family, n: "closed-form"
 
 
+class Kind(NamedTuple):
+    """How ``verify --kind`` checks one kind of certificate.
+
+    ``checks`` maps each universe the kind accepts to its check, and
+    ``coloring`` tells a coloring certificate from an object set.  A
+    dominator check returns a report; any other returns (ok, offending
+    objects), and ``label`` says what is wrong: its ``{}`` takes those
+    objects' quoted tokens joined by ", ", inside the brackets of a list of
+    uncovered objects or the parentheses of an offending pair.
+    """
+
+    checks: dict
+    label: str | None
+    coloring: bool
+
+
 _V, _M = verify.VERTEX_UNIVERSE, verify.MIXED_UNIVERSE
+KINDS = {
+    "proper": Kind({_V: verify.is_proper_coloring, _M: verify.is_proper_total_coloring},
+                   "monochromatic adjacent pair: ({})", coloring=True),
+    "tds": Kind({_V: verify.is_total_dominating_set}, "uncovered vertices: [{}]", coloring=False),
+    "tdc": Kind({_V: verify.is_tdc}, None, coloring=True),
+    "tdtc": Kind({_M: verify.is_tdtc}, None, coloring=True),
+    "tmds": Kind({_M: verify.is_total_mixed_dominating_set}, "uncovered objects: [{}]", coloring=False),
+    "independent": Kind({_V: verify.is_independent_set}, "adjacent pair in set: ({})", coloring=False),
+    "mixed-independent": Kind({_M: verify.is_mixed_independent_set}, "adjacent or incident pair in set: ({})",
+                              coloring=False),
+}
+
 INVARIANTS = {
     "alpha": Invariant(solvers.independence_number, _V, "independent"),
     "chi": Invariant(solvers.chromatic_number, _V, "proper"),
@@ -83,14 +114,23 @@ INVARIANTS = {
 }
 FORMULA_INVARIANTS = tuple(key for key, inv in INVARIANTS.items() if inv.formula)
 _EXPORTS = {inv.export: inv for inv in INVARIANTS.values() if inv.export}
-VERIFY_KINDS = ("proper", "tds", "tdc", "tdtc", "tmds", "independent", "mixed-independent")
-_COLORING_KINDS = ("proper", "tdc", "tdtc")
+# the formats of each ``export --what``; the first is the default
+_EXPORT_FORMATS = {
+    **dict.fromkeys(("graph", "total-graph", "line-graph"), ("edges", "dot")),
+    **dict.fromkeys(("labels", *_EXPORTS), ("json",)),
+}
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=(cf.CYCLE, cf.PATH), help="graph family")
     p.add_argument("--n", type=int, help="order of the family instance")
     p.add_argument("--graph", metavar="FILE", help="edge-list file (first line 'n m', then 'i j' lines)")
+
+
+def _add_family_range(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=(cf.CYCLE, cf.PATH), required=True)
+    p.add_argument("--from", dest="from_n", type=int, required=True)
+    p.add_argument("--to", dest="to_n", type=int, required=True)
 
 
 def _non_negative(kind):
@@ -115,6 +155,19 @@ def _budget(args) -> solvers.SearchBudget:
     return solvers.SearchBudget(max_nodes=args.max_nodes, max_time=args.max_time)
 
 
+def _family_range(args) -> range:
+    """The orders ``--from``..``--to``; an empty range is a domain error."""
+    if args.from_n > args.to_n:
+        raise DomainError(f"empty range {args.from_n}..{args.to_n}")
+    return range(args.from_n, args.to_n + 1)
+
+
+def _proven_value(inv: Invariant, g: Graph, budget) -> int | None:
+    """The invariant of ``g`` if the solver proves it within the budget, else None."""
+    result = inv.solve(g, budget)
+    return result.value if result.proven_optimal else None
+
+
 def _graph_source(args) -> tuple[Graph, str, tuple[str, int] | None]:
     """Resolve (--family, --n) or --graph into (graph, display name, family info)."""
     family, graph_file = args.family, args.graph
@@ -133,14 +186,14 @@ def _graph_source(args) -> tuple[Graph, str, tuple[str, int] | None]:
 
 def _read_file(path_str: str) -> str:
     try:
-        return Path(path_str).read_text()
+        return Path(path_str).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path_str}: {exc}") from exc
 
 
 def _write_file(path_str: str, text: str) -> None:
     try:
-        Path(path_str).write_text(text)
+        Path(path_str).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise GraphParseError(f"cannot write {path_str}: {exc}") from exc
 
@@ -174,42 +227,37 @@ def _cert_summary(certificate) -> str:
     return f"object set with {len(certificate)} elements"
 
 
-def _check(kind: str, universe: str, g: Graph, cert) -> tuple[bool, str]:
-    """Check a certificate as ``verify --kind`` does; returns (ok, what is
-    wrong), naming objects by their certificate tokens."""
+def _check(kind: str, universe: str, g: Graph, cert) -> str:
+    """Check a certificate as ``verify --kind`` does; returns what is wrong,
+    naming objects by their certificate tokens, or "" when nothing is."""
 
     def token(obj) -> str:
         return verify.member_token(obj, universe)
 
-    if kind in ("tdc", "tdtc"):
-        report = verify.is_tdc(g, cert) if kind == "tdc" else verify.is_tdtc(g, cert)
-        if not report.proper:
-            a, b, k = report.properness_violations[0]
-            return False, f"improper: {token(a)} and {token(b)} share class {k}"
-        if report.undominated:
-            return False, f"object {token(report.undominated[0])} dominates no color class"
-        return True, ""
-    if kind == "proper":
-        mixed = universe == verify.MIXED_UNIVERSE
-        ok, bad = (verify.is_proper_total_coloring if mixed else verify.is_proper_coloring)(g, cert)
-        label = "monochromatic adjacent pair"
-    elif kind == "tds":
-        ok, bad = verify.is_total_dominating_set(g, cert)
-        label = "uncovered vertices"
-    elif kind == "tmds":
-        ok, bad = verify.is_total_mixed_dominating_set(g, cert)
-        label = "uncovered objects"
-    elif kind == "independent":
-        ok, bad = verify.is_independent_set(g, cert)
-        label = "adjacent pair in set"
-    else:
-        ok, bad = verify.is_mixed_independent_set(g, cert)
-        label = "adjacent or incident pair in set"
-    if ok:
-        return True, ""
-    # uncovered members are listed, an offending pair is shown as a pair
-    tokens = [token(o) for o in bad]
-    return False, f"{label}: {tokens if kind in ('tds', 'tmds') else tuple(tokens)}"
+    spec = KINDS[kind]
+    result = spec.checks[universe](g, cert)
+    if isinstance(result, verify.DominationReport):
+        if not result.proper:
+            a, b, k = result.properness_violations[0]
+            return f"improper: {token(a)} and {token(b)} share class {k}"
+        if result.undominated:
+            return f"object {token(result.undominated[0])} dominates no color class"
+        return ""
+    ok, bad = result
+    return "" if ok else spec.label.format(", ".join(repr(token(o)) for o in bad))
+
+
+def _closed_form(inv: Invariant, family: str, n: int, g: Graph, check: bool) -> tuple:
+    """(formula value, certificate, what is wrong) of a family instance
+    ``g``: the certificate is constructed, checked as its kind is when
+    ``check`` is set, and its size compared with the formula value; what is
+    wrong is "" when nothing is."""
+    fv = inv.formula(family, n)
+    cert = inv.construct(family, n)
+    detail = _check(inv.kind, inv.universe, g, cert) if check else ""
+    if not detail and _size(cert) != fv.value:
+        detail = f"certificate size {_size(cert)}, formula value {fv.value}"
+    return fv, cert, detail
 
 
 def cmd_compute(args) -> int:
@@ -218,12 +266,8 @@ def cmd_compute(args) -> int:
     inv = INVARIANTS[key]
     if family_info is not None and inv.formula is not None and not args.exact:
         family, n = family_info
-        fv = inv.formula(family, n)
-        cert = inv.construct(family, n)
-        ok, detail = _check(inv.kind, inv.universe, g, cert)
-        if ok and _size(cert) != fv.value:
-            ok, detail = False, f"certificate size {_size(cert)}, formula value {fv.value}"
-        if not ok:
+        fv, cert, detail = _closed_form(inv, family, n, g, check=True)
+        if detail:
             print(f"closed-form certificate failed verification for {name}: {detail}", file=sys.stderr)
             return EXIT_FAIL
         payload = {
@@ -276,31 +320,26 @@ def cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# the universes of the invariants whose certificates each kind checks
-_KIND_UNIVERSES = {
-    kind: {inv.universe for inv in INVARIANTS.values() if inv.kind == kind} for kind in VERIFY_KINDS
-}
-
-
 def cmd_verify(args) -> int:
     g, name, _ = _graph_source(args)
     kind = args.kind
+    spec = KINDS[kind]
     cert_kind, universe, payload = verify.load_certificate(_read_file(args.certificate))
 
-    if kind in _COLORING_KINDS and cert_kind != "coloring":
+    if spec.coloring and cert_kind != "coloring":
         raise GraphParseError(f"kind {kind!r} needs a coloring certificate, got an object set")
-    if kind not in _COLORING_KINDS and cert_kind != "set":
+    if not spec.coloring and cert_kind != "set":
         raise GraphParseError(f"kind {kind!r} needs an object-set certificate, got a coloring")
-    if universe not in _KIND_UNIVERSES[kind]:
-        (needed,) = _KIND_UNIVERSES[kind]
+    if universe not in spec.checks:
+        (needed,) = spec.checks
         raise GraphParseError(f"kind {kind!r} needs universe {needed!r}")
 
     try:
-        ok, detail = _check(kind, universe, g, payload)
+        detail = _check(kind, universe, g, payload)
     except DomainError as exc:
         # a certificate that does not fit the graph is malformed for this use
         raise GraphParseError(str(exc)) from exc
-    if ok:
+    if not detail:
         print(f"valid {kind} certificate for {name}")
         return EXIT_OK
     print(f"INVALID {kind} certificate for {name}: {detail}")
@@ -317,31 +356,17 @@ _SWEEP_COLUMNS = ("family", "n", "formula_value", "solver_value", "certificate_c
 def _sweep_row(family: str, n: int, inv: Invariant, exact_up_to: int, certify: bool, budget) -> dict:
     start = time.perf_counter()
     g = cf.FamilyInstance(family, n).graph()
-    formula = inv.formula(family, n).value
-    cert = inv.construct(family, n)
-    size = _size(cert)
-    cert_ok = _check(inv.kind, inv.universe, g, cert)[0] if certify else True
-
-    solver_value: int | None = None
-    note = ""
-    if n <= exact_up_to:
-        result = inv.solve(g, budget)
-        if result.proven_optimal:
-            solver_value = result.value
-        else:
-            note = "budget-exhausted"
-
-    agree = size == formula and cert_ok
-    if solver_value is not None:
-        agree = agree and solver_value == formula
+    fv, cert, detail = _closed_form(inv, family, n, g, check=certify)
+    ran = n <= exact_up_to
+    solver_value = _proven_value(inv, g, budget) if ran else None
     return {
         "family": family,
         "n": n,
-        "formula_value": formula,
+        "formula_value": fv.value,
         "solver_value": solver_value,
-        "certificate_classes": size,
-        "agree": agree,
-        "note": note,
+        "certificate_classes": _size(cert),
+        "agree": not detail and solver_value in (None, fv.value),
+        "note": "budget-exhausted" if ran and solver_value is None else "",
         "elapsed": time.perf_counter() - start,
     }
 
@@ -370,17 +395,13 @@ def _format_sweep_text(rows: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.from_n > args.to_n:
-        raise DomainError(f"empty range {args.from_n}..{args.to_n}")
+    orders = _family_range(args)
     inv = INVARIANTS[args.invariant]
     exact_up_to = args.exact_up_to
     if exact_up_to is None:
         exact_up_to = inv.exact_up_to[args.family]
     budget = _budget(args)
-    rows = [
-        _sweep_row(args.family, n, inv, exact_up_to, args.certify, budget)
-        for n in range(args.from_n, args.to_n + 1)
-    ]
+    rows = [_sweep_row(args.family, n, inv, exact_up_to, args.certify, budget) for n in orders]
     text = _format_sweep_csv(rows) if args.format == "csv" else _format_sweep_text(rows)
     _emit(text, args.out)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_FAIL
@@ -392,32 +413,27 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    if args.from_n > args.to_n:
-        raise DomainError(f"empty range {args.from_n}..{args.to_n}")
+    orders = _family_range(args)
     budget = _budget(args)
     rows = []
-    for n in range(args.from_n, args.to_n + 1):
+    for n in orders:
         chi_tt = cf.chi_tt(args.family, n).value
         g = cf.FamilyInstance(args.family, n).graph()
-        result = INVARIANTS["chi_t_d"].solve(g, budget)
-        if not result.proven_optimal:
-            rows.append((n, chi_tt, None, None))
-            continue
-        rows.append((n, chi_tt, result.value, chi_tt / result.value))
+        rows.append((n, chi_tt, _proven_value(INVARIANTS["chi_t_d"], g, budget)))
     if args.format == "csv":
         lines = ["family,n,chi_tt_d,chi_t_d,ratio"]
-        for n, a, b, r in rows:
+        for n, a, b in rows:
             if b is None:
                 lines.append(f"{args.family},{n},{a},,skipped: budget exhausted")
             else:
-                lines.append(f"{args.family},{n},{a},{b},{r:.4f}")
+                lines.append(f"{args.family},{n},{a},{b},{a / b:.4f}")
     else:
         lines = [f"{'family':<7} {'n':>4} {'chi_tt_d':>9} {'chi_t_d':>8} {'ratio':>8}"]
-        for n, a, b, r in rows:
+        for n, a, b in rows:
             if b is None:
                 lines.append(f"{args.family:<7} {n:>4} {a:>9} {'-':>8} {'skipped':>8}")
             else:
-                lines.append(f"{args.family:<7} {n:>4} {a:>9} {b:>8} {r:>8.4f}")
+                lines.append(f"{args.family:<7} {n:>4} {a:>9} {b:>8} {a / b:>8.4f}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -429,30 +445,25 @@ def cmd_ratio(args) -> int:
 
 def cmd_export(args) -> int:
     what = args.what
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if what == "labels" or what in _EXPORTS else "edges"
+    formats = _EXPORT_FORMATS[what]
+    fmt = args.format or formats[0]
+    g, _, family_info = _graph_source(args)
+    if what in _EXPORTS and family_info is None:
+        raise DomainError(f"--what {what} needs a --family/--n instance")
+    if fmt not in formats:
+        supports = "only supports" if len(formats) == 1 else "supports"
+        raise DomainError(f"--what {what} {supports} --format {' or '.join(formats)}")
 
-    g, name, family_info = _graph_source(args)
     if what in _EXPORTS:
         inv = _EXPORTS[what]
-        if family_info is None:
-            raise DomainError(f"--what {what} needs a --family/--n instance")
         family, n = family_info
-        if fmt != "json":
-            raise DomainError(f"--what {what} only supports --format json")
         data = _certificate_json(inv.universe, inv.construct(family, n), inv.provenance(family, n))
         _emit(json.dumps(data, indent=2) + "\n", args.out)
         return EXIT_OK
-
     if what == "labels":
-        if fmt != "json":
-            raise DomainError("--what labels only supports --format json")
         _emit(labels_to_json(total_graph(g)), args.out)
         return EXIT_OK
 
-    if fmt == "json":
-        raise DomainError(f"--what {what} supports --format edges or dot")
     name = "G"
     if what == "graph":
         graph, labels = g, None
@@ -492,14 +503,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a certificate file against a graph")
     _add_graph_source(p)
-    p.add_argument("--kind", choices=VERIFY_KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("certificate", help="certificate JSON file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="sweep a family range, cross-checking formulas")
-    p.add_argument("--family", choices=(cf.CYCLE, cf.PATH), required=True)
-    p.add_argument("--from", dest="from_n", type=int, required=True)
-    p.add_argument("--to", dest="to_n", type=int, required=True)
+    _add_family_range(p)
     p.add_argument("--invariant", choices=FORMULA_INVARIANTS, default="chi_tt_d")
     p.add_argument("--exact-up-to", type=_non_negative(int), default=None,
                    help="run the exact solver for n up to this bound")
@@ -511,9 +520,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ratio", help="tabulate chi_tt_d / chi_t_d over a family range")
-    p.add_argument("--family", choices=(cf.CYCLE, cf.PATH), required=True)
-    p.add_argument("--from", dest="from_n", type=int, required=True)
-    p.add_argument("--to", dest="to_n", type=int, required=True)
+    _add_family_range(p)
     _add_budget(p)
     p.add_argument("--out", help="write the table to this file")
     p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -521,7 +528,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export graphs, label maps, or certificates")
     _add_graph_source(p)
-    p.add_argument("--what", choices=("graph", "total-graph", "line-graph", "labels", *_EXPORTS), required=True)
+    p.add_argument("--what", choices=_EXPORT_FORMATS, required=True)
     p.add_argument("--format", choices=("edges", "dot", "json"), default=None)
     p.add_argument("--out", help="write to this file")
     p.set_defaults(func=cmd_export)

@@ -281,6 +281,21 @@ def _parse_member(token: str, mixed: bool):
     return obj.i
 
 
+def _parse_members(tokens: list, mixed: bool) -> frozenset:
+    """The members named by ``tokens``; a token that names a member an
+    earlier token named is a GraphParseError.  Tokens are compared after
+    parsing, so ``"v1"`` and ``" v1"`` name the same member."""
+    members = [_parse_member(t, mixed) for t in tokens]
+    distinct = frozenset(members)
+    if len(distinct) < len(members):
+        seen = set()
+        for token, obj in zip(tokens, members):
+            if obj in seen:
+                raise GraphParseError(f"repeated object {token!r}")
+            seen.add(obj)
+    return distinct
+
+
 def _certificate_dict(universe: str, field: str, tokens: list, provenance: str | None) -> dict:
     data = {"universe": universe, field: tokens}
     if provenance is not None:
@@ -299,7 +314,11 @@ def object_set_to_json(objects, universe: str, provenance: str | None = None) ->
 
 
 def certificate_from_json(data) -> tuple[str, object]:
-    """Decode a certificate dict; returns ("coloring", Coloring) or ("set", frozenset)."""
+    """Decode a certificate dict; returns ("coloring", Coloring) or ("set", frozenset).
+
+    Every object is listed once: a token repeated within ``objects`` or
+    within one class is a GraphParseError, as is an object in two classes.
+    """
     if not isinstance(data, dict):
         raise GraphParseError("certificate must be a JSON object")
     universe = data.get("universe")
@@ -313,14 +332,14 @@ def certificate_from_json(data) -> tuple[str, object]:
         if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
             raise GraphParseError("'classes' must be a list of lists")
         try:
-            coloring = Coloring(tuple(frozenset(_parse_member(t, mixed) for t in c) for c in raw))
+            coloring = Coloring(tuple(_parse_members(c, mixed) for c in raw))
         except DomainError as exc:
             raise GraphParseError(f"bad coloring: {exc}") from exc
         return "coloring", coloring
     raw = data["objects"]
     if not isinstance(raw, list):
         raise GraphParseError("'objects' must be a list")
-    return "set", frozenset(_parse_member(t, mixed) for t in raw)
+    return "set", _parse_members(raw, mixed)
 
 
 def load_certificate(text: str) -> tuple[str, str, object]:

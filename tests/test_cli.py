@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,6 +205,11 @@ class TestCompute:
                            "--kind", kind, str(cert))
         assert code == 0, out
 
+    def test_every_invariant_names_a_kind_for_its_universe(self):
+        """``verify --kind`` accepts what ``compute`` writes for each invariant."""
+        for key, inv in cli.INVARIANTS.items():
+            assert inv.universe in cli.KINDS[inv.kind].checks, key
+
     def test_deep_search_fits_any_recursion_limit(self, tmp_path):
         """The total domination search on T(P_600) holds about 400 vertices
         in its current set, and the independent set search on 300 disjoint
@@ -264,6 +271,21 @@ def test_undecodable_file_exit_2(capsys, tmp_path, k3_file, subcommand):
     assert "Traceback" not in err
 
 
+def test_files_are_utf8_under_any_locale(tmp_path):
+    """Files are read and written as UTF-8, not in the locale's encoding:
+    with default-encoding warnings made errors, reading a graph and writing
+    and re-reading its certificate runs clean."""
+    graph, cert = tmp_path / "k3.edges", tmp_path / "cert.json"
+    graph.write_text(K3_EDGES, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv in (["compute", "--graph", str(graph), "--invariant", "gamma_t", "--out", str(cert)],
+                 ["verify", "--graph", str(graph), "--kind", "tds", str(cert)]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "tdtc", *argv], capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == f"valid tds certificate for {graph}\n"
+
+
 def test_repeated_main_calls_share_no_state(tmp_path):
     """One process that calls ``main`` for several subcommands, so that they
     share one parser, prints what a fresh process prints for each and exits
@@ -321,10 +343,32 @@ class TestVerify:
         assert code == 2
 
     def test_kind_universe_mismatch_exit_2(self, capsys, tmp_path):
-        f = tmp_path / "set.json"
-        f.write_text(json.dumps({"universe": "vertices", "objects": ["v1", "v2"]}))
-        code, _, _ = run(capsys, "verify", "--family", "path", "--n", "4", "--kind", "tmds", str(f))
-        assert code == 2
+        f = tmp_path / "cert.json"
+        for kind, cert, needed in [
+            ("tmds", {"universe": "vertices", "objects": ["v1", "v2"]}, "mixed"),
+            ("tds", {"universe": "mixed", "objects": ["v1", "v2"]}, "vertices"),
+            ("tdtc", {"universe": "vertices", "classes": [["v1"]]}, "mixed"),
+            ("tdc", {"universe": "mixed", "classes": [["v1"]]}, "vertices"),
+        ]:
+            f.write_text(json.dumps(cert))
+            code, out, err = run(capsys, "verify", "--family", "path", "--n", "4", "--kind", kind, str(f))
+            assert (code, out, err) == (2, "", f"parse error: kind {kind!r} needs universe {needed!r}\n"), kind
+
+    @pytest.mark.parametrize(
+        "kind, cert, token",
+        [
+            ("tmds", {"universe": "mixed", "objects": ["v2", "v2", "v3", "e5_6", "e6_7"]}, "v2"),
+            ("tdtc", {"universe": "mixed", "classes": [["v1", " v1"], ["v2"]]}, " v1"),
+        ],
+        ids=["objects", "class"],
+    )
+    def test_repeated_token_exit_2(self, capsys, tmp_path, kind, cert, token):
+        """A certificate that lists an object twice is malformed, not read as
+        listing it once: the duplicated tmds below was reported valid."""
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "verify", "--family", "path", "--n", "7", "--kind", kind, str(f))
+        assert (code, out, err) == (2, "", f"parse error: repeated object {token!r}\n")
 
     def test_kind_payload_mismatch_exit_2(self, capsys, tmp_path):
         f = tmp_path / "set.json"
@@ -402,7 +446,35 @@ def _export_tdtc(capsys, tmp_path, family, n):
     return target
 
 
+def _mask_elapsed(table: str) -> str:
+    """A sweep text table with its elapsed column, the one that differs
+    between identical runs, replaced by a fixed word."""
+    return re.sub(r" +\d+\.\d{3}s  ", " elapsed  ", table)
+
+
 class TestSweep:
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("--family", "path", "--from", "2", "--to", "5", "--invariant", "gamma_tm", "--exact-up-to", "4",
+              "--certify"),
+             "family     n  formula  solver  cert  agree   elapsed  note\n"
+             "path       2        2       2     2    yes elapsed  \n"
+             "path       3        2       2     2    yes elapsed  \n"
+             "path       4        2       2     2    yes elapsed  \n"
+             "path       5        3       -     3    yes elapsed  \n"),
+            (("--family", "cycle", "--from", "8", "--to", "10", "--exact-up-to", "9", "--max-nodes", "3"),
+             "family     n  formula  solver  cert  agree   elapsed  note\n"
+             "cycle      8        8       -     8    yes elapsed  budget-exhausted\n"
+             "cycle      9        8       -     8    yes elapsed  budget-exhausted\n"
+             "cycle     10        9       -     9    yes elapsed  \n"),
+        ],
+        ids=["solved", "budget-exhausted"],
+    )
+    def test_text_table(self, capsys, argv, want):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, _mask_elapsed(out), err) == (0, want, "")
+
     def test_small_cycle_sweep_agrees(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "cycle", "--from", "3", "--to", "7",
                            "--exact-up-to", "6", "--certify")
@@ -438,7 +510,18 @@ class TestSweep:
             solve=lambda g, b=None: None, formula=wrong))  # the solver must not be called
         code, out, _ = run(capsys, "sweep", "--family", "cycle", "--from", "10", "--to", "10",
                            "--exact-up-to", "0")
-        assert code == 1
+        assert (code, _mask_elapsed(out).splitlines()[1]) == (1, "cycle     10       10       -     9     NO elapsed  ")
+
+    def test_solver_disagreement_exits_1(self, capsys, monkeypatch):
+        """A proven solver value other than the formula's fails the row even
+        when the certificate checks and has the formula's size."""
+        record = cli.INVARIANTS["gamma_tm"]
+        proven_five = SimpleNamespace(value=5, proven_optimal=True)
+        monkeypatch.setitem(cli.INVARIANTS, "gamma_tm", record._replace(solve=lambda g, b=None: proven_five))
+        code, out, _ = run(capsys, "sweep", "--family", "path", "--from", "4", "--to", "5",
+                           "--invariant", "gamma_tm", "--exact-up-to", "4", "--certify", "--format", "csv")
+        assert (code, out) == (1, "family,n,formula_value,solver_value,certificate_classes,agree,note\n"
+                                  "path,4,2,5,2,false,\npath,5,3,,3,true,\n")
 
     def test_empty_range_domain_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--family", "cycle", "--from", "9", "--to", "3")

@@ -5,6 +5,7 @@ import pytest
 
 import tdtc as t
 from tdtc import Coloring, DomainError, Edge, GraphParseError, Graph, Vertex
+from tdtc.verify import certificate_from_json
 
 
 def mk_coloring(*classes):
@@ -330,6 +331,22 @@ class TestCertificateJson:
     def test_malformed(self, text):
         with pytest.raises(GraphParseError):
             t.load_certificate(text)
+
+    @pytest.mark.parametrize(
+        "cert, token",
+        [
+            ({"universe": "mixed", "objects": ["v2", "v2", "v3", "e5_6", "e6_7"]}, "v2"),
+            ({"universe": "vertices", "objects": ["v1", "v3", " v1"]}, " v1"),
+            ({"universe": "mixed", "classes": [["v1"], ["e1_2", "v2", "e2_1"]]}, "e2_1"),
+            ({"universe": "vertices", "classes": [["v1", "v1 "], ["v2"]]}, "v1 "),
+        ],
+        ids=["objects", "objects-spaced", "class-edge-reversed", "class-spaced"],
+    )
+    def test_repeated_token_names_it(self, cert, token):
+        """A repeated object is an error, not collapsed into one member;
+        tokens are compared after parsing."""
+        with pytest.raises(GraphParseError, match=f"^repeated object {re.escape(repr(token))}$"):
+            certificate_from_json(cert)
 
     @pytest.mark.parametrize(
         "member, universe",
