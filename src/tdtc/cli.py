@@ -247,14 +247,14 @@ def _check(kind: str, universe: str, g: Graph, cert) -> str:
     return "" if ok else spec.label.format(", ".join(repr(token(o)) for o in bad))
 
 
-def _closed_form(inv: Invariant, family: str, n: int, g: Graph, check: bool) -> tuple:
+def _closed_form(inv: Invariant, family: str, n: int, g: Graph) -> tuple:
     """(formula value, certificate, what is wrong) of a family instance
-    ``g``: the certificate is constructed, checked as its kind is when
-    ``check`` is set, and its size compared with the formula value; what is
-    wrong is "" when nothing is."""
+    ``g``: the certificate is constructed, checked as its kind is, and its
+    size compared with the formula value; what is wrong is "" when nothing
+    is.  ``compute`` and every ``sweep`` row report what this finds."""
     fv = inv.formula(family, n)
     cert = inv.construct(family, n)
-    detail = _check(inv.kind, inv.universe, g, cert) if check else ""
+    detail = _check(inv.kind, inv.universe, g, cert)
     if not detail and _size(cert) != fv.value:
         detail = f"certificate size {_size(cert)}, formula value {fv.value}"
     return fv, cert, detail
@@ -264,37 +264,21 @@ def cmd_compute(args) -> int:
     g, name, family_info = _graph_source(args)
     key = args.invariant
     inv = INVARIANTS[key]
+    payload = {"invariant": key, "graph": name}
+    elapsed = None
     if family_info is not None and inv.formula is not None and not args.exact:
         family, n = family_info
-        fv, cert, detail = _closed_form(inv, family, n, g, check=True)
+        fv, cert, detail = _closed_form(inv, family, n, g)
         if detail:
             print(f"closed-form certificate failed verification for {name}: {detail}", file=sys.stderr)
             return EXIT_FAIL
-        payload = {
-            "invariant": key,
-            "graph": name,
-            "value": fv.value,
-            "route": "closed-form",
-            "case": fv.case_tag,
-            "proven_optimal": True,
-            "certificate": _certificate_json(inv.universe, cert, inv.provenance(family, n)),
-        }
-        exhausted = False
-        elapsed = None
+        payload.update(value=fv.value, route="closed-form", case=fv.case_tag, proven_optimal=True,
+                       certificate=_certificate_json(inv.universe, cert, inv.provenance(family, n)))
     else:
         result = inv.solve(g, _budget(args))
-        cert = result.certificate
-        payload = {
-            "invariant": key,
-            "graph": name,
-            "value": result.value,
-            "route": "solver",
-            "proven_optimal": result.proven_optimal,
-            "nodes_explored": result.nodes_explored,
-            "certificate": _certificate_json(inv.universe, cert),
-        }
-        exhausted = not result.proven_optimal
-        elapsed = result.elapsed
+        cert, elapsed = result.certificate, result.elapsed
+        payload.update(value=result.value, route="solver", proven_optimal=result.proven_optimal,
+                       nodes_explored=result.nodes_explored, certificate=_certificate_json(inv.universe, cert))
 
     if args.out:  # before any output, so a failed write leaves stdout empty
         _write_file(args.out, json.dumps(payload["certificate"], indent=2) + "\n")
@@ -307,13 +291,13 @@ def cmd_compute(args) -> int:
         print(f"{key}({name}) = {payload['value']}")
         print(f"  route: {payload['route']}" + (f" [{payload['case']}]" if "case" in payload else ""))
         print(f"  certificate: {_cert_summary(cert)}")
-        if payload["route"] == "solver":
+        if elapsed is not None:
             flag = "yes" if payload["proven_optimal"] else "NO (budget exhausted; value is a bound)"
             print(f"  nodes: {payload['nodes_explored']}, elapsed: {elapsed:.3f}s, proven optimal: {flag}")
     if args.out:
         # json stdout carries the payload alone
         print(f"certificate written to {args.out}", file=sys.stderr if args.format == "json" else sys.stdout)
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    return EXIT_OK if payload["proven_optimal"] else EXIT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +337,10 @@ def cmd_verify(args) -> int:
 _SWEEP_COLUMNS = ("family", "n", "formula_value", "solver_value", "certificate_classes", "agree", "note")
 
 
-def _sweep_row(family: str, n: int, inv: Invariant, exact_up_to: int, certify: bool, budget) -> dict:
+def _sweep_row(family: str, n: int, inv: Invariant, exact_up_to: int, budget) -> dict:
     start = time.perf_counter()
     g = cf.FamilyInstance(family, n).graph()
-    fv, cert, detail = _closed_form(inv, family, n, g, check=certify)
+    fv, cert, detail = _closed_form(inv, family, n, g)
     ran = n <= exact_up_to
     solver_value = _proven_value(inv, g, budget) if ran else None
     return {
@@ -401,7 +385,7 @@ def cmd_sweep(args) -> int:
     if exact_up_to is None:
         exact_up_to = inv.exact_up_to[args.family]
     budget = _budget(args)
-    rows = [_sweep_row(args.family, n, inv, exact_up_to, args.certify, budget) for n in orders]
+    rows = [_sweep_row(args.family, n, inv, exact_up_to, budget) for n in orders]
     text = _format_sweep_csv(rows) if args.format == "csv" else _format_sweep_text(rows)
     _emit(text, args.out)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_FAIL
@@ -513,7 +497,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-up-to", type=_non_negative(int), default=None,
                    help="run the exact solver for n up to this bound")
     p.add_argument("--certify", action="store_true",
-                   help="verify each constructed certificate")
+                   help="accepted for compatibility; every row's certificate is verified")
     _add_budget(p)
     p.add_argument("--out", help="write the table to this file")
     p.add_argument("--format", choices=("text", "csv"), default="text")

@@ -172,19 +172,13 @@ def min_tmds(family: str, n: int) -> frozenset[ObjectId]:
 
 
 def max_mixed_independent_set(family: str, n: int) -> frozenset[ObjectId]:
-    """A maximum mixed independent set of the family instance."""
+    """A maximum mixed independent set of the family instance: every third
+    vertex from v_1 and every third edge from e_{2,3}.  On a cycle with
+    n = 1 (mod 3) v_n is adjacent to v_1, so the vertices stop at n // 3."""
     inst = FamilyInstance(family, n)
-    out: list[ObjectId] = []
-    if inst.family == CYCLE:
-        if n % 3 in (0, 1):
-            for i in range(1, n // 3 + 1):
-                out += [Vertex(3 * i - 2), Edge(3 * i - 1, 3 * i)]
-        else:
-            out += [Vertex(3 * i - 2) for i in range(1, _ceil_div(n, 3) + 1)]
-            out += [Edge(3 * i - 1, 3 * i) for i in range(1, n // 3 + 1)]
-    else:
-        out += [Vertex(3 * i + 1) for i in range(_ceil_div(n, 3))]
-        out += [Edge(3 * i + 2, 3 * i + 3) for i in range(n // 3)]
+    vertices = n // 3 if inst.family == CYCLE and n % 3 == 1 else _ceil_div(n, 3)
+    out: list[ObjectId] = [Vertex(3 * i + 1) for i in range(vertices)]
+    out += [Edge(3 * i + 2, 3 * i + 3) for i in range(n // 3)]
     return frozenset(out)
 
 

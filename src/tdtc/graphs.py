@@ -16,6 +16,7 @@ freely between threads and reused as dictionary keys.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -97,7 +98,7 @@ def parse_object(token: str) -> ObjectId:
         if m.group(1) is not None:
             return Vertex(int(m.group(1)))
         return Edge(int(m.group(2)), int(m.group(3)))
-    except DomainError as exc:
+    except ValueError as exc:  # a DomainError, or too many digits for int()
         raise GraphParseError(f"bad object token {token!r}: {exc}") from exc
 
 
@@ -258,25 +259,17 @@ class TotalGraph:
 
 def total_graph(g: Graph) -> TotalGraph:
     """Total graph of g: objects are V union E, adjacent when adjacent or incident in g."""
-    edge_list = g.sorted_edges()
-    n, m = g.n, len(edge_list)
-    eid = {e: n + k + 1 for k, e in enumerate(edge_list)}
-
+    labels = mixed_objects(g)
     tedges: set[tuple[int, int]] = set(g.edges)
     incident: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for e in edge_list:
-        k = eid[e]
-        tedges.add((e[0], k))
-        tedges.add((e[1], k))
-        incident[e[0]].append(k)
-        incident[e[1]].append(k)
-    for v in g.vertices:
-        ids = incident[v]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                tedges.add((ids[a], ids[b]))
-
-    return TotalGraph(Graph(n + m, frozenset(tedges)), mixed_objects(g))
+    for k, e in enumerate(labels[g.n:], g.n + 1):
+        tedges.add((e.i, k))
+        tedges.add((e.j, k))
+        incident[e.i].append(k)
+        incident[e.j].append(k)
+    for ids in incident.values():
+        tedges.update(itertools.combinations(ids, 2))
+    return TotalGraph(Graph(len(labels), frozenset(tedges)), labels)
 
 
 def coloring_to_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
@@ -396,11 +389,11 @@ def write_edge_list(g: Graph) -> str:
 
 
 def to_dot(g: Graph, labels: tuple[ObjectId, ...] | None = None, name: str = "G") -> str:
-    """DOT rendering; with ``labels`` the nodes carry object tokens (v3, e3_4)."""
+    """DOT rendering; nodes carry the object tokens (v3, e3_4) of ``labels``,
+    or without it the vertex tokens v1..vn."""
     if labels is None:
-        node = [f"v{i}" for i in g.vertices]
-    else:
-        node = [format_object(o) for o in labels]
+        labels = tuple(Vertex(i) for i in g.vertices)
+    node = [format_object(o) for o in labels]
     out = [f"graph {name} {{"]
     out.extend(f'  "{nm}";' for nm in node)
     out.extend(f'  "{node[i - 1]}" -- "{node[j - 1]}";' for i, j in g.sorted_edges())

@@ -342,11 +342,24 @@ def certificate_from_json(data) -> tuple[str, object]:
     return "set", _parse_members(raw, mixed)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json ``object_pairs_hook``: a key given twice in one object is a
+    GraphParseError, not a silent replacement of the first value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise GraphParseError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_certificate(text: str) -> tuple[str, str, object]:
     """Parse certificate JSON text; returns (kind, universe, payload)."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphParseError("invalid JSON: nested too deeply") from exc
     kind, payload = certificate_from_json(data)
     return kind, data["universe"], payload

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import tdtc.cli as cli
-from tdtc import Coloring, FamilyInstance, mixed_objects, read_edge_list
+from tdtc import Coloring, FamilyInstance, Vertex, mixed_objects, read_edge_list
 
 
 def run(capsys, *argv):
@@ -370,6 +370,25 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--family", "path", "--n", "7", "--kind", kind, str(f))
         assert (code, out, err) == (2, "", f"parse error: repeated object {token!r}\n")
 
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ('{"universe": "vertices", "objects": ["v1"], "objects": ["v1", "v2", "v3", "v4"]}',
+             "parse error: repeated key 'objects'\n"),
+            ("[" * 100000, "parse error: invalid JSON: nested too deeply\n"),
+            (json.dumps({"universe": "vertices", "objects": ["v" + "1" * 5000]}),
+             "parse error: bad object token 'v1111"),
+        ],
+        ids=["repeated-key", "deep-nesting", "huge-token"],
+    )
+    def test_malformed_json_exit_2(self, capsys, tmp_path, text, err):
+        """A repeated key once replaced the first ``objects`` (valid, exit 0);
+        deep nesting and a token too long for int() ended in tracebacks."""
+        f = tmp_path / "cert.json"
+        f.write_text(text)
+        code, out, got = run(capsys, "verify", "--family", "cycle", "--n", "5", "--kind", "tds", str(f))
+        assert (code, out, got[:len(err)]) == (2, "", err)
+
     def test_kind_payload_mismatch_exit_2(self, capsys, tmp_path):
         f = tmp_path / "set.json"
         f.write_text(json.dumps({"universe": "vertices", "objects": ["v2", "v3"]}))
@@ -522,6 +541,17 @@ class TestSweep:
                            "--invariant", "gamma_tm", "--exact-up-to", "4", "--certify", "--format", "csv")
         assert (code, out) == (1, "family,n,formula_value,solver_value,certificate_classes,agree,note\n"
                                   "path,4,2,5,2,false,\npath,5,3,,3,true,\n")
+
+    def test_unchecked_row_still_fails_a_bad_certificate(self, capsys, monkeypatch):
+        """Without --certify a row's certificate is still checked: one of the
+        formula's size that leaves v5 uncovered fails its row."""
+        record = cli.INVARIANTS["gamma_tm"]
+        monkeypatch.setitem(cli.INVARIANTS, "gamma_tm", record._replace(
+            construct=lambda family, n: frozenset(map(Vertex, range(1, record.formula(family, n).value + 1)))))
+        code, out, _ = run(capsys, "sweep", "--family", "path", "--from", "5", "--to", "5",
+                           "--invariant", "gamma_tm", "--exact-up-to", "0", "--format", "csv")
+        assert (code, out) == (1, "family,n,formula_value,solver_value,certificate_classes,agree,note\n"
+                                  "path,5,3,,3,false,\n")
 
     def test_empty_range_domain_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--family", "cycle", "--from", "9", "--to", "3")

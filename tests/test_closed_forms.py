@@ -91,13 +91,19 @@ class TestMinTmds:
 
 
 class TestMaxMixedIndependentSet:
-    def test_cycle6(self):
-        assert t.max_mixed_independent_set("cycle", 6) == frozenset(
-            {Vertex(1), Edge(2, 3), Vertex(4), Edge(5, 6)}
-        )
-
-    def test_path3(self):
-        assert t.max_mixed_independent_set("path", 3) == frozenset({Vertex(1), Edge(2, 3)})
+    @pytest.mark.parametrize(
+        "family,n,want",
+        [
+            ("cycle", 6, {Vertex(1), Edge(2, 3), Vertex(4), Edge(5, 6)}),
+            ("path", 3, {Vertex(1), Edge(2, 3)}),
+            # n = 1 (mod 3): v_7 would see v_1, so the vertices stop at v_4
+            ("cycle", 7, {Vertex(1), Edge(2, 3), Vertex(4), Edge(5, 6)}),
+            ("cycle", 8, {Vertex(1), Edge(2, 3), Vertex(4), Edge(5, 6), Vertex(7)}),
+        ],
+        ids=["cycle-6", "path-3", "cycle-7", "cycle-8"],
+    )
+    def test_exact_set(self, family, n, want):
+        assert t.max_mixed_independent_set(family, n) == frozenset(want)
 
     def test_path4_has_three_objects(self):
         # brute-force-derived: the largest mixed independent set of the 4-path
