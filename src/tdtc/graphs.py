@@ -10,6 +10,9 @@ back to the objects of the base graph: ``Coloring``, the ordered partition
 every coloring certificate uses, and ``coloring_to_total`` /
 ``coloring_from_total``, which carry one across the total graph's labels.
 
+The mixed objects ``Vertex`` and ``Edge`` are tuple subclasses, ``(i,)``
+and ``(i, j)``, so that sets and dicts of them hash and compare in C.
+
 Everything here is immutable after construction, so values can be shared
 freely between threads and reused as dictionary keys.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,33 +40,64 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """Vertex object v_i of a base graph."""
-
-    i: int
-
-    def __post_init__(self) -> None:
-        if self.i < 1:
-            raise DomainError(f"vertex index must be >= 1, got {self.i}")
+# tuple's constructor under its own name: a ``__new__`` that calls
+# ``__new__`` by name reads as recursion to the library's recursion check
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Edge object e_ij of a base graph, canonicalized so that i < j."""
+class Vertex(tuple):
+    """Vertex object v_i of a base graph, laid out as the tuple ``(i,)``.
 
-    i: int
-    j: int
+    The tuple gives the object its hash and equality, not its order:
+    ``object_key`` is the only canonical order of mixed objects.  A plain
+    tuple equal to an object is not one, and ``tdtc.verify`` rejects it as
+    a member.
+    """
 
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise DomainError(f"self-loop edge ({self.i},{self.j}) is not allowed")
-        if self.i > self.j:
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
-        if self.i < 1:
-            raise DomainError(f"edge endpoints must be >= 1, got ({self.i},{self.j})")
+    __slots__ = ()
+
+    def __new__(cls, i: int) -> Vertex:
+        if i < 1:
+            raise DomainError(f"vertex index must be >= 1, got {i}")
+        return _new_tuple(cls, (i,))
+
+    i = property(operator.itemgetter(0), doc="The vertex index, >= 1.")
+
+    def __repr__(self) -> str:
+        return f"Vertex(i={self[0]})"
+
+    def __getnewargs__(self) -> tuple[int]:
+        # copy and pickle rebuild the object as cls.__new__(cls, *these)
+        return tuple(self)
+
+
+class Edge(tuple):
+    """Edge object e_ij of a base graph, canonicalized so that i < j and
+    laid out as the tuple ``(i, j)``.
+
+    As for ``Vertex``, the tuple gives hash and equality only: order mixed
+    objects by ``object_key``, which puts every vertex before every edge.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int) -> Edge:
+        if i == j:
+            raise DomainError(f"self-loop edge ({i},{j}) is not allowed")
+        if i > j:
+            i, j = j, i
+        if i < 1:
+            raise DomainError(f"edge endpoints must be >= 1, got ({i},{j})")
+        return _new_tuple(cls, (i, j))
+
+    i = property(operator.itemgetter(0), doc="The lower endpoint.")
+    j = property(operator.itemgetter(1), doc="The higher endpoint.")
+
+    def __repr__(self) -> str:
+        return f"Edge(i={self[0]}, j={self[1]})"
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
 
 
 ObjectId = Vertex | Edge
@@ -83,6 +118,20 @@ def format_object(obj: ObjectId) -> str:
 
 
 _OBJECT_RE = re.compile(r"^(?:v(\d+)|e(\d+)_(\d+))$")
+_QUOTED_CHARS = 40
+
+
+def quote_token(token) -> str:
+    """``repr(token)`` for an error message.  A string token longer than 40
+    characters is quoted by its first 40 and its length, and the repr of a
+    non-string is cut the same way, so that one bad token cannot fill a
+    screen."""
+    if isinstance(token, str):
+        head, size = repr(token[:_QUOTED_CHARS]), len(token)
+    else:
+        text = repr(token)
+        head, size = text[:_QUOTED_CHARS], len(text)
+    return head if size <= _QUOTED_CHARS else f"{head}... ({size} characters)"
 
 
 def parse_object(token: str) -> ObjectId:
@@ -93,13 +142,13 @@ def parse_object(token: str) -> ObjectId:
     """
     m = _OBJECT_RE.match(token.strip()) if isinstance(token, str) else None
     if not m:
-        raise GraphParseError(f"bad object token: {token!r}")
+        raise GraphParseError(f"bad object token: {quote_token(token)}")
     try:
         if m.group(1) is not None:
             return Vertex(int(m.group(1)))
         return Edge(int(m.group(2)), int(m.group(3)))
     except ValueError as exc:  # a DomainError, or too many digits for int()
-        raise GraphParseError(f"bad object token {token!r}: {exc}") from exc
+        raise GraphParseError(f"bad object token {quote_token(token)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +363,27 @@ def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
     """Neighbor map of the mixed universe under the adjacent-or-incident relation.
 
     Keys come in canonical object order.  Each object is built once and the
-    same instance appears as a key and in every neighbor set, so set
-    operations on the map match by identity instead of field comparison.
+    same instance appears as a key and in every neighbor set.  Objects hash
+    and compare as tuples, so set operations on the map run in C whether or
+    not two equal objects are the same instance.  An edge's set is built
+    from its endpoints and then the other edges at each endpoint, in that
+    order, which fixes the set's iteration order.
     """
-    vertex = {v: Vertex(v) for v in g.vertices}
-    edges = [Edge(*e) for e in g.sorted_edges()]
-    incident: dict[int, list[Edge]] = {v: [] for v in g.vertices}
-    for e in edges:
-        incident[e.i].append(e)
-        incident[e.j].append(e)
+    vertex = [None, *map(Vertex, g.vertices)]
+    pairs = g.sorted_edges()
+    edges = [Edge(i, j) for i, j in pairs]
+    incident: list[list[Edge]] = [[] for _ in vertex]
+    for (i, j), e in zip(pairs, edges):
+        incident[i].append(e)
+        incident[j].append(e)
 
     nbrs: dict[ObjectId, frozenset[ObjectId]] = {}
-    for v, obj in vertex.items():
-        nbrs[obj] = frozenset([*(vertex[u] for u in g.adj[v]), *incident[v]])
-    for e in edges:
-        out = [vertex[e.i], vertex[e.j]]
-        out += (o for o in incident[e.i] if o is not e)
-        out += (o for o in incident[e.j] if o is not e)
+    for v, nbr in g.adj.items():
+        nbrs[vertex[v]] = frozenset([*map(vertex.__getitem__, nbr), *incident[v]])
+    for (i, j), e in zip(pairs, edges):
+        out = [vertex[i], vertex[j], *incident[i], *incident[j]]
+        out.remove(e)  # from incident[i]
+        out.remove(e)  # from incident[j]
         nbrs[e] = frozenset(out)
     return nbrs
 

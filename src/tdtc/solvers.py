@@ -247,13 +247,30 @@ def _vertex_set(best: list[int]) -> frozenset:
 
 
 def _greedy_independent(adj: list[int]) -> list[int]:
-    n = len(adj)
-    free = (1 << n) - 1
-    out = []
+    """Greedy independent set: repeatedly the free vertex with the fewest
+    free neighbors, ties to the lowest index, which leaves the free set with
+    its neighbors.  Each vertex keeps that count, lowered after a pick only
+    for the neighbors of the vertices the pick removes, and picks pop from a
+    lazy heap on (count, index): counts only fall, so an entry whose vertex
+    has left or whose count is no longer current is skipped."""
+    deg = [a.bit_count() for a in adj]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    free = (1 << len(adj)) - 1
+    out: list[int] = []
     while free:
-        v = min(_bits(free), key=lambda u: ((adj[u] & free).bit_count(), u))
+        d, v = heapq.heappop(heap)
+        if d != deg[v] or not free >> v & 1:
+            continue
         out.append(v)
-        free &= ~(adj[v] | (1 << v))
+        gone = (adj[v] | 1 << v) & free
+        free ^= gone
+        touched = 0
+        for w in _bits(gone):
+            touched |= adj[w]
+        for u in _bits(touched & free):
+            deg[u] -= (adj[u] & gone).bit_count()
+            heapq.heappush(heap, (deg[u], u))
     return out
 
 

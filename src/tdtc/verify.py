@@ -29,6 +29,7 @@ from .graphs import (
     mixed_neighbors,
     object_key,
     parse_object,
+    quote_token,
 )
 from .solvers import chromatic_number
 
@@ -74,11 +75,20 @@ def _pair_order(pair: tuple):
 # order, so the checks below serve either one unchanged.
 
 
+def _impostors(s: frozenset) -> list:
+    """The members of ``s`` that are tuples but not mixed objects.  ``(1,)``
+    hashes and compares equal to ``Vertex(1)``, so a key test alone would
+    take it for the vertex.  Types are tested once each, not per member."""
+    kinds = [k for k in set(map(type, s)) if issubclass(k, tuple) and not issubclass(k, (Vertex, Edge))]
+    return [x for x in s if type(x) in kinds] if kinds else []
+
+
 def _members(neighbors: dict, s, complaint) -> frozenset:
     """``s`` as a frozenset; raises DomainError(complaint(outsiders)) when some
-    member is not a key of ``neighbors``."""
+    member is not a key of ``neighbors``, or is an impostor of one."""
     s = frozenset(s)
     outside = [x for x in s if x not in neighbors]
+    outside += (x for x in _impostors(s) if x in neighbors)
     if outside:
         raise DomainError(complaint(outside))
     return s
@@ -103,9 +113,11 @@ def _properness_violations(neighbors: dict, coloring: Coloring) -> list[tuple]:
     sorted order; raises DomainError unless the coloring covers the universe
     exactly."""
     members = coloring.members()
-    if neighbors.keys() != members:
+    impostors = _impostors(members)
+    if impostors or neighbors.keys() != members:
+        members = members.difference(impostors)
         missing = sorted(neighbors.keys() - members, key=_order)
-        extra = sorted(members - neighbors.keys(), key=_order)
+        extra = sorted([*impostors, *(members - neighbors.keys())], key=_order)
         raise DomainError(f"coloring does not cover the universe (missing={missing}, extra={extra})")
     # only same-class neighbours are visited, so sorting touches violations alone
     violations = [
@@ -277,7 +289,7 @@ def _parse_member(token: str, mixed: bool):
     if mixed:
         return obj
     if not isinstance(obj, Vertex):
-        raise GraphParseError(f"vertex universe cannot contain {token!r}")
+        raise GraphParseError(f"vertex universe cannot contain {quote_token(token)}")
     return obj.i
 
 
@@ -291,7 +303,7 @@ def _parse_members(tokens: list, mixed: bool) -> frozenset:
         seen = set()
         for token, obj in zip(tokens, members):
             if obj in seen:
-                raise GraphParseError(f"repeated object {token!r}")
+                raise GraphParseError(f"repeated object {quote_token(token)}")
             seen.add(obj)
     return distinct
 

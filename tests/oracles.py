@@ -2,8 +2,8 @@
 partitions, a direct search over mixed objects, the adjacent-or-incident
 relation decided case by case, the alternate printed forms of the
 cycle/path formulas, the plain quadratic forms of the library's ordering,
-greedy total domination and certificate-checking loops, and a plain
-k-coloring backtracking.
+greedy total domination, greedy independent set and certificate-checking
+loops, and a plain k-coloring backtracking.
 
 These deliberately share no search machinery with the solvers and no case
 split with the library's formulas; they are the ground truth the library is
@@ -210,6 +210,20 @@ def greedy_tds_scan(adj: list[int]) -> list[int]:
         v = max(range(n), key=lambda u: ((adj[u] & ~covered).bit_count(), -u))
         out.append(v)
         covered |= adj[v]
+    return out
+
+
+def greedy_independent_scan(adj: list[int]) -> list[int]:
+    """Greedy independent set by rescanning every free vertex for the fewest
+    free neighbors (ties to the lowest index) at each pick; O(V^2) mask
+    operations."""
+    n = len(adj)
+    free = (1 << n) - 1
+    out = []
+    while free:
+        v = min(_bits(free), key=lambda u: ((adj[u] & free).bit_count(), u))
+        out.append(v)
+        free &= ~(adj[v] | (1 << v))
     return out
 
 

@@ -377,13 +377,17 @@ class TestVerify:
              "parse error: repeated key 'objects'\n"),
             ("[" * 100000, "parse error: invalid JSON: nested too deeply\n"),
             (json.dumps({"universe": "vertices", "objects": ["v" + "1" * 5000]}),
-             "parse error: bad object token 'v1111"),
+             f"parse error: bad object token {'v' + '1' * 39!r}... (5001 characters): "),
+            (json.dumps({"universe": "vertices", "objects": ["v" + "x" * 5000]}),
+             f"parse error: bad object token: {'v' + 'x' * 39!r}... (5001 characters)\n"),
         ],
-        ids=["repeated-key", "deep-nesting", "huge-token"],
+        ids=["repeated-key", "deep-nesting", "huge-token", "long-token"],
     )
     def test_malformed_json_exit_2(self, capsys, tmp_path, text, err):
         """A repeated key once replaced the first ``objects`` (valid, exit 0);
-        deep nesting and a token too long for int() ended in tracebacks."""
+        deep nesting and a token too long for int() ended in tracebacks.  A
+        long token is quoted by its first 40 characters and its length: the
+        whole token made a 5 KB line."""
         f = tmp_path / "cert.json"
         f.write_text(text)
         code, out, got = run(capsys, "verify", "--family", "cycle", "--n", "5", "--kind", "tds", str(f))

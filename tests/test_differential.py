@@ -1,8 +1,8 @@
-"""The library's smallest-last order, greedy total dominating set and
-dominator-coloring reports against the quadratic reference loops in
-``oracles``: equal lists, equal dict item order, on the total graphs of
-cycles and paths and on seeded random graphs, the latter with random (often
-improper or undominated) colorings in both universes.
+"""The library's smallest-last order, greedy total dominating set, greedy
+independent set and dominator-coloring reports against the quadratic
+reference loops in ``oracles``: equal lists, equal dict item order, on the
+total graphs of cycles and paths and on seeded random graphs, the latter
+with random (often improper or undominated) colorings in both universes.
 The chromatic number against the k-coloring reference in ``oracles`` run
 on each component: equal classes in class order, and no more search nodes;
 and, when its budget runs out, the exact colorings of the components
@@ -29,6 +29,7 @@ from oracles import (
     chromatic_masks_reference,
     degeneracy_order_scan,
     domination_report_scan,
+    greedy_independent_scan,
     greedy_tds_scan,
     mis_search_reference,
     tds_search_reference,
@@ -42,6 +43,7 @@ from tdtc.solvers import (
     _components,
     _degeneracy_order,
     _greedy_color_classes,
+    _greedy_independent,
     _greedy_tds,
     _mis_search,
     _Search,
@@ -379,6 +381,20 @@ def test_greedy_tds_matches_scan_on_family_total_graphs(family):
             continue
         adj = _adj_masks(t.total_graph(t.FamilyInstance(family, n).graph()).graph)
         assert _greedy_tds(adj) == greedy_tds_scan(adj), n
+
+
+def test_greedy_independent_matches_scan(random_corpus, exhaustive_connected_upto5):
+    """Equal pick lists, so the heap breaks ties on the lowest index exactly
+    as the scan does; the total graphs of cycles and paths are all ties."""
+    graphs = [
+        *random_corpus,
+        *exhaustive_connected_upto5,
+        *(t.total_graph(t.cycle(n)).graph for n in range(3, 61)),
+        *(t.total_graph(t.path(n)).graph for n in range(2, 61)),
+    ]
+    for idx, g in enumerate(graphs):
+        adj = _adj_masks(g)
+        assert _greedy_independent(adj) == greedy_independent_scan(adj), idx
 
 
 @pytest.mark.parametrize("max_nodes", [None, 3, 50])

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from itertools import combinations
 
 import pytest
@@ -92,6 +94,73 @@ class TestObjects:
     def test_object_order(self):
         objs = [Edge(1, 2), Vertex(5), Vertex(1), Edge(1, 9)]
         assert sorted(objs, key=t.object_key) == [Vertex(1), Vertex(5), Edge(1, 2), Edge(1, 9)]
+
+    def test_long_token_is_quoted_by_its_head_and_length(self):
+        token = "v" + "1" * 5000
+        with pytest.raises(GraphParseError) as info:
+            t.parse_object(token)
+        assert str(info.value).startswith(
+            "bad object token 'v111111111111111111111111111111111111111'... (5001 characters): ")
+        with pytest.raises(GraphParseError) as info:
+            t.parse_object("x" * 41)
+        assert str(info.value) == f"bad object token: {'x' * 40!r}... (41 characters)"
+        with pytest.raises(GraphParseError) as info:
+            t.parse_object("x" * 40)
+        assert str(info.value) == f"bad object token: {'x' * 40!r}"
+        with pytest.raises(GraphParseError) as info:
+            t.parse_object(["v1"] * 100)
+        assert str(info.value) == "bad object token: ['v1', 'v1', 'v1', 'v1', 'v1', 'v1', 'v1... (600 characters)"
+
+
+class TestObjectContract:
+    """Vertex and Edge are tuples underneath, yet they keep the repr,
+    messages, named fields, immutability and copying of value objects."""
+
+    def test_repr(self):
+        assert repr(Vertex(3)) == "Vertex(i=3)"
+        assert repr(Edge(4, 3)) == "Edge(i=3, j=4)"
+        assert str([Vertex(1), Edge(1, 2)]) == "[Vertex(i=1), Edge(i=1, j=2)]"
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Vertex(0), "vertex index must be >= 1, got 0"),
+            (lambda: Edge(2, 2), "self-loop edge (2,2) is not allowed"),
+            (lambda: Edge(0, 3), "edge endpoints must be >= 1, got (0,3)"),
+            (lambda: Edge(3, 0), "edge endpoints must be >= 1, got (0,3)"),
+        ],
+        ids=["vertex-zero", "self-loop", "edge-zero", "edge-zero-reversed"],
+    )
+    def test_domain_messages(self, make, message):
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_fields_and_canonical_edge(self):
+        assert Vertex(i=3) == Vertex(3) and Vertex(3).i == 3
+        assert Edge(i=2, j=1) == Edge(1, 2) == Edge(2, 1)
+        e = Edge(3, 1)
+        assert e == Edge(1, 3) and (e.i, e.j) == (1, 3)
+        assert Vertex(1) != Edge(1, 2)
+        assert len({Vertex(1), Vertex(1), Edge(1, 2), Edge(2, 1)}) == 2
+
+    @pytest.mark.parametrize("obj", [Vertex(3), Edge(1, 3)], ids=repr)
+    def test_immutable(self, obj):
+        with pytest.raises(AttributeError):
+            obj.i = 2
+        with pytest.raises(AttributeError):
+            obj.other = 2
+
+    @pytest.mark.parametrize("obj", [Vertex(3), Edge(1, 3)], ids=repr)
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, *(lambda o, p=p: pickle.loads(pickle.dumps(o, p))
+                                     for p in range(pickle.HIGHEST_PROTOCOL + 1))],
+        ids=["copy", "deepcopy", *(f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1))],
+    )
+    def test_copy_and_pickle_round_trip(self, obj, clone):
+        back = clone(obj)
+        assert back == obj and type(back) is type(obj) and repr(back) == repr(obj)
 
 
 class TestLineGraph:

@@ -1,3 +1,4 @@
+import collections
 import random
 import re
 
@@ -211,6 +212,9 @@ class TestMembersOutsideUniverse:
 
     INT_COLORING = mk_coloring({1, 2}, {3})
     VERTEX_COLORING = mk_coloring({Vertex(1), Vertex(2)}, {Vertex(3)})
+    # a valid total coloring of P_3 but for the plain tuple standing in for v1
+    TUPLE_COLORING = mk_coloring({(1,), Vertex(3)}, {Vertex(2)}, {Edge(1, 2)}, {Edge(2, 3)})
+    Pair = collections.namedtuple("Pair", "i j")
 
     @pytest.mark.parametrize(
         "check",
@@ -225,10 +229,17 @@ class TestMembersOutsideUniverse:
             lambda g: t.common_neighborhood(g, {"a", 9, 10}),
             lambda g: t.is_total_dominating_set(g, {Vertex(1)}),
             lambda g: t.is_independent_set(g, {Vertex(1), 2}),
+            # tuples equal to objects: (1,) == Vertex(1) and (1, 2) == Edge(1, 2)
+            lambda g: t.is_total_mixed_dominating_set(g, {Vertex(2), (1, 2)}),
+            lambda g: t.is_mixed_independent_set(g, {(1,)}),
+            lambda g: t.is_tdtc(g, TestMembersOutsideUniverse.TUPLE_COLORING),
+            lambda g: t.is_proper_total_coloring(g, TestMembersOutsideUniverse.TUPLE_COLORING),
+            lambda g: t.is_mixed_independent_set(g, {TestMembersOutsideUniverse.Pair(1, 2)}),
         ],
         ids=["tmds-int", "mixed-independent-int", "tdtc-ints", "proper-total-ints", "tdc-vertices",
              "proper-vertices", "common-neighborhood-str", "common-neighborhood-str-and-ints",
-             "tds-vertex", "independent-vertex-and-int"],
+             "tds-vertex", "independent-vertex-and-int", "tmds-tuple", "mixed-independent-tuple",
+             "tdtc-tuple", "proper-total-tuple", "mixed-independent-namedtuple"],
     )
     def test_foreign_member_is_domain_error(self, check):
         with pytest.raises(DomainError):
@@ -250,8 +261,13 @@ class TestMembersOutsideUniverse:
             (lambda g: t.is_tdtc(g, mk_coloring({Vertex(1), Vertex(9)}, {Edge(1, 2), Edge(7, 8)})),
              "coloring does not cover the universe (missing=[Vertex(i=2), Vertex(i=3), Edge(i=2, j=3)], "
              "extra=[Vertex(i=9), Edge(i=7, j=8)])"),
+            (lambda g: t.is_tdtc(g, TestMembersOutsideUniverse.TUPLE_COLORING),
+             "coloring does not cover the universe (missing=[Vertex(i=1)], extra=[(1,)])"),
+            (lambda g: t.is_total_mixed_dominating_set(g, {Vertex(2), (1, 2)}),
+             "set members ['(1, 2)'] are not objects of the graph"),
         ],
-        ids=["tds", "independent", "tmds", "mixed-independent", "common-neighborhood", "tdc", "tdtc"],
+        ids=["tds", "independent", "tmds", "mixed-independent", "common-neighborhood", "tdc", "tdtc",
+             "tdtc-tuple", "tmds-tuple"],
     )
     def test_message(self, check, message):
         with pytest.raises(DomainError) as info:
