@@ -16,7 +16,10 @@ search through ``_solve``; the function named below holds the strategy.
   with the certificate mapped back to the base graph's objects.
 
 ``_chromatic`` and ``_tdc_search`` share the level search
-``_ktdc_feasible``.
+``_ktdc_feasible`` and the smallest-last order, first fit and clique bound
+that run on neighbor lists; bit masks are built for a level search only.
+``minimum_coloring`` is ``_chromatic`` without a budget, for
+``verify.tdc_from_tds``.
 """
 
 from __future__ import annotations
@@ -101,6 +104,15 @@ def _adj_masks(g: Graph) -> list[int]:
     return adj
 
 
+def _neighbors(g: Graph) -> dict[int, list[int]]:
+    """The neighbor lists of g, keyed by vertex from 0 in ascending order."""
+    nbrs: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for i, j in g.edges:
+        nbrs[i - 1].append(j - 1)
+        nbrs[j - 1].append(i - 1)
+    return nbrs
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -108,128 +120,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _coloring(masks: list[int]) -> Coloring:
-    return Coloring(tuple(frozenset(v + 1 for v in _bits(m)) for m in masks))
-
-
-def _degeneracy_order(adj: list[int]) -> list[int]:
-    """Smallest-last order: color/assign positions so that each vertex sees
-    at most degeneracy-many already-processed neighbors.
-
-    Repeatedly removes the live vertex with the lowest (degree, index).  The
-    heap gets a new entry each time a degree drops and keeps the old ones;
-    degrees only fall, so a vertex's current entry is its lowest and pops
-    before its stale ones, which are skipped once the vertex is removed.
-    """
-    n = len(adj)
-    deg = [a.bit_count() for a in adj]
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    removal = []
-    while heap:
-        _, v = heapq.heappop(heap)
-        if removed[v]:
-            continue
-        removed[v] = True
-        removal.append(v)
-        for u in _bits(adj[v]):
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    removal.reverse()
-    return removal
-
-
-def _grow_clique(adj: list[int], v: int, cand: int) -> list[int]:
-    """The clique grown from v by adding, while any is left, the lowest
-    vertex of ``cand`` (a subset of N(v)) adjacent to every member so far."""
-    clique = [v]
-    while cand:
-        u = (cand & -cand).bit_length() - 1
-        clique.append(u)
-        cand &= adj[u]
-    return clique
-
-
-def _greedy_clique_size(adj: list[int], vertices: list[int]) -> int:
-    """Size of the largest clique grown from each of ``vertices`` in turn: a
-    lower bound on the class count of any proper coloring of them."""
-    return max(len(_grow_clique(adj, v, adj[v])) for v in vertices)
-
-
-def _greedy_color_classes(adj: list[int], order: list[int]) -> list[int]:
-    """First-fit along ``order``; returns class bitmasks."""
-    classes: list[int] = []
-    for v in order:
-        for k, mask in enumerate(classes):
-            if not (mask & adj[v]):
-                classes[k] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return classes
-
-
-def _components(adj: list[int]) -> list[int]:
-    n = len(adj)
-    seen = 0
-    comps = []
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        frontier = 1 << v
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & ~comp
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
-def _chromatic(adj: list[int], best: list[int], search: _Search) -> None:
-    """Exact minimum proper coloring by the level search with no vertex needing
-    a witness, one component at a time on its slice of the whole graph's
-    smallest-last order, which is its own: the heap pops its vertices as it
-    would alone.  ``best`` merges the components' colorings class by class,
-    each greedy until its search ends: a spent budget keeps those solved.
-    The ``finally`` writes it on every exit; ``_solve`` reads it only then."""
-    slices = {comp: [] for comp in _components(adj)}  # filled in one pass, so many components stay cheap
-    owner = {v: sub for comp, sub in slices.items() for v in _bits(comp)}
-    for v in _degeneracy_order(adj):
-        owner[v].append(v)
-    parts = [(sub, _greedy_color_classes(adj, sub)) for sub in slices.values()]
-
-    def merged() -> list[int]:
-        out: list[int] = []
-        for _, classes in parts:
-            out += [0] * (len(classes) - len(out))
-            for idx, mask in enumerate(classes):
-                out[idx] |= mask
-        return out
-
-    try:
-        for sub, classes in parts:
-            _first_feasible_level(adj, sub, 0, classes, search)
-    finally:  # also when the budget runs out; merging once keeps many components linear
-        best[:] = merged()
-
-
-def _solve(g: Graph, budget: SearchBudget | None, improve, certificate) -> InvariantResult:
-    """Run the search ``improve(adj, best, search)``, which keeps its
-    incumbent in the list ``best``, overwritten in place with each better
-    one, so that ``best`` holds the incumbent whenever ``improve`` returns
-    or runs out of budget; that list is the answer, of size ``len(best)``,
-    and ``certificate(best)`` its certificate."""
+def _solve(g: Graph, budget: SearchBudget | None, adjacency, improve, certificate) -> InvariantResult:
+    """Run the search ``improve(adjacency(g), best, search)``, which keeps
+    its incumbent in the list ``best``, overwritten in place with each
+    better one, so that ``best`` holds the incumbent whenever ``improve``
+    returns or runs out of budget; that list is the answer, of size
+    ``len(best)``, and ``certificate(best)`` its certificate.
+    ``adjacency`` is ``_adj_masks`` or ``_neighbors``, the form ``improve``
+    searches on."""
     start = time.perf_counter()
     search = _Search(budget)
-    best: list[int] = []
+    best: list = []
     proven = True
-    adj = _adj_masks(g)
+    adj = adjacency(g)
     try:
         improve(adj, best, search)
     except _OutOfBudget:
@@ -275,12 +178,19 @@ def _greedy_independent(adj: list[int]) -> list[int]:
 
 
 def _clique_cover_count(adj: list[int], free: int) -> int:
+    """The number of cliques in a greedy cover of ``free``: each grows from
+    the lowest vertex left by adding, while any is left, the lowest vertex
+    left that is adjacent to every member so far."""
     count = 0
     rem = free
     while rem:
-        v = (rem & -rem).bit_length() - 1
-        for u in _grow_clique(adj, v, adj[v] & rem):
-            rem &= ~(1 << u)
+        low = rem & -rem
+        rem ^= low
+        cand = adj[low.bit_length() - 1] & rem
+        while cand:
+            low = cand & -cand
+            rem ^= low
+            cand &= adj[low.bit_length() - 1]
         count += 1
     return count
 
@@ -295,23 +205,31 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
     branching, a node takes, while any is left, the first free vertex of
     degree 0 or 1, or of degree 2 with adjacent neighbors: some maximum
     independent set of the free vertices contains it (a dominance
-    reduction)."""
+    reduction).  One ascending scan finds them all: ``todo`` holds the free
+    vertices not yet scanned, and a take adds back the free neighbors of
+    the vertices it removes, the only scanned ones whose free neighbors
+    changed, so each take is the first such vertex a rescan from the lowest
+    would find."""
     n = len(adj)
     best[:] = _greedy_independent(adj)
     stack = [((1 << n) - 1, [])]
     while stack:
         free, cur = stack.pop()
         search.tick()
-        while free:
-            for v in _bits(free):
-                nb = adj[v] & free
-                d = nb.bit_count()
-                if d <= 1 or (d == 2 and adj[(nb & -nb).bit_length() - 1] & nb):
-                    cur.append(v)
-                    free &= ~(adj[v] | (1 << v))
-                    break
-            else:
-                break
+        todo = free
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            nb = adj[v] & free
+            d = nb.bit_count()
+            if d <= 1 or (d == 2 and adj[(nb & -nb).bit_length() - 1] & nb):
+                cur.append(v)
+                gone = nb | low
+                free ^= gone
+                for w in _bits(gone):
+                    todo |= adj[w]
+                todo &= free
         if not free:
             if len(cur) > len(best):
                 best[:] = cur
@@ -325,12 +243,149 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Maximum independent set, exact."""
-    return _solve(g, budget, _mis_search, _vertex_set)
+    return _solve(g, budget, _adj_masks, _mis_search, _vertex_set)
 
 
 # ---------------------------------------------------------------------------
 # Chromatic number
 # ---------------------------------------------------------------------------
+# Coloring runs on neighbor lists ``nbrs``: a dict from each vertex, a
+# non-negative int, to a list of its neighbors, in any order, with the keys
+# in ascending order.  Only the level search needs bit masks, and
+# ``_first_feasible_level`` builds them when it has a level to search.
+
+
+def _coloring(classes: list[list[int]]) -> Coloring:
+    return Coloring(tuple(frozenset(v + 1 for v in cls) for cls in classes))
+
+
+def _smallest_last(nbrs: dict[int, list[int]]) -> list[int]:
+    """Smallest-last order (Matula and Beck, J. ACM 30(3), 1983): each
+    vertex has at most degeneracy-many neighbors before it.
+
+    Repeatedly removes the live vertex with the lowest (degree, index) from
+    a bucket queue over degrees, each bucket a heap of indices.  A removal
+    pushes each live neighbor into the bucket one below its own and leaves
+    the old entry, which is skipped when it comes up: degrees only fall, so
+    an entry is current exactly when its vertex is live with that degree.
+    The lowest nonempty bucket is never more than one below the last one.
+    Each heap operation costs O(log V) whatever the graph's size, where a
+    bucket held as a bit mask costs O(V) per removal.
+    """
+    deg = {v: len(ns) for v, ns in nbrs.items()}  # of the live vertices
+    buckets: list[list[int]] = [[] for _ in range(max(deg.values(), default=0) + 1)]
+    for v, d in deg.items():
+        buckets[d].append(v)
+    for bucket in buckets:
+        heapq.heapify(bucket)
+    removal = []
+    d = 0
+    while deg:
+        bucket = buckets[d]
+        while bucket and deg.get(bucket[0]) != d:
+            heapq.heappop(bucket)
+        if not bucket:
+            d += 1
+            continue
+        v = heapq.heappop(bucket)
+        removal.append(v)
+        del deg[v]
+        for u in nbrs[v]:
+            e = deg.get(u)
+            if e is not None:
+                deg[u] = e - 1
+                heapq.heappush(buckets[e - 1], u)
+        if d:
+            d -= 1
+    removal.reverse()
+    return removal
+
+
+def _clique_bound(nbrs: dict[int, list[int]], vertices: list[int], cap: int) -> int:
+    """The size of the largest clique grown from each of ``vertices`` in
+    turn, or the first size that reaches ``cap``: a lower bound on the class
+    count of any proper coloring of them.  The clique grown from v adds,
+    while any is left, the lowest neighbor of v adjacent to every member so
+    far."""
+    most = 0
+    for v in vertices:
+        cand = sorted(nbrs[v])
+        size = 1
+        while cand:
+            size += 1
+            ns = nbrs[cand[0]]
+            cand = [u for u in cand[1:] if u in ns]
+        if size > most:
+            most = size
+            if most >= cap:
+                break
+    return most
+
+
+def _greedy_color_classes(nbrs: dict[int, list[int]], order: list[int]) -> list[list[int]]:
+    """First fit along ``order``: each vertex joins the lowest class that
+    holds none of its neighbors."""
+    color: dict[int, int] = {}
+    classes: list[list[int]] = []
+    for v in order:
+        taken = {color.get(u) for u in nbrs[v]}
+        k = 0
+        while k in taken:
+            k += 1
+        if k == len(classes):
+            classes.append([])
+        classes[k].append(v)
+        color[v] = k
+    return classes
+
+
+def _components(nbrs: dict[int, list[int]]) -> list[list[int]]:
+    """The vertices of each connected component, found by a breadth-first
+    search from its first vertex in ``nbrs``, the components in that order."""
+    seen = set()
+    comps = []
+    for v in nbrs:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for u in comp:  # the list grows while it is read: the search's queue
+            for w in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _chromatic(nbrs: dict[int, list[int]], best: list[list[int]], search: _Search) -> None:
+    """Exact minimum proper coloring by the level search with no vertex
+    needing a witness, one component at a time, below first fit along its
+    slice of the whole graph's smallest-last order, which is its own: the
+    bucket queue removes its vertices as it would alone.  ``best`` merges
+    the components' colorings class by class, each greedy until its search
+    ends: a spent budget keeps those solved.  The ``finally`` writes it on
+    every exit; ``_solve`` reads it only then."""
+    comps = _components(nbrs)
+    slices: list[list[int]] = [[] for _ in comps]
+    owner = {v: sub for comp, sub in zip(comps, slices) for v in comp}
+    for v in _smallest_last(nbrs):
+        owner[v].append(v)
+    parts = [_greedy_color_classes(nbrs, sub) for sub in slices]
+
+    def merged() -> list[list[int]]:
+        out: list[list[int]] = []
+        for classes in parts:
+            out += [[] for _ in range(len(classes) - len(out))]
+            for idx, cls in enumerate(classes):
+                out[idx] += cls
+        return out
+
+    try:
+        for sub, classes in zip(slices, parts):
+            _first_feasible_level(nbrs, sub, False, classes, search)
+    finally:  # also when the budget runs out; merging once keeps many components linear
+        best[:] = merged()
 
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
@@ -339,7 +394,16 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
     The class count below the reported value is exhausted by search (or
     excluded outright by a clique of the same size), so the value is proven.
     """
-    return _solve(g, budget, _chromatic, _coloring)
+    return _solve(g, budget, _neighbors, _chromatic, _coloring)
+
+
+def minimum_coloring(nbrs: dict[int, list[int]]) -> list[list[int]]:
+    """The classes of a minimum proper coloring, exact and unbounded, of the
+    graph given by the neighbor lists ``nbrs``, in the form the head of this
+    section describes, as lists of its keys."""
+    classes: list[list[int]] = []
+    _chromatic(nbrs, classes, _Search(None))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +563,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominating set, exact; requires positive minimum degree."""
     _require_min_degree_one(g, "total domination")
-    return _solve(g, budget, _tds_search, _vertex_set)
+    return _solve(g, budget, _adj_masks, _tds_search, _vertex_set)
 
 
 # ---------------------------------------------------------------------------
@@ -640,21 +704,33 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
         others[pos] = _others_union(compat, used)
 
 
-def _first_feasible_level(adj: list[int], order: list[int], need: int, best: list[int],
-                          search: _Search) -> None:
+def _first_feasible_level(nbrs: dict[int, list[int]], order: list[int], dominating: bool,
+                          best: list[list[int]], search: _Search) -> None:
     """Overwrite ``best`` with the classes of the first feasible level of
-    ``_ktdc_feasible`` on ``order``, tried in ascending order from its greedy
-    clique bound up to one below ``len(best)``; ``best`` stays as it is when
-    every such level is refuted.  The bound is 1 only when ``order`` spans no
-    edge, and then ``best``, its greedy coloring, has one class."""
-    for k in range(_greedy_clique_size(adj, order), len(best)):
-        found = _ktdc_feasible(adj, order, k, need, search)
+    ``_ktdc_feasible`` on ``order``, every vertex needing a witness when
+    ``dominating`` and none otherwise, tried in ascending order from the
+    greedy clique bound up to one below ``len(best)``; ``best`` stays as it
+    is when every such level is refuted.  The bound is 1 only when
+    ``order`` spans no edge, and then ``best``, its greedy coloring, has one
+    class.  The vertices of ``order`` must hold all their neighbors; the
+    level search runs on their bit masks, bit k for the k-th lowest, which
+    are built only when a level lies below ``len(best)``."""
+    low = _clique_bound(nbrs, order, len(best))
+    if low >= len(best):
+        return
+    ids = sorted(order)
+    bit = {v: k for k, v in enumerate(ids)}
+    adj = [sum(1 << bit[u] for u in nbrs[v]) for v in ids]
+    local = [bit[v] for v in order]
+    need = (1 << len(ids)) - 1 if dominating else 0
+    for k in range(low, len(best)):
+        found = _ktdc_feasible(adj, local, k, need, search)
         if found is not None:
-            best[:] = found
+            best[:] = [[ids[b] for b in _bits(mask)] for mask in found]
             return
 
 
-def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
+def _tdc_search(adj: list[int], best: list[list[int]], search: _Search) -> None:
     """Minimum total dominator coloring by iterative deepening on the class
     count: ``_first_feasible_level`` with every vertex needing a witness,
     on the smallest-last order and below an incumbent, refutes each level
@@ -671,11 +747,12 @@ def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
     greedy coloring.  That search runs on ``search``, so its nodes count
     toward the budget; ``best`` holds the greedy incumbent before its first
     node."""
-    order = _degeneracy_order(adj)
+    nbrs = {v: list(_bits(a)) for v, a in enumerate(adj)}
+    order = _smallest_last(nbrs)
 
-    def incumbent(tds: list[int]) -> list[int]:
+    def incumbent(tds: list[int]) -> list[list[int]]:
         in_tds = set(tds)
-        return [1 << v for v in sorted(tds)] + _greedy_color_classes(adj, [v for v in order if v not in in_tds])
+        return [[v] for v in sorted(tds)] + _greedy_color_classes(nbrs, [v for v in order if v not in in_tds])
 
     greedy = _greedy_tds(adj)
     best[:] = incumbent(greedy)
@@ -684,7 +761,7 @@ def _tdc_search(adj: list[int], best: list[int], search: _Search) -> None:
     exact = incumbent(tds)
     if len(exact) < len(best):
         best[:] = exact
-    _first_feasible_level(adj, order, (1 << len(adj)) - 1, best, search)
+    _first_feasible_level(nbrs, order, True, best, search)
 
 
 def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
@@ -694,7 +771,7 @@ def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = Non
     excluded outright by a clique of the same size), so the value is proven.
     """
     _require_min_degree_one(g, "total dominator coloring")
-    return _solve(g, budget, _tdc_search, _coloring)
+    return _solve(g, budget, _adj_masks, _tdc_search, _coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -706,21 +783,21 @@ def mixed_independence_number(g: Graph, budget: SearchBudget | None = None) -> I
     """Mixed independence number: maximum independent set of the total graph,
     reported over the base graph's objects."""
     tg = total_graph(g)
-    return _solve(tg.graph, budget, _mis_search, lambda best: tg.to_objects(_vertex_set(best)))
+    return _solve(tg.graph, budget, _adj_masks, _mis_search, lambda best: tg.to_objects(_vertex_set(best)))
 
 
 def total_mixed_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total mixed domination number via the reduction to the total graph."""
     _require_min_degree_one(g, "total mixed domination")
     tg = total_graph(g)
-    return _solve(tg.graph, budget, _tds_search, lambda best: tg.to_objects(_vertex_set(best)))
+    return _solve(tg.graph, budget, _adj_masks, _tds_search, lambda best: tg.to_objects(_vertex_set(best)))
 
 
 def total_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total chromatic number: chromatic number of the total graph, with a
     proper total coloring over the base graph's objects as certificate."""
     tg = total_graph(g)
-    return _solve(tg.graph, budget, _chromatic, lambda best: coloring_from_total(tg, _coloring(best)))
+    return _solve(tg.graph, budget, _neighbors, _chromatic, lambda best: coloring_from_total(tg, _coloring(best)))
 
 
 def tdtc_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
@@ -728,4 +805,4 @@ def tdtc_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult
     with a mixed-object coloring as certificate."""
     _require_min_degree_one(g, "total dominator total coloring")
     tg = total_graph(g)
-    return _solve(tg.graph, budget, _tdc_search, lambda best: coloring_from_total(tg, _coloring(best)))
+    return _solve(tg.graph, budget, _adj_masks, _tdc_search, lambda best: coloring_from_total(tg, _coloring(best)))

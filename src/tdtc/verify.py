@@ -25,13 +25,12 @@ from .graphs import (
     GraphParseError,
     Vertex,
     format_object,
-    induced_subgraph,
     mixed_neighbors,
     object_key,
     parse_object,
     quote_token,
 )
-from .solvers import chromatic_number
+from .solvers import minimum_coloring
 
 VERTEX_UNIVERSE = "vertices"
 MIXED_UNIVERSE = "mixed"
@@ -83,9 +82,10 @@ def _impostors(s: frozenset) -> list:
     return [x for x in s if type(x) in kinds] if kinds else []
 
 
-def _members(neighbors: dict, s, complaint) -> frozenset:
+def _members(neighbors, s, complaint) -> frozenset:
     """``s`` as a frozenset; raises DomainError(complaint(outsiders)) when some
-    member is not a key of ``neighbors``, or is an impostor of one."""
+    member is not in ``neighbors`` (a universe's neighbor map, or its
+    range of vertex ids), or is an impostor of one."""
     s = frozenset(s)
     outside = [x for x in s if x not in neighbors]
     outside += (x for x in _impostors(s) if x in neighbors)
@@ -253,16 +253,28 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
     class, so domination of the result never depends on self-witnessing;
     this holds for the members of s as well, which is why s must be a
     *total* dominating set.
+
+    After the members are checked, one pass over the edges marks the
+    vertices s covers and builds the neighbor lists of g - s, keyed by the
+    vertices of g, which ``solvers.minimum_coloring`` colors as they are.
     """
-    s = frozenset(s)
-    ok, uncovered = is_total_dominating_set(g, s)
-    if not ok:
-        raise DomainError(f"not a total dominating set, uncovered vertices: {list(uncovered)}")
+    s = _members(g.vertices, s, _not_vertices)
+    covered = bytearray(g.n + 1)
+    rest: dict[int, list[int]] = {v: [] for v in g.vertices if v not in s}
+    for i, j in g.edges:
+        at_i, at_j = rest.get(i), rest.get(j)
+        if at_i is None:  # i is in s
+            covered[j] = 1
+        elif at_j is not None:
+            at_i.append(j)
+            at_j.append(i)
+        if at_j is None:
+            covered[i] = 1
+    uncovered = [v for v in g.vertices if not covered[v]]
+    if uncovered:
+        raise DomainError(f"not a total dominating set, uncovered vertices: {uncovered}")
     singletons = [frozenset([v]) for v in sorted(s)]
-    sub, old = induced_subgraph(g, frozenset(g.vertices) - s)
-    sub_classes = chromatic_number(sub).certificate.classes
-    mapped = [frozenset(old[v - 1] for v in cls) for cls in sub_classes]
-    return Coloring(tuple(singletons) + tuple(mapped))
+    return Coloring(tuple(singletons) + tuple(map(frozenset, minimum_coloring(rest))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +377,19 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
+def _parse_int(digits: str) -> int:
+    """json ``parse_int``: an integer too long for ``int()`` (over 4,300
+    digits by default) is a GraphParseError, not a plain ValueError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise GraphParseError(f"invalid JSON: integer too long: {quote_token(digits)}") from exc
+
+
 def load_certificate(text: str) -> tuple[str, str, object]:
     """Parse certificate JSON text; returns (kind, universe, payload)."""
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        data = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:

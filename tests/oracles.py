@@ -7,10 +7,12 @@ loops, and a plain k-coloring backtracking.
 
 These deliberately share no search machinery with the solvers and no case
 split with the library's formulas; they are the ground truth the library is
-checked against.  The one exception is the k-coloring reference, which uses
-the solver's ordering, greedy bounds, greedy incumbents and node counter so
-that its classes and node counts compare one to one with the library's
-level search.  Through its ``need`` mask, checked only on complete
+checked against.  The one exception is the k-coloring reference, which
+uses the library's smallest-last order (by the quadratic scan), greedy
+clique bound and first-fit incumbents in their former bit-mask forms, and
+its node counter, so that its classes and node counts compare one to one
+with the library's level search, which runs its sparse parts on neighbor
+lists.  Through its ``need`` mask, checked only on complete
 assignments, it serves both the chromatic number (an empty mask) and the
 total dominator chromatic number (every vertex), whose witness pruning it
 checks; for the latter it starts, as the library does, from the smaller of
@@ -22,27 +24,34 @@ same greedy seed and with the same node counter; and so is the total
 domination scan, the library's search with its table, whose branch vertex
 is found by rescanning the uncovered vertices where the library reads bit
 planes of option counts, so that its lists and node counts equal the
-library's.  The last is the
+library's.  So is the
 independent set reference: the library's branch and bound with each of its
 dominance reductions written out as its own case, so its lists and node
-counts compare one to one with the library's single rule.
+counts compare one to one with the library's single rule; beside it
+stands the library's former body of that search, which rescanned the free
+vertices from the lowest after every vertex a reduction took.  And the
+former body of ``tdc_from_tds``: the induced subgraph of the vertices
+outside the set, relabelled and colored by ``chromatic_number``.
 """
 
 from itertools import combinations
 
 import tdtc.closed_forms as cf
 import tdtc.solvers as solvers
-from tdtc import Edge, Graph, Vertex, mixed_neighbors, mixed_objects, object_key
-from tdtc.solvers import (
-    _bits,
-    _clique_cover_count,
-    _degeneracy_order,
-    _greedy_clique_size,
-    _greedy_color_classes,
-    _greedy_independent,
-    _greedy_tds,
-    _Search,
+from tdtc import (
+    Coloring,
+    DomainError,
+    Edge,
+    Graph,
+    Vertex,
+    chromatic_number,
+    induced_subgraph,
+    is_total_dominating_set,
+    mixed_neighbors,
+    mixed_objects,
+    object_key,
 )
+from tdtc.solvers import _bits, _clique_cover_count, _greedy_independent, _greedy_tds, _Search
 
 
 def set_partitions(items):
@@ -246,6 +255,39 @@ def degeneracy_order_scan(adj: list[int]) -> list[int]:
     return removal
 
 
+def coloring_of_masks(masks: list[int]) -> Coloring:
+    """The coloring whose classes are the bit masks ``masks``, bit v for
+    vertex v + 1."""
+    return Coloring(tuple(frozenset(v + 1 for v in _bits(m)) for m in masks))
+
+
+def greedy_color_classes_masks(adj: list[int], order: list[int]) -> list[int]:
+    """First fit along ``order`` on bit masks; returns class bitmasks."""
+    classes: list[int] = []
+    for v in order:
+        for k, mask in enumerate(classes):
+            if not (mask & adj[v]):
+                classes[k] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+def greedy_clique_size_masks(adj: list[int], vertices: list[int]) -> int:
+    """Size of the largest clique grown from each of ``vertices`` in turn,
+    each by adding, while any is left, the lowest neighbor adjacent to
+    every member so far; on bit masks, and with no cap."""
+    most = 0
+    for v in vertices:
+        size, cand = 1, adj[v]
+        while cand:
+            size += 1
+            cand &= adj[(cand & -cand).bit_length() - 1]
+        most = max(most, size)
+    return most
+
+
 def domination_report_scan(universe, neighbors, classes, mixed: bool) -> dict:
     """The fields of a dominator-coloring report, computed by testing every
     neighbor pair (sorted) for a shared class and every object against
@@ -353,8 +395,8 @@ def level_search_reference(adj: list[int], incumbent: list[int], need: int, sear
     up to one below the incumbent's class count, that
     ``kcolor_feasible_reference`` finds feasible along the smallest-last
     order, or ``incumbent`` when every such level is refuted."""
-    order = _degeneracy_order(adj)
-    for k in range(max(2, _greedy_clique_size(adj, order)), len(incumbent)):
+    order = degeneracy_order_scan(adj)
+    for k in range(max(2, greedy_clique_size_masks(adj, order)), len(incumbent)):
         found = kcolor_feasible_reference(adj, order, k, search, need)
         if found is not None:
             return found
@@ -364,14 +406,14 @@ def level_search_reference(adj: list[int], incumbent: list[int], need: int, sear
 def chromatic_masks_reference(adj: list[int], search: _Search) -> list[int]:
     """Minimum proper coloring of a nonempty connected graph as bitmask
     classes, below the smallest-last greedy coloring."""
-    return level_search_reference(adj, _greedy_color_classes(adj, _degeneracy_order(adj)), 0, search)
+    return level_search_reference(adj, greedy_color_classes_masks(adj, degeneracy_order_scan(adj)), 0, search)
 
 
 def tdc_incumbent_reference(adj: list[int], tds: list[int]) -> list[int]:
     """The total dominator coloring built from the total dominating set
     ``tds``: its members as singletons in index order, then a greedy
     coloring of the other vertices in smallest-last order."""
-    rest = _greedy_color_classes(adj, [v for v in _degeneracy_order(adj) if v not in tds])
+    rest = greedy_color_classes_masks(adj, [v for v in degeneracy_order_scan(adj) if v not in tds])
     return [1 << v for v in sorted(tds)] + rest
 
 
@@ -521,3 +563,53 @@ def mis_search_reference(adj: list[int], best: list[int], search: _Search) -> No
         rec(free & ~(1 << v), list(cur))
 
     rec((1 << n) - 1, [])
+
+
+def mis_search_rescan(adj: list[int], best: list[int], search: _Search) -> None:
+    """The library's independent set search as it was before its reduction
+    scan resumed after each take: after every vertex a dominance reduction
+    takes, the scan starts again from the lowest free vertex, O(V) mask
+    steps per take."""
+    n = len(adj)
+    best[:] = _greedy_independent(adj)
+    stack = [((1 << n) - 1, [])]
+    while stack:
+        free, cur = stack.pop()
+        search.tick()
+        while free:
+            for v in _bits(free):
+                nb = adj[v] & free
+                d = nb.bit_count()
+                if d <= 1 or (d == 2 and adj[(nb & -nb).bit_length() - 1] & nb):
+                    cur.append(v)
+                    free &= ~(adj[v] | (1 << v))
+                    break
+            else:
+                break
+        if not free:
+            if len(cur) > len(best):
+                best[:] = cur
+            continue
+        if len(cur) + _clique_cover_count(adj, free) <= len(best):
+            continue
+        v = max(_bits(free), key=lambda u: ((adj[u] & free).bit_count(), -u))
+        stack.append((free & ~(1 << v), cur))
+        stack.append((free & ~(adj[v] | (1 << v)), cur + [v]))
+
+
+def tdc_from_tds_reference(g: Graph, s) -> Coloring:
+    """The total dominator coloring of g built from the total dominating set
+    s as the library built it before it colored the rest on neighbor lists:
+    s checked by ``is_total_dominating_set``, its members as singletons in
+    index order, then the classes ``chromatic_number`` gives the induced
+    subgraph of the other vertices, relabelled 1..k in index order, mapped
+    back."""
+    s = frozenset(s)
+    ok, uncovered = is_total_dominating_set(g, s)
+    if not ok:
+        raise DomainError(f"not a total dominating set, uncovered vertices: {list(uncovered)}")
+    singletons = [frozenset([v]) for v in sorted(s)]
+    sub, old = induced_subgraph(g, frozenset(g.vertices) - s)
+    sub_classes = chromatic_number(sub).certificate.classes
+    mapped = [frozenset(old[v - 1] for v in cls) for cls in sub_classes]
+    return Coloring(tuple(singletons) + tuple(mapped))

@@ -380,13 +380,16 @@ class TestVerify:
              f"parse error: bad object token {'v' + '1' * 39!r}... (5001 characters): "),
             (json.dumps({"universe": "vertices", "objects": ["v" + "x" * 5000]}),
              f"parse error: bad object token: {'v' + 'x' * 39!r}... (5001 characters)\n"),
+            ('{"universe": "vertices", "objects": [' + "1" * 5000 + "]}",
+             f"parse error: invalid JSON: integer too long: {'1' * 40!r}... (5000 characters)\n"),
         ],
-        ids=["repeated-key", "deep-nesting", "huge-token", "long-token"],
+        ids=["repeated-key", "deep-nesting", "huge-token", "long-token", "huge-integer"],
     )
     def test_malformed_json_exit_2(self, capsys, tmp_path, text, err):
         """A repeated key once replaced the first ``objects`` (valid, exit 0);
-        deep nesting and a token too long for int() ended in tracebacks.  A
-        long token is quoted by its first 40 characters and its length: the
+        deep nesting, a token too long for int() and a JSON integer of more
+        digits than int() converts ended in tracebacks.  A long token or
+        integer is quoted by its first 40 characters and its length: the
         whole token made a 5 KB line."""
         f = tmp_path / "cert.json"
         f.write_text(text)

@@ -27,11 +27,15 @@ import pytest
 import tdtc as t
 from oracles import (
     chromatic_masks_reference,
+    coloring_of_masks,
     degeneracy_order_scan,
     domination_report_scan,
+    greedy_color_classes_masks,
     greedy_independent_scan,
     greedy_tds_scan,
     mis_search_reference,
+    mis_search_rescan,
+    tdc_from_tds_reference,
     tds_search_reference,
     tds_search_scan,
 )
@@ -39,14 +43,13 @@ from tdtc import Coloring, Graph, SearchBudget, induced_subgraph
 from tdtc.solvers import (
     _adj_masks,
     _bits,
-    _coloring,
     _components,
-    _degeneracy_order,
-    _greedy_color_classes,
     _greedy_independent,
     _greedy_tds,
     _mis_search,
+    _neighbors,
     _Search,
+    _smallest_last,
     _solve,
     _tds_search,
 )
@@ -130,15 +133,41 @@ def _check_mixed_universe(g: Graph, coloring: Coloring) -> dict:
 def test_degeneracy_order_matches_scan_on_families(family):
     for n in FAMILY_SIZES[family]:
         g = t.FamilyInstance(family, n).graph()
-        for adj in (_adj_masks(g), _adj_masks(t.total_graph(g).graph)):
-            assert _degeneracy_order(adj) == degeneracy_order_scan(adj), (family, n)
+        for h in (g, t.total_graph(g).graph):
+            assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_adj_masks(h)), (family, n)
 
 
 def test_degeneracy_order_matches_scan_on_random_graphs():
-    assert _degeneracy_order([]) == degeneracy_order_scan([]) == []
+    assert _smallest_last({}) == degeneracy_order_scan([]) == []
     for idx, g in enumerate(RANDOM_GRAPHS):
-        for adj in (_adj_masks(g), _adj_masks(t.total_graph(g).graph)):
-            assert _degeneracy_order(adj) == degeneracy_order_scan(adj), idx
+        for h in (g, t.total_graph(g).graph):
+            assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_adj_masks(h)), idx
+
+
+def _induced_lists(g: Graph, keep) -> dict[int, list[int]]:
+    """The neighbor lists of the subgraph of g induced by ``keep``, keyed by
+    the vertices of g, in ascending order, with each list in a shuffled
+    order."""
+    rng = random.Random(len(keep))
+    lists = {v: sorted(g.adj[v] & keep) for v in sorted(keep)}
+    for ns in lists.values():
+        rng.shuffle(ns)
+    return lists
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_degeneracy_order_matches_scan_on_vertex_subsets(seed):
+    """On an induced subgraph keyed by the vertices of the whole graph, the
+    order is the scan's on the subgraph relabelled 1..k in index order,
+    mapped back: gaps in the keys change no tie, nor does the order within
+    a neighbor list."""
+    rng = random.Random(seed)
+    graphs = [*RANDOM_GRAPHS[:100], *(t.total_graph(t.cycle(n)).graph for n in range(3, 40))]
+    for idx, g in enumerate(graphs):
+        keep = frozenset(v for v in g.vertices if rng.random() < 0.6)
+        sub, old = induced_subgraph(g, keep)
+        want = [old[v] for v in degeneracy_order_scan(_adj_masks(sub))]
+        assert _smallest_last(_induced_lists(g, keep)) == want, (seed, idx)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_SIZES))
@@ -190,8 +219,8 @@ def _assert_chromatic_matches_reference(graphs: list[Graph]) -> int:
     for idx, g in enumerate(graphs):
         search = _Search(None)
         parts = []
-        for comp in _components(_adj_masks(g)):
-            sub, old = induced_subgraph(g, {v + 1 for v in _bits(comp)})
+        for comp in _components(_neighbors(g)):
+            sub, old = induced_subgraph(g, {v + 1 for v in comp})
             masks = chromatic_masks_reference(_adj_masks(sub), search)
             parts.append(Coloring(tuple(frozenset(old[v] for v in _bits(m)) for m in masks)))
         got = t.chromatic_number(g)
@@ -202,7 +231,7 @@ def _assert_chromatic_matches_reference(graphs: list[Graph]) -> int:
 
 
 def test_chromatic_matches_reference_on_random_graphs():
-    connected = [g for g in RANDOM_GRAPHS if len(_components(_adj_masks(g))) == 1]
+    connected = [g for g in RANDOM_GRAPHS if len(_components(_neighbors(g))) == 1]
     assert len(connected) >= 100
     assert _assert_chromatic_matches_reference(connected) > 0
 
@@ -214,7 +243,7 @@ def test_chromatic_matches_reference_on_disconnected_graphs():
     interleaved = Graph(9, [(1, 4), (4, 7), (1, 7), (2, 5), (5, 8), (3, 6)])
     bipartite = [(1, 6), (1, 8), (2, 6), (2, 7), (3, 4), (3, 8), (4, 5), (5, 8), (6, 9), (7, 9)]
     beside_triangle = Graph(12, bipartite + [(10, 11), (10, 12), (11, 12)])
-    disconnected = [g for g in RANDOM_GRAPHS if len(_components(_adj_masks(g))) > 1]
+    disconnected = [g for g in RANDOM_GRAPHS if len(_components(_neighbors(g))) > 1]
     assert len(disconnected) >= 100
     assert _assert_chromatic_matches_reference([interleaved, beside_triangle, *disconnected]) > 0
 
@@ -231,7 +260,7 @@ def test_chromatic_matches_reference_on_family_total_graphs():
 
 def _greedy_coloring(g: Graph) -> Coloring:
     adj = _adj_masks(g)
-    return _coloring(_greedy_color_classes(adj, _degeneracy_order(adj)))
+    return coloring_of_masks(greedy_color_classes_masks(adj, degeneracy_order_scan(adj)))
 
 
 @pytest.mark.parametrize("max_nodes", [0, 3])
@@ -241,7 +270,7 @@ def test_exhausted_chromatic_returns_whole_graph_greedy(max_nodes):
     others need no search node, so their exact coloring is that greedy one
     too."""
     two_triangles = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-    disconnected = [g for g in RANDOM_GRAPHS if len(_components(_adj_masks(g))) > 1]
+    disconnected = [g for g in RANDOM_GRAPHS if len(_components(_neighbors(g))) > 1]
     assert len(disconnected) >= 100
     exhausted = 0
     for idx, g in enumerate([two_triangles, *disconnected]):
@@ -294,7 +323,7 @@ TDS_GRAPHS = [
 
 def _run(g: Graph, search, budget: SearchBudget | None = None):
     """The run of ``search`` on g, with its incumbent list as certificate."""
-    return _solve(g, budget, search, list)
+    return _solve(g, budget, _adj_masks, search, list)
 
 
 def test_tds_search_matches_reference():
@@ -400,7 +429,9 @@ def test_greedy_independent_matches_scan(random_corpus, exhaustive_connected_upt
 @pytest.mark.parametrize("max_nodes", [None, 3, 50])
 def test_mis_search_matches_reference(max_nodes, random_corpus, exhaustive_connected_upto5):
     """One reduction rule takes the same vertices in the same order as the
-    three cases it replaces, so every run is the reference's, node for node."""
+    three cases it replaces, and its one scan takes them in the order of a
+    rescan from the lowest free vertex after each take, so every run is
+    the reference's and the rescan's, node for node."""
     graphs = [
         *random_corpus,
         *exhaustive_connected_upto5,
@@ -411,7 +442,84 @@ def test_mis_search_matches_reference(max_nodes, random_corpus, exhaustive_conne
     ]
     budget = None if max_nodes is None else SearchBudget(max_nodes=max_nodes)
     for idx, g in enumerate(graphs):
-        got, want = _run(g, _mis_search, budget), _run(g, mis_search_reference, budget)
-        assert (got.certificate, got.nodes_explored, got.proven_optimal) == (
-            want.certificate, want.nodes_explored, want.proven_optimal), idx
+        runs = [_run(g, search, budget) for search in (_mis_search, mis_search_reference, mis_search_rescan)]
+        got, want, former = [(r.certificate, r.nodes_explored, r.proven_optimal) for r in runs]
+        assert got == want == former, idx
     assert len(graphs) == 1818
+
+
+@pytest.mark.parametrize("family, n", [("cycle", 200), ("path", 201), ("cycle", 500)])
+def test_mis_search_matches_rescan_on_long_families(family, n):
+    """On T(C_n) and T(P_n) the reductions take hundreds of vertices at a
+    node, and the scan that resumes after each take makes the rescan's
+    picks: the same set in the same few nodes."""
+    g = t.total_graph(t.FamilyInstance(family, n).graph()).graph
+    got, former = _run(g, _mis_search), _run(g, mis_search_rescan)
+    assert (got.certificate, got.nodes_explored, got.proven_optimal) == (
+        former.certificate, former.nodes_explored, former.proven_optimal)
+
+
+def _tdc_from_tds_matches_reference(g: Graph, s: frozenset) -> tuple[bool, bool]:
+    """Assert that ``tdc_from_tds`` gives the reference's coloring, class
+    for class; returns whether g - s is disconnected and whether coloring
+    it ran the level search."""
+    got = t.tdc_from_tds(g, s)
+    assert got.classes == tdc_from_tds_reference(g, s).classes, (g, s)
+    sub, _ = induced_subgraph(g, frozenset(g.vertices) - s)
+    return len(_components(_neighbors(sub))) > 1, t.chromatic_number(sub).nodes_explored > 0
+
+
+@pytest.mark.parametrize("family", ["cycle", "path"])
+def test_tdc_from_tds_matches_reference_on_family_total_graphs(family):
+    """T(C_n) and T(P_n) less the minimum total mixed dominating set that
+    ``tdtc_certificate`` colors the rest of, for every n up to 300; up to
+    60, the coloring of that rest matches the bit-mask reference too."""
+    remainders = []
+    for n in range(3 if family == "cycle" else 2, 301):
+        tg = t.total_graph(t.FamilyInstance(family, n).graph())
+        s = tg.to_vertex_ids(t.min_tmds(family, n))
+        _tdc_from_tds_matches_reference(tg.graph, s)
+        if n <= 60:
+            remainders.append(induced_subgraph(tg.graph, frozenset(tg.graph.vertices) - s)[0])
+    _assert_chromatic_matches_reference(remainders)
+
+
+def _hub(g: Graph) -> tuple[Graph, frozenset]:
+    """g with two new adjacent vertices, the first adjacent to every vertex
+    of g, and those two as a total dominating set whose remainder is g."""
+    a, b = g.n + 1, g.n + 2
+    return Graph(g.n + 2, [*g.edges, (a, b), *((v, a) for v in g.vertices)]), frozenset({a, b})
+
+
+def test_tdc_from_tds_matches_reference_on_corpora(random_corpus, exhaustive_connected_upto5):
+    """From greedy and from minimum total dominating sets, on remainders
+    that are connected and disconnected, colored greedily and by search;
+    and on the Grotzsch graph and C_5 beside C_7, each the remainder of a
+    hub, which search two levels and two components."""
+    graphs = [*random_corpus, *exhaustive_connected_upto5, *(g for g in RANDOM_GRAPHS if g.n and g.min_degree >= 1)]
+    seen = {"disconnected": 0, "searched": 0}
+    for g in graphs:
+        for s in (frozenset(v + 1 for v in _greedy_tds(_adj_masks(g))), t.total_domination_number(g).certificate):
+            disconnected, searched = _tdc_from_tds_matches_reference(g, s)
+            seen["disconnected"] += disconnected
+            seen["searched"] += searched
+    assert len(graphs) == 1187 and seen["disconnected"] >= 1000 and seen["searched"] >= 10, seen
+    c5_c7 = Graph(12, [*t.cycle(5).edges, *((i + 5, j + 5) for i, j in t.cycle(7).edges)])
+    for g in (Graph(11, GROTZSCH), c5_c7):
+        assert _tdc_from_tds_matches_reference(*_hub(g)) == (g is c5_c7, True)
+
+
+@pytest.mark.parametrize("s", [{1}, {2}, {0, 2, 3}, {"v2", 3}, {(2,), 3}, {2.0, 3}, {True, 2}], ids=str)
+def test_tdc_from_tds_rejects_as_reference(s):
+    """The same DomainError message for a set that leaves a vertex
+    uncovered or holds a non-vertex, and the same coloring for members
+    that equal vertices."""
+    g = t.path(4)
+    try:
+        want = tdc_from_tds_reference(g, s)
+    except t.DomainError as exc:
+        with pytest.raises(t.DomainError) as info:
+            t.tdc_from_tds(g, s)
+        assert str(info.value) == str(exc)
+    else:
+        assert t.tdc_from_tds(g, s).classes == want.classes

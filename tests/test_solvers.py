@@ -12,12 +12,13 @@ from oracles import (
     brute_chi,
     brute_chi_t_d,
     brute_gamma_t,
+    coloring_of_masks,
     tdc_incumbent_reference,
     tdc_masks_reference,
     total_mixed_domination_number_direct,
 )
 from tdtc import DomainError, Graph, SearchBudget
-from tdtc.solvers import _adj_masks, _coloring, _degeneracy_order, _greedy_tds, _ktdc_feasible, _Search
+from tdtc.solvers import _adj_masks, _greedy_tds, _ktdc_feasible, _neighbors, _Search, _smallest_last
 
 
 def complete(n):
@@ -117,7 +118,7 @@ def _assert_pruning_sound(solve, g):
     got = solve(g)
     tg = t.total_graph(g) if solve is t.tdtc_number else None
     search = _Search(None)
-    want = _coloring(tdc_masks_reference(_adj_masks(g if tg is None else tg.graph), search))
+    want = coloring_of_masks(tdc_masks_reference(_adj_masks(g if tg is None else tg.graph), search))
     if tg is not None:
         want = t.coloring_from_total(tg, want)
     assert got.value == want.num_classes
@@ -178,11 +179,11 @@ class TestTotalDominatorChromatic:
         it."""
         for idx, g in enumerate(exhaustive_connected_upto5):
             adj = _adj_masks(g)
-            order = _degeneracy_order(adj)
+            order = _smallest_last(_neighbors(g))
             for k in range(t.total_dominator_chromatic_number(g).value, g.n + 1):
                 found = _ktdc_feasible(adj, order, k, (1 << g.n) - 1, _Search(None))
                 assert found is not None and len(found) == k and all(found), (idx, k)
-                assert t.is_tdc(g, _coloring(found)).valid, (idx, k)
+                assert t.is_tdc(g, coloring_of_masks(found)).valid, (idx, k)
 
 
 class TestMixedInvariants:
