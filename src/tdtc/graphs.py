@@ -117,7 +117,9 @@ def format_object(obj: ObjectId) -> str:
     return f"e{obj.i}_{obj.j}"
 
 
-_OBJECT_RE = re.compile(r"^(?:v(\d+)|e(\d+)_(\d+))$")
+_OBJECT_RE = re.compile(r"(?:v([0-9]+)|e([0-9]+)_([0-9]+))")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())  # what str.strip() takes, in ASCII
 _QUOTED_CHARS = 40
 
 
@@ -138,9 +140,10 @@ def parse_object(token: str) -> ObjectId:
     """Parse a ``v3`` / ``e3_4`` token back into an object.
 
     Anything that does not name a valid object, including a non-string or
-    an out-of-range index such as ``v0`` or ``e2_2``, is a GraphParseError.
+    an out-of-range index such as ``v0`` or ``e2_2``, is a GraphParseError,
+    and so is any character outside ASCII, a digit of another script too.
     """
-    m = _OBJECT_RE.match(token.strip()) if isinstance(token, str) else None
+    m = _OBJECT_RE.fullmatch(token.strip(_ASCII_SPACE)) if isinstance(token, str) else None
     if not m:
         raise GraphParseError(f"bad object token: {quote_token(token)}")
     try:
@@ -393,12 +396,20 @@ def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
 # ---------------------------------------------------------------------------
 
 
+def _ascii_int(field: str) -> int:
+    """``int(field)`` for a sign and ASCII decimal digits alone: ``int``
+    itself also reads ``1_0`` as 10 and other scripts' digits."""
+    if not _INT_RE.fullmatch(field):
+        raise ValueError(field)
+    return int(field)
+
+
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line ``n m``, then m lines ``i j``.
 
-    Indices are 1-based; pairs are canonicalized to i < j on read.  Duplicate
-    edges (in either orientation), self-loops and out-of-range endpoints are
-    rejected.
+    Indices are 1-based integers in ASCII decimal digits; pairs are
+    canonicalized to i < j on read.  Duplicate edges (in either
+    orientation), self-loops and out-of-range endpoints are rejected.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
@@ -407,7 +418,7 @@ def read_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise GraphParseError(f"header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _ascii_int(head[0]), _ascii_int(head[1])
     except ValueError as exc:
         raise GraphParseError(f"header must be two integers, got {lines[0]!r}") from exc
     if n < 0 or m < 0:
@@ -420,7 +431,7 @@ def read_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphParseError(f"edge line must be 'i j', got {ln!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError as exc:
             raise GraphParseError(f"edge line must be two integers, got {ln!r}") from exc
         if i == j:

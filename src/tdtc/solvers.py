@@ -15,11 +15,11 @@ search through ``_solve``; the function named below holds the strategy.
   ``_chromatic``, ``_tds_search`` and ``_tdc_search`` on the total graph,
   with the certificate mapped back to the base graph's objects.
 
-``_chromatic`` and ``_tdc_search`` share the level search
-``_ktdc_feasible`` and the smallest-last order, first fit and clique bound
-that run on neighbor lists; bit masks are built for a level search only.
-``minimum_coloring`` is ``_chromatic`` without a budget, for
-``verify.tdc_from_tds``.
+Set searches (``_mis_search``, ``_tds_search``) run on ``_adj_masks``,
+coloring searches (``_chromatic``, ``_tdc_search``) on ``_neighbors``;
+only their level search ``_ktdc_feasible`` runs on masks, bit p for the
+p-th vertex of a search order.  ``minimum_coloring`` is ``_chromatic``
+without a budget, for ``verify.tdc_from_tds``.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def _solve(g: Graph, budget: SearchBudget | None, adjacency, improve, certificat
     better one, so that ``best`` holds the incumbent whenever ``improve``
     returns or runs out of budget; that list is the answer, of size
     ``len(best)``, and ``certificate(best)`` its certificate.
-    ``adjacency`` is ``_adj_masks`` or ``_neighbors``, the form ``improve``
-    searches on."""
+    ``adjacency`` is ``_adj_masks`` for a set search and ``_neighbors``
+    for a coloring search, as the head of this module says."""
     start = time.perf_counter()
     search = _Search(budget)
     best: list = []
@@ -588,12 +588,14 @@ def _others_union(compat: list[int], used: int) -> list[int]:
     return out
 
 
-def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: _Search) -> list[int] | None:
+def _ktdc_feasible(adj: list[int], k: int, need: int, search: _Search) -> list[int] | None:
     """Feasibility of a proper coloring with exactly k classes in which
     every vertex of the bit mask ``need`` has a class inside its open
     neighborhood.  All vertices gives a total dominator coloring, none a
     plain proper coloring: every witness test below compares against
-    ``need`` and passes trivially when it is empty.
+    ``need`` and passes trivially when it is empty.  Vertices are search
+    positions: ``adj[p]`` is the neighborhood of the p-th vertex assigned,
+    so ``adj[p + 1:]`` are those unassigned at p; classes are masks too.
 
     Classes are opened in first-use order, which removes color-permutation
     symmetry, so an exhausted run proves that no such coloring exists.  It
@@ -614,7 +616,7 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
 
     compat[c] tracks the vertices of ``need`` whose open neighborhood
     still contains class c; rescue[p], the union of the neighborhoods of
-    the objects not yet assigned at position p, restricted to ``need``,
+    the vertices not yet assigned at position p, restricted to ``need``,
     holds the vertices a newly opened class could still come to serve.  A
     branch dies when a vertex of ``need`` is in no compat and outside
     rescue: it can witness neither an opened class nor one still to be
@@ -637,13 +639,12 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
     subtrees only and leave the search order alone, so the first coloring
     found does not change.
     """
-    n = len(order)
-    ahead = [adj[u] for u in order]  # ahead[p:]: the unassigned vertices at position p
-    maxdeg = max(a.bit_count() for a in ahead)
+    n = len(adj)
+    maxdeg = max(a.bit_count() for a in adj)
 
     rescue = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
-        rescue[pos] = rescue[pos + 1] | (ahead[pos] & need)
+        rescue[pos] = rescue[pos + 1] | (adj[pos] & need)
 
     class_masks = [0] * k
     compat = [need] * k
@@ -661,7 +662,7 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
             if pos < 0:
                 return None
             c = chosen[pos]
-            class_masks[c] &= ~(1 << order[pos])
+            class_masks[c] &= ~(1 << pos)
             compat[c] = compat_before[pos]
             if not class_masks[c]:
                 used = c
@@ -670,13 +671,12 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
         low = cand[pos] & -cand[pos]
         cand[pos] ^= low
         c = low.bit_length() - 1
-        v = order[pos]
-        if class_masks[c] & adj[v]:
+        if class_masks[c] & adj[pos]:
             continue
         new_used = used + 1 if c == used else used
         if k - new_used > n - pos - 1:
             continue
-        new_compat = compat[c] & adj[v]
+        new_compat = compat[c] & adj[pos]
         union = others[pos][c] | new_compat
         unopened = k - new_used
         if unopened:
@@ -687,14 +687,14 @@ def _ktdc_feasible(adj: list[int], order: list[int], k: int, need: int, search: 
             if count > unopened * maxdeg:
                 continue
             if open_:
-                loads = sorted([(a & open_).bit_count() for a in ahead[pos + 1:]])
+                loads = sorted([(a & open_).bit_count() for a in adj[pos + 1:]])
                 if count > sum(loads[-unopened:]):
                     continue
         elif union != need:
             continue
         chosen[pos] = c
         compat_before[pos] = compat[c]
-        class_masks[c] |= 1 << v
+        class_masks[c] |= 1 << pos
         compat[c] = new_compat
         used = new_used
         if pos == n - 1:
@@ -713,24 +713,22 @@ def _first_feasible_level(nbrs: dict[int, list[int]], order: list[int], dominati
     is when every such level is refuted.  The bound is 1 only when
     ``order`` spans no edge, and then ``best``, its greedy coloring, has one
     class.  The vertices of ``order`` must hold all their neighbors; the
-    level search runs on their bit masks, bit k for the k-th lowest, which
+    level search runs on their bit masks, bit p for ``order[p]``, which
     are built only when a level lies below ``len(best)``."""
     low = _clique_bound(nbrs, order, len(best))
     if low >= len(best):
         return
-    ids = sorted(order)
-    bit = {v: k for k, v in enumerate(ids)}
-    adj = [sum(1 << bit[u] for u in nbrs[v]) for v in ids]
-    local = [bit[v] for v in order]
-    need = (1 << len(ids)) - 1 if dominating else 0
+    at = {v: p for p, v in enumerate(order)}
+    adj = [sum(1 << at[u] for u in nbrs[v]) for v in order]
+    need = (1 << len(order)) - 1 if dominating else 0
     for k in range(low, len(best)):
-        found = _ktdc_feasible(adj, local, k, need, search)
+        found = _ktdc_feasible(adj, k, need, search)
         if found is not None:
-            best[:] = [[ids[b] for b in _bits(mask)] for mask in found]
+            best[:] = [[order[p] for p in _bits(mask)] for mask in found]
             return
 
 
-def _tdc_search(adj: list[int], best: list[list[int]], search: _Search) -> None:
+def _tdc_search(nbrs: dict[int, list[int]], best: list[list[int]], search: _Search) -> None:
     """Minimum total dominator coloring by iterative deepening on the class
     count: ``_first_feasible_level`` with every vertex needing a witness,
     on the smallest-last order and below an incumbent, refutes each level
@@ -746,8 +744,8 @@ def _tdc_search(adj: list[int], best: list[list[int]], search: _Search) -> None:
     from it, which replaces it only with fewer classes, so a tie keeps the
     greedy coloring.  That search runs on ``search``, so its nodes count
     toward the budget; ``best`` holds the greedy incumbent before its first
-    node."""
-    nbrs = {v: list(_bits(a)) for v, a in enumerate(adj)}
+    node.  Both sets are found on ``nbrs`` as bit masks, bit v for vertex v."""
+    adj = [sum(1 << u for u in ns) for ns in nbrs.values()]
     order = _smallest_last(nbrs)
 
     def incumbent(tds: list[int]) -> list[list[int]]:
@@ -771,7 +769,7 @@ def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = Non
     excluded outright by a clique of the same size), so the value is proven.
     """
     _require_min_degree_one(g, "total dominator coloring")
-    return _solve(g, budget, _adj_masks, _tdc_search, _coloring)
+    return _solve(g, budget, _neighbors, _tdc_search, _coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -805,4 +803,4 @@ def tdtc_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult
     with a mixed-object coloring as certificate."""
     _require_min_degree_one(g, "total dominator total coloring")
     tg = total_graph(g)
-    return _solve(tg.graph, budget, _adj_masks, _tdc_search, lambda best: coloring_from_total(tg, _coloring(best)))
+    return _solve(tg.graph, budget, _neighbors, _tdc_search, lambda best: coloring_from_total(tg, _coloring(best)))

@@ -94,13 +94,25 @@ def _members(neighbors, s, complaint) -> frozenset:
     return s
 
 
+_LISTED = 10
+
+
+def _listed(items: list) -> str:
+    """``str(items)`` for an error message.  A list longer than 10 is shown
+    by its first 10 members and the count of the rest, so that a message
+    stays short however many members are wrong."""
+    if len(items) <= _LISTED:
+        return str(items)
+    return f"{items[:_LISTED]} and {len(items) - _LISTED} more"
+
+
 def _not_vertices(outside: list) -> str:
-    return f"set members {sorted(map(str, outside))} are not vertices of the graph"
+    return f"set members {_listed(sorted(map(str, outside)))} are not vertices of the graph"
 
 
 def _not_objects(outside: list) -> str:
     tokens = (format_object(o) if isinstance(o, (Vertex, Edge)) else str(o) for o in outside)
-    return f"set members {sorted(tokens)} are not objects of the graph"
+    return f"set members {_listed(sorted(tokens))} are not objects of the graph"
 
 
 def _adjacent_pairs(neighbors: dict, cls: frozenset) -> list[tuple]:
@@ -118,7 +130,7 @@ def _properness_violations(neighbors: dict, coloring: Coloring) -> list[tuple]:
         members = members.difference(impostors)
         missing = sorted(neighbors.keys() - members, key=_order)
         extra = sorted([*impostors, *(members - neighbors.keys())], key=_order)
-        raise DomainError(f"coloring does not cover the universe (missing={missing}, extra={extra})")
+        raise DomainError(f"coloring does not cover the universe (missing={_listed(missing)}, extra={_listed(extra)})")
     # only same-class neighbours are visited, so sorting touches violations alone
     violations = [
         (a, b, k) for k, cls in enumerate(coloring.classes) for a, b in _adjacent_pairs(neighbors, cls)

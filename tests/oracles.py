@@ -261,6 +261,18 @@ def coloring_of_masks(masks: list[int]) -> Coloring:
     return Coloring(tuple(frozenset(v + 1 for v in _bits(m)) for m in masks))
 
 
+def position_masks(adj: list[int], order: list[int]) -> list[int]:
+    """The bit masks ``adj`` renumbered along ``order``: entry p is the
+    neighborhood of ``order[p]``, bit q for ``order[q]``."""
+    at = {v: p for p, v in enumerate(order)}
+    return [sum(1 << at[u] for u in range(len(adj)) if adj[v] >> u & 1) for v in order]
+
+
+def masks_from_positions(masks: list[int], order: list[int]) -> list[int]:
+    """Masks over positions of ``order`` back as masks over its vertices."""
+    return [sum(1 << order[p] for p in range(len(order)) if m >> p & 1) for m in masks]
+
+
 def greedy_color_classes_masks(adj: list[int], order: list[int]) -> list[int]:
     """First fit along ``order`` on bit masks; returns class bitmasks."""
     classes: list[int] = []

@@ -111,6 +111,22 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--graph", str(f), "--invariant", "alpha")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, name, text, err", [
+        (("compute", "--graph", "{f}", "--invariant", "chi_t_d"), "digits.edges", "2 1\n\u0661 2\n",
+         "parse error: edge line must be two integers, got '\u0661 2'\n"),
+        (("compute", "--graph", "{f}", "--invariant", "gamma_t"), "digits.edges", "1_0 0\n",
+         "parse error: header must be two integers, got '1_0 0'\n"),
+        (("verify", "--family", "cycle", "--n", "5", "--kind", "tds", "{f}"), "digits.json",
+         '{"universe": "vertices", "objects": ["v\u0663", "v1"]}', "parse error: bad object token: 'v\u0663'\n"),
+    ])
+    def test_non_ascii_integers_exit_2(self, capsys, tmp_path, argv, name, text, err):
+        """Integers in inputs are ASCII decimal digits: an Arabic-Indic one
+        or an underscore, which ``int`` alone would read, is a parse error."""
+        f = tmp_path / name
+        f.write_text(text, encoding="utf-8")
+        got = run(capsys, *(a.format(f=f) for a in argv))
+        assert got == (2, "", err)
+
     def test_domain_error_exit_3(self, capsys):
         code, _, _ = run(capsys, "compute", "--family", "cycle", "--n", "2", "--invariant", "alpha")
         assert code == 3
@@ -464,6 +480,18 @@ class TestVerify:
         f.write_text(json.dumps({"universe": "vertices", "classes": [["v1"], ["v2"]]}))
         code, _, _ = run(capsys, "verify", "--family", "path", "--n", "4", "--kind", "tdc", str(f))
         assert code == 2
+
+    def test_coverage_mismatch_message_is_bounded(self, capsys, tmp_path):
+        """C_300's certificate less its largest class: the parse error names
+        10 of the 171 missing objects and counts the rest, in one short line."""
+        cert = json.loads(_export_tdtc(capsys, tmp_path, "cycle", 300).read_text())
+        cert["classes"].remove(max(cert["classes"], key=len))
+        f = tmp_path / "short.json"
+        f.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "300", "--kind", "tdtc", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: coloring does not cover the universe (missing=[Vertex(i=6), ")
+        assert err.endswith(", Vertex(i=69)] and 161 more, extra=[])\n") and len(err) < 300
 
 
 def _export_tdtc(capsys, tmp_path, family, n):

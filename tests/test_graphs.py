@@ -85,7 +85,9 @@ class TestObjects:
             assert t.parse_object(t.format_object(obj)) == obj
 
     @pytest.mark.parametrize(
-        "token", ["v", "e1", "e1_", "x3", "e2_2x", "v-1", "", "v0", "e2_2", "e0_3", None, 1, ["v1"]]
+        "token", ["v", "e1", "e1_", "x3", "e2_2x", "v-1", "", "v0", "e2_2", "e0_3", None, 1, ["v1"],
+                  # indices are ASCII digits, and only ASCII spaces surround a token
+                  "v\u0663", "e\u0661_\u0662", "v\uff13", "e1_\u0662", "\u3000v3"]
     )
     def test_bad_tokens(self, token):
         with pytest.raises(GraphParseError):
@@ -312,11 +314,25 @@ class TestSerialization:
             "3 1\n1 2 3\n",
             "-1 0\n",  # negative order
             "2 1\n1 x\n",  # non-integer endpoint
+            # integers are ASCII decimal digits, which int() alone does not require
+            "11 1\n1_0 2\n",
+            "2 1\n\u0661 2\n",
+            "2 1\n1 \uff12\n",
+            "1_0 0\n",
+            "\u0662 0\n",
+            "2 \u0661\n1 2\n",
         ],
     )
     def test_edge_list_errors(self, text):
         with pytest.raises(GraphParseError):
             t.read_edge_list(text)
+
+    def test_edge_list_signs_keep_their_handling(self):
+        assert t.read_edge_list("+2 +1\n+1 2\n") == t.path(2)
+        with pytest.raises(GraphParseError, match="nonnegative"):
+            t.read_edge_list("-1 0\n")
+        with pytest.raises(GraphParseError, match="out of range"):
+            t.read_edge_list("2 1\n-1 2\n")
 
     def test_dot_exports(self):
         dot = t.to_dot(t.path(3))

@@ -13,6 +13,8 @@ from oracles import (
     brute_chi_t_d,
     brute_gamma_t,
     coloring_of_masks,
+    masks_from_positions,
+    position_masks,
     tdc_incumbent_reference,
     tdc_masks_reference,
     total_mixed_domination_number_direct,
@@ -178,12 +180,12 @@ class TestTotalDominatorChromatic:
         |V| is feasible, and exhausting the level below an incumbent proves
         it."""
         for idx, g in enumerate(exhaustive_connected_upto5):
-            adj = _adj_masks(g)
             order = _smallest_last(_neighbors(g))
+            adj = position_masks(_adj_masks(g), order)
             for k in range(t.total_dominator_chromatic_number(g).value, g.n + 1):
-                found = _ktdc_feasible(adj, order, k, (1 << g.n) - 1, _Search(None))
+                found = _ktdc_feasible(adj, k, (1 << g.n) - 1, _Search(None))
                 assert found is not None and len(found) == k and all(found), (idx, k)
-                assert t.is_tdc(g, coloring_of_masks(found)).valid, (idx, k)
+                assert t.is_tdc(g, coloring_of_masks(masks_from_positions(found, order))).valid, (idx, k)
 
 
 class TestMixedInvariants:

@@ -274,6 +274,31 @@ class TestMembersOutsideUniverse:
             check(t.path(3))
         assert str(info.value) == message
 
+    def test_long_member_lists_show_ten_and_count_the_rest(self):
+        """C_300's certificate less its largest class misses 171 objects,
+        which the message used to list in full (3 KB on one line): each
+        list shows its first 10 members and the count of the rest."""
+        g = t.cycle(300)
+        cert = t.tdtc_certificate("cycle", 300)
+        largest = max(cert.classes, key=len)
+        assert len(largest) == 171
+        with pytest.raises(DomainError) as info:
+            t.is_tdtc(g, Coloring(tuple(c for c in cert.classes if c is not largest)))
+        head = sorted(largest, key=t.object_key)[:10]
+        assert str(info.value) == f"coloring does not cover the universe (missing={head} and 161 more, extra=[])"
+        with pytest.raises(DomainError) as info:
+            t.is_tdtc(g, Coloring((*cert.classes, frozenset(Vertex(i) for i in range(301, 312)))))
+        extra = [Vertex(i) for i in range(301, 311)]
+        assert str(info.value) == f"coloring does not cover the universe (missing=[], extra={extra} and 1 more)"
+        with pytest.raises(DomainError) as info:
+            t.is_total_dominating_set(g, range(291, 321))
+        outside = sorted(map(str, range(301, 321)))
+        assert str(info.value) == f"set members {outside[:10]} and 10 more are not vertices of the graph"
+        with pytest.raises(DomainError) as info:
+            t.is_total_mixed_dominating_set(g, [Vertex(i) for i in range(301, 312)])
+        tokens = sorted(f"v{i}" for i in range(301, 312))
+        assert str(info.value) == f"set members {tokens[:10]} and 1 more are not objects of the graph"
+
 
 class TestTdcFromTds:
     def test_p4_construction(self):
