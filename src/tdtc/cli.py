@@ -35,6 +35,8 @@ from .graphs import (
     GraphParseError,
     labels_to_json,
     line_graph,
+    quote_list,
+    quote_token,
     read_edge_list,
     to_dot,
     total_graph,
@@ -73,9 +75,9 @@ class Kind(NamedTuple):
     ``checks`` maps each universe the kind accepts to its check, and
     ``coloring`` tells a coloring certificate from an object set.  A
     dominator check returns a report; any other returns (ok, offending
-    objects), and ``label`` says what is wrong: its ``{}`` takes those
-    objects' quoted tokens joined by ", ", inside the brackets of a list of
-    uncovered objects or the parentheses of an offending pair.
+    objects), and ``label`` says what is wrong: ``{0}`` and ``{1}`` take the
+    quoted tokens of an offending pair, and ``{listed}`` the quoted list of
+    the uncovered objects' tokens.
     """
 
     checks: dict
@@ -86,13 +88,13 @@ class Kind(NamedTuple):
 _V, _M = verify.VERTEX_UNIVERSE, verify.MIXED_UNIVERSE
 KINDS = {
     "proper": Kind({_V: verify.is_proper_coloring, _M: verify.is_proper_total_coloring},
-                   "monochromatic adjacent pair: ({})", coloring=True),
-    "tds": Kind({_V: verify.is_total_dominating_set}, "uncovered vertices: [{}]", coloring=False),
+                   "monochromatic adjacent pair: ({0}, {1})", coloring=True),
+    "tds": Kind({_V: verify.is_total_dominating_set}, "uncovered vertices: {listed}", coloring=False),
     "tdc": Kind({_V: verify.is_tdc}, None, coloring=True),
     "tdtc": Kind({_M: verify.is_tdtc}, None, coloring=True),
-    "tmds": Kind({_M: verify.is_total_mixed_dominating_set}, "uncovered objects: [{}]", coloring=False),
-    "independent": Kind({_V: verify.is_independent_set}, "adjacent pair in set: ({})", coloring=False),
-    "mixed-independent": Kind({_M: verify.is_mixed_independent_set}, "adjacent or incident pair in set: ({})",
+    "tmds": Kind({_M: verify.is_total_mixed_dominating_set}, "uncovered objects: {listed}", coloring=False),
+    "independent": Kind({_V: verify.is_independent_set}, "adjacent pair in set: ({0}, {1})", coloring=False),
+    "mixed-independent": Kind({_M: verify.is_mixed_independent_set}, "adjacent or incident pair in set: ({0}, {1})",
                               coloring=False),
 }
 
@@ -158,7 +160,7 @@ def _budget(args) -> solvers.SearchBudget:
 def _family_range(args) -> range:
     """The orders ``--from``..``--to``; an empty range is a domain error."""
     if args.from_n > args.to_n:
-        raise DomainError(f"empty range {args.from_n}..{args.to_n}")
+        raise DomainError(f"empty range {quote_token(args.from_n)}..{quote_token(args.to_n)}")
     return range(args.from_n, args.to_n + 1)
 
 
@@ -244,20 +246,29 @@ def _check(kind: str, universe: str, g: Graph, cert) -> str:
             return f"object {token(result.undominated[0])} dominates no color class"
         return ""
     ok, bad = result
-    return "" if ok else spec.label.format(", ".join(repr(token(o)) for o in bad))
+    if ok:
+        return ""
+    tokens = [token(o) for o in bad]
+    return spec.label.format(*map(quote_token, tokens), listed=quote_list(tokens))
 
 
 def _closed_form(inv: Invariant, family: str, n: int, g: Graph) -> tuple:
     """(formula value, certificate, what is wrong) of a family instance
     ``g``: the certificate is constructed, checked as its kind is, and its
     size compared with the formula value; what is wrong is "" when nothing
-    is.  ``compute`` and every ``sweep`` row report what this finds."""
+    is.  ``compute``, every ``sweep`` row and every ``ratio`` row report
+    what this finds."""
     fv = inv.formula(family, n)
     cert = inv.construct(family, n)
     detail = _check(inv.kind, inv.universe, g, cert)
     if not detail and _size(cert) != fv.value:
         detail = f"certificate size {_size(cert)}, formula value {fv.value}"
     return fv, cert, detail
+
+
+def _closed_form_failed(name: str, detail: str) -> int:
+    print(f"closed-form certificate failed verification for {name}: {detail}", file=sys.stderr)
+    return EXIT_FAIL
 
 
 def cmd_compute(args) -> int:
@@ -270,8 +281,7 @@ def cmd_compute(args) -> int:
         family, n = family_info
         fv, cert, detail = _closed_form(inv, family, n, g)
         if detail:
-            print(f"closed-form certificate failed verification for {name}: {detail}", file=sys.stderr)
-            return EXIT_FAIL
+            return _closed_form_failed(name, detail)
         payload.update(value=fv.value, route="closed-form", case=fv.case_tag, proven_optimal=True,
                        certificate=_certificate_json(inv.universe, cert, inv.provenance(family, n)))
     else:
@@ -311,12 +321,12 @@ def cmd_verify(args) -> int:
     cert_kind, universe, payload = verify.load_certificate(_read_file(args.certificate))
 
     if spec.coloring and cert_kind != "coloring":
-        raise GraphParseError(f"kind {kind!r} needs a coloring certificate, got an object set")
+        raise GraphParseError(f"kind {quote_token(kind)} needs a coloring certificate, got an object set")
     if not spec.coloring and cert_kind != "set":
-        raise GraphParseError(f"kind {kind!r} needs an object-set certificate, got a coloring")
+        raise GraphParseError(f"kind {quote_token(kind)} needs an object-set certificate, got a coloring")
     if universe not in spec.checks:
         (needed,) = spec.checks
-        raise GraphParseError(f"kind {kind!r} needs universe {needed!r}")
+        raise GraphParseError(f"kind {quote_token(kind)} needs universe {quote_token(needed)}")
 
     try:
         detail = _check(kind, universe, g, payload)
@@ -401,9 +411,11 @@ def cmd_ratio(args) -> int:
     budget = _budget(args)
     rows = []
     for n in orders:
-        chi_tt = cf.chi_tt(args.family, n).value
         g = cf.FamilyInstance(args.family, n).graph()
-        rows.append((n, chi_tt, _proven_value(INVARIANTS["chi_t_d"], g, budget)))
+        fv, _, detail = _closed_form(INVARIANTS["chi_tt_d"], args.family, n, g)
+        if detail:
+            return _closed_form_failed(f"{args.family}({n})", detail)
+        rows.append((n, fv.value, _proven_value(INVARIANTS["chi_t_d"], g, budget)))
     if args.format == "csv":
         lines = ["family,n,chi_tt_d,chi_t_d,ratio"]
         for n, a, b in rows:

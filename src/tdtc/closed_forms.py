@@ -41,6 +41,7 @@ from .graphs import (
     cycle,
     parse_object,
     path,
+    quote_token,
     total_graph,
 )
 from .verify import tdc_from_tds
@@ -60,10 +61,10 @@ class FamilyInstance:
 
     def __post_init__(self) -> None:
         if self.family not in (CYCLE, PATH):
-            raise DomainError(f"unknown family {self.family!r}")
+            raise DomainError(f"unknown family {quote_token(self.family)}")
         low = 3 if self.family == CYCLE else 2
         if self.n < low:
-            raise DomainError(f"{self.family} requires n >= {low}, got {self.n}")
+            raise DomainError(f"{self.family} requires n >= {low}, got {quote_token(self.n)}")
 
     def graph(self) -> Graph:
         return cycle(self.n) if self.family == CYCLE else path(self.n)

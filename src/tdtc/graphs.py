@@ -10,6 +10,14 @@ back to the objects of the base graph: ``Coloring``, the ordered partition
 every coloring certificate uses, and ``coloring_to_total`` /
 ``coloring_from_total``, which carry one across the total graph's labels.
 
+``quote_token`` and ``quote_list`` are the one place the package decides
+how an error message shows a value it was given: a value by its first 40
+characters and its length, a list by its first 10 members and the count
+of the rest.  A ``GraphParseError`` or ``DomainError`` that repeats a
+value from a file or a free-form argument shows it through one of them;
+the one exception is the file path of ``cli``'s ``cannot read`` and
+``cannot write`` messages.
+
 The mixed objects ``Vertex`` and ``Edge`` are tuple subclasses, ``(i,)``
 and ``(i, j)``, so that sets and dicts of them hash and compare in C.
 
@@ -58,7 +66,7 @@ class Vertex(tuple):
 
     def __new__(cls, i: int) -> Vertex:
         if i < 1:
-            raise DomainError(f"vertex index must be >= 1, got {i}")
+            raise DomainError(f"vertex index must be >= 1, got {quote_token(i)}")
         return _new_tuple(cls, (i,))
 
     i = property(operator.itemgetter(0), doc="The vertex index, >= 1.")
@@ -83,11 +91,11 @@ class Edge(tuple):
 
     def __new__(cls, i: int, j: int) -> Edge:
         if i == j:
-            raise DomainError(f"self-loop edge ({i},{j}) is not allowed")
+            raise DomainError(f"self-loop edge ({quote_token(i)},{quote_token(j)}) is not allowed")
         if i > j:
             i, j = j, i
         if i < 1:
-            raise DomainError(f"edge endpoints must be >= 1, got ({i},{j})")
+            raise DomainError(f"edge endpoints must be >= 1, got ({quote_token(i)},{quote_token(j)})")
         return _new_tuple(cls, (i, j))
 
     i = property(operator.itemgetter(0), doc="The lower endpoint.")
@@ -121,19 +129,30 @@ _OBJECT_RE = re.compile(r"(?:v([0-9]+)|e([0-9]+)_([0-9]+))")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())  # what str.strip() takes, in ASCII
 _QUOTED_CHARS = 40
+_QUOTED_MEMBERS = 10
 
 
 def quote_token(token) -> str:
     """``repr(token)`` for an error message.  A string token longer than 40
     characters is quoted by its first 40 and its length, and the repr of a
-    non-string is cut the same way, so that one bad token cannot fill a
-    screen."""
+    non-string, an int's digits for one, is cut the same way, so that one
+    bad token cannot fill a screen."""
     if isinstance(token, str):
         head, size = repr(token[:_QUOTED_CHARS]), len(token)
     else:
         text = repr(token)
         head, size = text[:_QUOTED_CHARS], len(text)
     return head if size <= _QUOTED_CHARS else f"{head}... ({size} characters)"
+
+
+def quote_list(items: list) -> str:
+    """``str(items)`` for an error message, each member shown as
+    ``quote_token`` shows it.  A list longer than 10 is shown by its first
+    10 members and the count of the rest, so that a message stays short
+    however many members are wrong."""
+    shown = f"[{', '.join(map(quote_token, items[:_QUOTED_MEMBERS]))}]"
+    rest = len(items) - _QUOTED_MEMBERS
+    return shown if rest <= 0 else f"{shown} and {rest} more"
 
 
 def parse_object(token: str) -> ObjectId:
@@ -172,16 +191,16 @@ class Graph:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise DomainError(f"vertex count must be >= 0, got {self.n}")
+            raise DomainError(f"vertex count must be >= 0, got {quote_token(self.n)}")
         canon = set()
         for pair in self.edges:
             i, j = pair
             if i == j:
-                raise DomainError(f"self-loop ({i},{j}) is not allowed")
+                raise DomainError(f"self-loop ({quote_token(i)},{quote_token(j)}) is not allowed")
             if i > j:
                 i, j = j, i
             if not (1 <= i < j <= self.n):
-                raise DomainError(f"edge ({i},{j}) out of range for n={self.n}")
+                raise DomainError(f"edge ({quote_token(i)},{quote_token(j)}) out of range for n={quote_token(self.n)}")
             canon.add((i, j))
         object.__setattr__(self, "edges", frozenset(canon))
 
@@ -223,7 +242,7 @@ class Graph:
 def cycle(n: int) -> Graph:
     """The cycle v_1 v_2 ... v_n v_1; the wrap edge is canonicalized as (1, n)."""
     if n < 3:
-        raise DomainError(f"a cycle needs n >= 3 vertices, got {n}")
+        raise DomainError(f"a cycle needs n >= 3 vertices, got {quote_token(n)}")
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     return Graph(n, frozenset(edges))
 
@@ -231,7 +250,7 @@ def cycle(n: int) -> Graph:
 def path(n: int) -> Graph:
     """The path v_1 v_2 ... v_n."""
     if n < 2:
-        raise DomainError(f"a path needs n >= 2 vertices, got {n}")
+        raise DomainError(f"a path needs n >= 2 vertices, got {quote_token(n)}")
     return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
 
 
@@ -244,7 +263,7 @@ def induced_subgraph(g: Graph, keep: set[int] | frozenset[int]) -> tuple[Graph, 
     keep = set(keep)
     bad = [v for v in keep if not (1 <= v <= g.n)]
     if bad:
-        raise DomainError(f"vertices {sorted(bad)} out of range for n={g.n}")
+        raise DomainError(f"vertices {quote_list(sorted(bad))} out of range for n={quote_token(g.n)}")
     old = tuple(sorted(keep))
     new_of = {v: k + 1 for k, v in enumerate(old)}
     edges = [(new_of[i], new_of[j]) for (i, j) in g.edges if i in keep and j in keep]
@@ -416,32 +435,32 @@ def read_edge_list(text: str) -> Graph:
         raise GraphParseError("empty edge-list input")
     head = lines[0].split()
     if len(head) != 2:
-        raise GraphParseError(f"header must be 'n m', got {lines[0]!r}")
+        raise GraphParseError(f"header must be 'n m', got {quote_token(lines[0])}")
     try:
         n, m = _ascii_int(head[0]), _ascii_int(head[1])
     except ValueError as exc:
-        raise GraphParseError(f"header must be two integers, got {lines[0]!r}") from exc
+        raise GraphParseError(f"header must be two integers, got {quote_token(lines[0])}") from exc
     if n < 0 or m < 0:
-        raise GraphParseError(f"header values must be nonnegative, got {lines[0]!r}")
+        raise GraphParseError(f"header values must be nonnegative, got {quote_token(lines[0])}")
     if len(lines) - 1 != m:
-        raise GraphParseError(f"expected {m} edge lines, found {len(lines) - 1}")
+        raise GraphParseError(f"expected {quote_token(m)} edge lines, found {len(lines) - 1}")
     seen: set[tuple[int, int]] = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphParseError(f"edge line must be 'i j', got {ln!r}")
+            raise GraphParseError(f"edge line must be 'i j', got {quote_token(ln)}")
         try:
             i, j = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError as exc:
-            raise GraphParseError(f"edge line must be two integers, got {ln!r}") from exc
+            raise GraphParseError(f"edge line must be two integers, got {quote_token(ln)}") from exc
         if i == j:
-            raise GraphParseError(f"self-loop {ln!r} is not allowed")
+            raise GraphParseError(f"self-loop {quote_token(ln)} is not allowed")
         if i > j:
             i, j = j, i
         if not (1 <= i < j <= n):
-            raise GraphParseError(f"edge ({i},{j}) out of range for n={n}")
+            raise GraphParseError(f"edge ({quote_token(i)},{quote_token(j)}) out of range for n={quote_token(n)}")
         if (i, j) in seen:
-            raise GraphParseError(f"duplicate edge ({i},{j})")
+            raise GraphParseError(f"duplicate edge ({quote_token(i)},{quote_token(j)})")
         seen.add((i, j))
     return Graph(n, frozenset(seen))
 

@@ -28,7 +28,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .graphs import Coloring, DomainError, Graph, coloring_from_total, total_graph
+from .graphs import Coloring, DomainError, Graph, coloring_from_total, quote_token, total_graph
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SearchBudget:
         for name in ("max_nodes", "max_time"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # also true for NaN
-                raise DomainError(f"{name} must be non-negative, got {value}")
+                raise DomainError(f"{name} must be non-negative, got {quote_token(value)}")
 
 
 @dataclass(frozen=True)

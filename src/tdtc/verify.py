@@ -28,6 +28,7 @@ from .graphs import (
     mixed_neighbors,
     object_key,
     parse_object,
+    quote_list,
     quote_token,
 )
 from .solvers import minimum_coloring
@@ -94,25 +95,13 @@ def _members(neighbors, s, complaint) -> frozenset:
     return s
 
 
-_LISTED = 10
-
-
-def _listed(items: list) -> str:
-    """``str(items)`` for an error message.  A list longer than 10 is shown
-    by its first 10 members and the count of the rest, so that a message
-    stays short however many members are wrong."""
-    if len(items) <= _LISTED:
-        return str(items)
-    return f"{items[:_LISTED]} and {len(items) - _LISTED} more"
-
-
 def _not_vertices(outside: list) -> str:
-    return f"set members {_listed(sorted(map(str, outside)))} are not vertices of the graph"
+    return f"set members {quote_list(sorted(map(str, outside)))} are not vertices of the graph"
 
 
 def _not_objects(outside: list) -> str:
     tokens = (format_object(o) if isinstance(o, (Vertex, Edge)) else str(o) for o in outside)
-    return f"set members {_listed(sorted(tokens))} are not objects of the graph"
+    return f"set members {quote_list(sorted(tokens))} are not objects of the graph"
 
 
 def _adjacent_pairs(neighbors: dict, cls: frozenset) -> list[tuple]:
@@ -130,7 +119,9 @@ def _properness_violations(neighbors: dict, coloring: Coloring) -> list[tuple]:
         members = members.difference(impostors)
         missing = sorted(neighbors.keys() - members, key=_order)
         extra = sorted([*impostors, *(members - neighbors.keys())], key=_order)
-        raise DomainError(f"coloring does not cover the universe (missing={_listed(missing)}, extra={_listed(extra)})")
+        raise DomainError(
+            f"coloring does not cover the universe (missing={quote_list(missing)}, extra={quote_list(extra)})"
+        )
     # only same-class neighbours are visited, so sorting touches violations alone
     violations = [
         (a, b, k) for k, cls in enumerate(coloring.classes) for a, b in _adjacent_pairs(neighbors, cls)
@@ -207,7 +198,9 @@ def common_neighborhood(g: Graph, cls) -> frozenset[int]:
     Since no vertex is adjacent to itself, a member of ``cls`` never appears.
     The empty set has every vertex as a common neighbor.
     """
-    cls = _members(g.adj, cls, lambda bad: f"vertices {sorted(bad, key=_order)} out of range for n={g.n}")
+    cls = _members(
+        g.adj, cls, lambda bad: f"vertices {quote_list(sorted(bad, key=_order))} out of range for n={quote_token(g.n)}"
+    )
     if not cls:
         return frozenset(g.vertices)
     return reduce(frozenset.intersection, (g.adj[v] for v in cls))
@@ -284,7 +277,7 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
             covered[i] = 1
     uncovered = [v for v in g.vertices if not covered[v]]
     if uncovered:
-        raise DomainError(f"not a total dominating set, uncovered vertices: {uncovered}")
+        raise DomainError(f"not a total dominating set, uncovered vertices: {quote_list(uncovered)}")
     singletons = [frozenset([v]) for v in sorted(s)]
     return Coloring(tuple(singletons) + tuple(map(frozenset, minimum_coloring(rest))))
 
@@ -305,7 +298,7 @@ def member_token(obj, universe: str) -> str:
         return format_object(obj)
     if universe == VERTEX_UNIVERSE and type(obj) is int and obj >= 1:
         return f"v{obj}"
-    raise DomainError(f"{obj!r} is not a member of the {universe!r} universe")
+    raise DomainError(f"{quote_token(obj)} is not a member of the {quote_token(universe)} universe")
 
 
 def _parse_member(token: str, mixed: bool):
@@ -359,7 +352,7 @@ def certificate_from_json(data) -> tuple[str, object]:
         raise GraphParseError("certificate must be a JSON object")
     universe = data.get("universe")
     if universe not in (VERTEX_UNIVERSE, MIXED_UNIVERSE):
-        raise GraphParseError(f"bad universe: {universe!r}")
+        raise GraphParseError(f"bad universe: {quote_token(universe)}")
     mixed = universe == MIXED_UNIVERSE
     if ("classes" in data) == ("objects" in data):
         raise GraphParseError("certificate must have exactly one of 'classes' or 'objects'")
@@ -384,7 +377,7 @@ def _unique_keys(pairs: list) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise GraphParseError(f"repeated key {key!r}")
+            raise GraphParseError(f"repeated key {quote_token(key)}")
         data[key] = value
     return data
 

@@ -651,6 +651,20 @@ class TestRatio:
         code, out, err = run(capsys, "ratio", "--family", "path", "--from", "6", "--to", "5")
         assert (code, out, err) == (3, "", "domain error: empty range 6..5\n")
 
+    def test_failed_closed_form_certificate_exit_1(self, capsys, monkeypatch):
+        """The chi_tt_d column is a checked closed-form value, as in ``compute``:
+        a construction one class short of the formula fails the run."""
+        record = cli.INVARIANTS["chi_tt_d"]
+
+        def one_class_short(family, n):
+            classes = record.construct(family, n).classes
+            return Coloring((classes[0] | classes[1], *classes[2:]))
+
+        monkeypatch.setitem(cli.INVARIANTS, "chi_tt_d", record._replace(construct=one_class_short))
+        code, out, err = run(capsys, "ratio", "--family", "path", "--from", "4", "--to", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("closed-form certificate failed verification for path(4): ")
+
 
 class TestExport:
     def test_graph_edges_round_trip(self, capsys):
@@ -732,6 +746,52 @@ class TestExport:
     def test_graph_exports_reject_json(self, capsys, what):
         code, out, err = run(capsys, "export", "--family", "path", "--n", "4", "--what", what, "--format", "json")
         assert (code, out, err) == (3, "", f"domain error: --what {what} supports --format edges or dot\n")
+
+
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, field, length, limit",
+    [
+        pytest.param(("verify", "--family", "cycle", "--n", "300", "--kind", "tds", "{f}"),
+                     '{"universe": "vertices", "objects": ["v1"]}', 1, "uncovered vertices: ", " and 288 more",
+                     200, id="uncovered-list"),
+        pytest.param(("compute", "--invariant", "chi_tt_d", "--graph", "{f}"), "9" * 5000 + "\n",
+                     2, "header must be 'n m'", "(5000 characters)", 200, id="header"),
+        pytest.param(("compute", "--invariant", "chi_tt_d", "--graph", "{f}"), "3 1\n1 2 " + "x" * 5000 + "\n",
+                     2, "edge line must be 'i j'", "(5004 characters)", 200, id="edge-line"),
+        pytest.param(("compute", "--invariant", "chi_tt_d", "--graph", "{f}"), f"3 1\n1 {NINES}\n",
+                     2, "edge (1,", "(4000 characters)) out of range", 200, id="endpoint"),
+        pytest.param(("verify", "--family", "cycle", "--n", "5", "--kind", "tds", "{f}"),
+                     '{"universe": "vertices", "%s": 1, "%s": 2}' % ("k" * 5000, "k" * 5000),
+                     2, "repeated key", "(5000 characters)", 200, id="key"),
+        pytest.param(("verify", "--family", "cycle", "--n", "5", "--kind", "tds", "{f}"),
+                     '{"universe": "%s", "objects": []}' % ("u" * 5000), 2, "bad universe", "(5000 characters)",
+                     200, id="universe"),
+        pytest.param(("verify", "--family", "cycle", "--n", "5", "--kind", "tmds", "{f}"),
+                     '{"universe": "mixed", "objects": ["e%s_%s"]}' % (NINES, NINES),
+                     2, "self-loop edge", "(4000 characters)", 260, id="self-loop-token"),
+        pytest.param(("compute", "--family", "cycle", "--n", f"-{NINES}", "--invariant", "chi_tt_d"), None,
+                     3, "cycle requires n >= 3", "(4001 characters)", 200, id="order"),
+        pytest.param(("sweep", "--family", "cycle", "--from", NINES, "--to", "5"), None,
+                     3, "empty range", "(4000 characters)..5", 200, id="range"),
+    ],
+)
+def test_long_input_message_is_bounded(capsys, tmp_path, argv, text, code, field, length, limit):
+    """A message that repeats a long value from the input shows its head and
+    its length, and a long list its first 10 members and the count of the
+    rest: each of these once printed the whole value, 2 to 8 KB.  The
+    self-loop token's message nests three quoted values (the token and the
+    edge's two indices), so its bound is 260 bytes, not 200."""
+    f = tmp_path / "input"
+    if text is not None:
+        f.write_text(text)
+    got, out, err = run(capsys, *(a.format(f=f) for a in argv))
+    message = out + err
+    assert got == code and "" in (out, err)
+    assert len(message.encode()) <= limit
+    assert field in message and length in message
 
 
 def test_module_entry_point():

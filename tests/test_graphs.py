@@ -7,7 +7,8 @@ import pytest
 
 import tdtc as t
 from oracles import objects_adjacent
-from tdtc import DomainError, Edge, Graph, GraphParseError, Vertex
+from tdtc import DomainError, Edge, Graph, GraphParseError, SearchBudget, Vertex
+from tdtc.graphs import quote_list
 
 
 def complete(n):
@@ -74,6 +75,33 @@ class TestGraphType:
         assert g.degree(1) == 1
 
 
+HUGE = 10 ** 3000  # 3,001 digits
+HUGE_QUOTED = f"1{'0' * 39}... (3001 characters)"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Graph(3, [(1, HUGE)]), f"edge (1,{HUGE_QUOTED}) out of range for n=3"),
+        (lambda: Graph(-HUGE, ()), f"vertex count must be >= 0, got -1{'0' * 38}... (3002 characters)"),
+        (lambda: Edge(HUGE, HUGE), f"self-loop edge ({HUGE_QUOTED},{HUGE_QUOTED}) is not allowed"),
+        (lambda: Vertex(-HUGE), f"vertex index must be >= 1, got -1{'0' * 38}... (3002 characters)"),
+        (lambda: t.induced_subgraph(t.cycle(300), range(301, 700)),
+         f"vertices {list(range(301, 311))} and 389 more out of range for n=300"),
+        (lambda: t.FamilyInstance("f" * 5000, 5), f"unknown family {'f' * 40!r}... (5000 characters)"),
+        (lambda: SearchBudget(max_nodes=-HUGE),
+         f"max_nodes must be non-negative, got -1{'0' * 38}... (3002 characters)"),
+    ],
+    ids=["graph-edge", "graph-order", "edge", "vertex", "induced-subgraph", "family", "budget"],
+)
+def test_long_values_in_messages_are_quoted(make, message):
+    """A DomainError shows a long value by its head and length, and a long
+    list by 10 members and the count of the rest; each once printed it whole."""
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
 class TestObjects:
     def test_edge_canonicalization_idempotent(self):
         assert Edge(4, 3) == Edge(3, 4)
@@ -112,6 +140,15 @@ class TestObjects:
         with pytest.raises(GraphParseError) as info:
             t.parse_object(["v1"] * 100)
         assert str(info.value) == "bad object token: ['v1', 'v1', 'v1', 'v1', 'v1', 'v1', 'v1... (600 characters)"
+
+    def test_quote_list_shows_ten_members_each_quoted(self):
+        """Up to 10 members print as ``str`` prints the list; beyond, the
+        count of the rest follows, and each member is cut as ``quote_token``
+        cuts it."""
+        assert quote_list([1, "v2", Vertex(3)]) == str([1, "v2", Vertex(3)])
+        assert quote_list(list(range(10))) == str(list(range(10)))
+        assert quote_list(list(range(12))) == f"{list(range(10))} and 2 more"
+        assert quote_list(["x" * 41]) == f"[{'x' * 40!r}... (41 characters)]"
 
 
 class TestObjectContract:

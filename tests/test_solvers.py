@@ -536,3 +536,16 @@ def test_no_self_check_vanishes_under_optimization():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
                 stripped.append(f"{path.stem}:{node.lineno}")
     assert stripped == []
+
+
+def test_no_message_repeats_a_raw_repr():
+    """No f-string in a library ``raise`` uses ``!r``: a message shows a
+    value it was given through ``graphs.quote_token`` or ``quote_list``,
+    which bound its length, not through a repr as long as the input."""
+    raw = []
+    for path in sorted(Path(t.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                raw += [f"{path.stem}:{value.lineno}" for value in ast.walk(node)
+                        if isinstance(value, ast.FormattedValue) and value.conversion == ord("r")]
+    assert raw == []

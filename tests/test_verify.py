@@ -298,6 +298,13 @@ class TestMembersOutsideUniverse:
             t.is_total_mixed_dominating_set(g, [Vertex(i) for i in range(301, 312)])
         tokens = sorted(f"v{i}" for i in range(301, 312))
         assert str(info.value) == f"set members {tokens[:10]} and 1 more are not objects of the graph"
+        with pytest.raises(DomainError) as info:
+            t.common_neighborhood(g, range(301, 700))
+        assert str(info.value) == f"vertices {list(range(301, 311))} and 389 more out of range for n=300"
+        with pytest.raises(DomainError) as info:
+            t.tdc_from_tds(g, {1})
+        uncovered = [1, *range(3, 12)]
+        assert str(info.value) == f"not a total dominating set, uncovered vertices: {uncovered} and 288 more"
 
 
 class TestTdcFromTds:
@@ -408,3 +415,8 @@ class TestCertificateJson:
             t.coloring_to_json(Coloring(({member},)), universe)
         with pytest.raises(DomainError, match=f"^{message}$"):
             t.object_set_to_json({member}, universe)
+
+    def test_long_foreign_member_is_quoted(self):
+        with pytest.raises(DomainError) as info:
+            t.object_set_to_json({"x" * 5000}, t.MIXED_UNIVERSE)
+        assert str(info.value) == f"{'x' * 40!r}... (5000 characters) is not a member of the 'mixed' universe"
