@@ -186,18 +186,24 @@ def _graph_source(args) -> tuple[Graph, str, tuple[str, int] | None]:
     raise GraphParseError("a graph source is required (--family/--n or --graph)")
 
 
+def _reason(exc: Exception) -> str:
+    """Why a file could not be read or written, without the path: an
+    ``OSError``'s text repeats the path its message already shows."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _read_file(path_str: str) -> str:
     try:
         return Path(path_str).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise GraphParseError(f"cannot read {path_str}: {exc}") from exc
+        raise GraphParseError(f"cannot read {path_str}: {_reason(exc)}") from exc
 
 
 def _write_file(path_str: str, text: str) -> None:
     try:
         Path(path_str).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise GraphParseError(f"cannot write {path_str}: {exc}") from exc
+        raise GraphParseError(f"cannot write {path_str}: {_reason(exc)}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:

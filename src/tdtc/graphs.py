@@ -18,6 +18,15 @@ value from a file or a free-form argument shows it through one of them;
 the one exception is the file path of ``cli``'s ``cannot read`` and
 ``cannot write`` messages.
 
+Input from outside is validated once, where it enters, and data the
+library built is not checked again.  ``Graph(n, edges)``, ``Vertex``,
+``Edge``, ``parse_object`` and ``read_edge_list`` check everything they are
+given.  ``cycle``, ``path``, ``induced_subgraph`` and ``total_graph`` build
+edges canonical and in range, and ``read_edge_list`` has checked each one,
+so they make their graphs through ``Graph._of``, which checks nothing;
+``mixed_objects`` and ``mixed_neighbors`` build the objects of a graph,
+valid by then, without the checks of ``Vertex`` and ``Edge``.
+
 The mixed objects ``Vertex`` and ``Edge`` are tuple subclasses, ``(i,)``
 and ``(i, j)``, so that sets and dicts of them hash and compare in C.
 
@@ -189,6 +198,15 @@ class Graph:
     n: int
     edges: frozenset[tuple[int, int]]
 
+    @classmethod
+    def _of(cls, n: int, edges: frozenset[tuple[int, int]]) -> Graph:
+        """The graph on ``edges`` as given: every pair already (i, j) with
+        1 <= i < j <= n, as the library's own constructions build them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     def __post_init__(self) -> None:
         if self.n < 0:
             raise DomainError(f"vertex count must be >= 0, got {quote_token(self.n)}")
@@ -244,14 +262,14 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise DomainError(f"a cycle needs n >= 3 vertices, got {quote_token(n)}")
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph(n, frozenset(edges))
+    return Graph._of(n, frozenset(edges))
 
 
 def path(n: int) -> Graph:
     """The path v_1 v_2 ... v_n."""
     if n < 2:
         raise DomainError(f"a path needs n >= 2 vertices, got {quote_token(n)}")
-    return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
+    return Graph._of(n, frozenset((i, i + 1) for i in range(1, n)))
 
 
 def induced_subgraph(g: Graph, keep: set[int] | frozenset[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -267,7 +285,8 @@ def induced_subgraph(g: Graph, keep: set[int] | frozenset[int]) -> tuple[Graph, 
     old = tuple(sorted(keep))
     new_of = {v: k + 1 for k, v in enumerate(old)}
     edges = [(new_of[i], new_of[j]) for (i, j) in g.edges if i in keep and j in keep]
-    return Graph(len(old), frozenset(edges)), old
+    # new_of keeps the order of vertices, so each pair stays canonical
+    return Graph._of(len(old), frozenset(edges)), old
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +351,17 @@ def total_graph(g: Graph) -> TotalGraph:
     """Total graph of g: objects are V union E, adjacent when adjacent or incident in g."""
     labels = mixed_objects(g)
     tedges: set[tuple[int, int]] = set(g.edges)
-    incident: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for k, e in enumerate(labels[g.n:], g.n + 1):
-        tedges.add((e.i, k))
-        tedges.add((e.j, k))
-        incident[e.i].append(k)
-        incident[e.j].append(k)
-    for ids in incident.values():
+    incident: list[list[int]] = [[] for _ in range(g.n + 1)]
+    # edge k > n comes after both its endpoints and incident lists grow in
+    # k order, so every pair added here is canonical
+    for k, (i, j) in enumerate(labels[g.n:], g.n + 1):
+        tedges.add((i, k))
+        tedges.add((j, k))
+        incident[i].append(k)
+        incident[j].append(k)
+    for ids in incident:
         tedges.update(itertools.combinations(ids, 2))
-    return TotalGraph(Graph(len(labels), frozenset(tedges)), labels)
+    return TotalGraph(Graph._of(len(labels), frozenset(tedges)), labels)
 
 
 def coloring_to_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
@@ -376,9 +397,19 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
 # reduction to the total graph.
 
 
+def _vertices(g: Graph) -> list[Vertex]:
+    """``Vertex(i)`` for i in 1..n, built in C: a valid graph's indices need no check."""
+    return list(map(_new_tuple, itertools.repeat(Vertex), zip(g.vertices)))
+
+
+def _edges(pairs: list[tuple[int, int]]) -> list[Edge]:
+    """``Edge(i, j)`` for each canonical pair of a valid graph, built in C."""
+    return list(map(_new_tuple, itertools.repeat(Edge), pairs))
+
+
 def mixed_objects(g: Graph) -> tuple[ObjectId, ...]:
     """All objects of g in canonical order: vertices, then edges lexicographic."""
-    return tuple(Vertex(i) for i in g.vertices) + tuple(Edge(*e) for e in g.sorted_edges())
+    return (*_vertices(g), *_edges(g.sorted_edges()))
 
 
 def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
@@ -387,21 +418,25 @@ def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
     Keys come in canonical object order.  Each object is built once and the
     same instance appears as a key and in every neighbor set.  Objects hash
     and compare as tuples, so set operations on the map run in C whether or
-    not two equal objects are the same instance.  An edge's set is built
+    not two equal objects are the same instance.  A vertex's set is built
+    from its neighbours in ascending order and then its edges, an edge's
     from its endpoints and then the other edges at each endpoint, in that
-    order, which fixes the set's iteration order.
+    order, which fixes the sets' iteration order.
     """
-    vertex = [None, *map(Vertex, g.vertices)]
+    vertex = [None, *_vertices(g)]
     pairs = g.sorted_edges()
-    edges = [Edge(i, j) for i, j in pairs]
+    edges = _edges(pairs)
+    near: list[list[Vertex]] = [[] for _ in vertex]
     incident: list[list[Edge]] = [[] for _ in vertex]
     for (i, j), e in zip(pairs, edges):
+        near[i].append(vertex[j])
+        near[j].append(vertex[i])
         incident[i].append(e)
         incident[j].append(e)
 
     nbrs: dict[ObjectId, frozenset[ObjectId]] = {}
-    for v, nbr in g.adj.items():
-        nbrs[vertex[v]] = frozenset([*map(vertex.__getitem__, nbr), *incident[v]])
+    for v in g.vertices:
+        nbrs[vertex[v]] = frozenset([*near[v], *incident[v]])
     for (i, j), e in zip(pairs, edges):
         out = [vertex[i], vertex[j], *incident[i], *incident[j]]
         out.remove(e)  # from incident[i]
@@ -462,7 +497,7 @@ def read_edge_list(text: str) -> Graph:
         if (i, j) in seen:
             raise GraphParseError(f"duplicate edge ({quote_token(i)},{quote_token(j)})")
         seen.add((i, j))
-    return Graph(n, frozenset(seen))
+    return Graph._of(n, frozenset(seen))
 
 
 def write_edge_list(g: Graph) -> str:

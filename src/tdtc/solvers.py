@@ -92,7 +92,9 @@ class _Search:
 
 
 def _require_min_degree_one(g: Graph, what: str) -> None:
-    if g.n == 0 or g.min_degree < 1:
+    # an edge covers two vertices, so fewer than n/2 edges leave one isolated:
+    # that needs no adjacency, which a huge edgeless header would make costly
+    if g.n == 0 or 2 * g.m < g.n or g.min_degree < 1:
         raise DomainError(f"{what} requires positive minimum degree")
 
 

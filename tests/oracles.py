@@ -31,7 +31,10 @@ counts compare one to one with the library's single rule; beside it
 stands the library's former body of that search, which rescanned the free
 vertices from the lowest after every vertex a reduction took.  And the
 former body of ``tdc_from_tds``: the induced subgraph of the vertices
-outside the set, relabelled and colored by ``chromatic_number``.
+outside the set, relabelled and colored by ``chromatic_number``; and the
+former body of ``mixed_neighbors``, which builds every object through the
+checking ``Vertex``/``Edge`` constructors and reads vertex neighbours from
+``Graph.adj``.
 """
 
 from itertools import combinations
@@ -625,3 +628,25 @@ def tdc_from_tds_reference(g: Graph, s) -> Coloring:
     sub_classes = chromatic_number(sub).certificate.classes
     mapped = [frozenset(old[v - 1] for v in cls) for cls in sub_classes]
     return Coloring(tuple(singletons) + tuple(mapped))
+
+
+def mixed_neighbors_reference(g: Graph) -> dict:
+    """The former body of ``graphs.mixed_neighbors``: objects built by
+    ``Vertex``/``Edge``, vertex neighbours read from ``g.adj``."""
+    vertex = [None, *map(Vertex, g.vertices)]
+    pairs = g.sorted_edges()
+    edges = [Edge(i, j) for i, j in pairs]
+    incident: list[list[Edge]] = [[] for _ in vertex]
+    for (i, j), e in zip(pairs, edges):
+        incident[i].append(e)
+        incident[j].append(e)
+
+    nbrs: dict = {}
+    for v, nbr in g.adj.items():
+        nbrs[vertex[v]] = frozenset([*map(vertex.__getitem__, nbr), *incident[v]])
+    for (i, j), e in zip(pairs, edges):
+        out = [vertex[i], vertex[j], *incident[i], *incident[j]]
+        out.remove(e)  # from incident[i]
+        out.remove(e)  # from incident[j]
+        nbrs[e] = frozenset(out)
+    return nbrs

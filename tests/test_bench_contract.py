@@ -1,19 +1,27 @@
 """The benchmark's tracer against the library: every function it wraps must
 exist, and installing it must still yield a working, traced CLI.  The
 library must also still give the benchmark's self-check the failure it
-provokes.
+provokes, and the certificates and sweep tables the benchmark's golden
+record pins, byte for byte.
 
 ``bench/`` is only read here; its modules are loaded without writing
 bytecode next to them.
 """
 
+import contextlib
+import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
+
+import tdtc.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -75,3 +83,38 @@ def test_selfcheck_budget_stays_too_small_for_c10():
     from tdtc import SearchBudget, cycle, tdtc_number
 
     assert not tdtc_number(cycle(10), SearchBudget(max_nodes=1000)).proven_optimal
+
+
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["sweep"]))
+def test_sweep_tables_match_the_golden_record(key):
+    """``sweep --certify --format csv`` over n = 3..100, as the benchmark
+    runs it; the key is ``invariant-family``."""
+    invariant, family = key.split("-")
+    code, out = _stdout(["sweep", "--family", family, "--from", "3", "--to", "100",
+                         "--invariant", invariant, "--certify", "--format", "csv"])
+    assert code == 0 and _sha256(out.encode()) == GOLDEN["sweep"][key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["certificates"]))
+def test_exported_certificates_match_the_golden_record(key, tmp_path):
+    """``export --what tdtc|tmds|mis`` of C_n and P_n, n = 1000 and 1200;
+    the key is ``family-n-what``."""
+    family, n, what = key.split("-")
+    target = tmp_path / "cert.json"
+    code, out = _stdout(["export", "--family", family, "--n", n, "--what", what, "--out", str(target)])
+    assert code == 0 and out == f"wrote {target}\n"
+    assert _sha256(target.read_bytes()) == GOLDEN["certificates"][key]["sha256"]

@@ -272,6 +272,22 @@ def test_unwritable_out_exit_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--graph", "--out"])
+@pytest.mark.parametrize("name", ["x" * 5000, "missing/x.json"])
+def test_unusable_path_is_shown_once(capsys, tmp_path, option, name):
+    """``cannot read PATH: reason`` and ``cannot write PATH: reason`` give
+    the reason without the path that an ``OSError``'s text repeats."""
+    target = str(tmp_path / name)
+    if option == "--graph":
+        argv = ("compute", "--graph", target, "--invariant", "gamma_t")
+    else:
+        argv = ("export", "--family", "cycle", "--n", "5", "--what", "tdtc", "--out", target)
+    code, out, err = run(capsys, *argv)
+    verb = "read" if option == "--graph" else "write"
+    assert code == 2 and out == "" and err.startswith(f"parse error: cannot {verb} {target}: ")
+    assert err.count(target) == 1 and len(err) < len(target) + 80
+
+
 @pytest.mark.parametrize("subcommand", ["compute", "verify"])
 def test_undecodable_file_exit_2(capsys, tmp_path, k3_file, subcommand):
     """A file that is not UTF-8 cannot be read: exit 2 with a parse error,

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import tdtc as t
-from oracles import objects_adjacent
+from oracles import mixed_neighbors_reference, objects_adjacent
 from tdtc import DomainError, Edge, Graph, GraphParseError, SearchBudget, Vertex
 from tdtc.graphs import quote_list
 
@@ -312,6 +312,69 @@ class TestTotalGraph:
             nbrs = t.mixed_neighbors(g)
             for a in nbrs:
                 assert nbrs[a] == {b for b in nbrs if objects_adjacent(g, a, b)}, (g, a)
+
+
+def _assert_as_checked(h: Graph) -> None:
+    """``h`` is the graph the checking constructor builds from its own data,
+    and its edges are canonical, in-range pairs of ints."""
+    assert h == Graph(h.n, h.edges)
+    assert type(h.edges) is frozenset
+    assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int and 1 <= e[0] < e[1] <= h.n
+               for e in h.edges)
+
+
+class TestLibraryBuiltGraphs:
+    """``cycle``, ``path``, ``total_graph``, ``induced_subgraph`` and
+    ``read_edge_list`` build their graphs without the checks of
+    ``Graph(n, edges)``, and ``mixed_objects``/``mixed_neighbors`` build
+    objects without those of ``Vertex``/``Edge``: each result must be what
+    the checking constructors give."""
+
+    def test_families(self):
+        for n in range(3, 301):
+            _assert_as_checked(t.cycle(n))
+        for n in range(2, 301):
+            _assert_as_checked(t.path(n))
+
+    def test_total_graphs_and_induced_subgraphs(self, random_corpus, exhaustive_connected_upto5):
+        for g in [*random_corpus, *exhaustive_connected_upto5, Graph(4, [(1, 2), (2, 3)]), Graph(3, [])]:
+            tg = t.total_graph(g)
+            _assert_as_checked(tg.graph)
+            parts = [(g, set(g.vertices)), (g, set(g.vertices[::2])), (g, set(g.vertices[1:])),
+                     (tg.graph, set(g.vertices)), (tg.graph, set(range(g.n + 1, tg.graph.n + 1)))]
+            for base, keep in parts:
+                sub, old = t.induced_subgraph(base, keep)
+                _assert_as_checked(sub)
+                assert {(old[i - 1], old[j - 1]) for i, j in sub.edges} == {
+                    (i, j) for i, j in base.edges if i in keep and j in keep}
+
+    def test_read_edge_list(self, random_corpus):
+        for g in random_corpus:
+            reversed_text = "".join(f"{j} {i}\n" for i, j in g.sorted_edges()[::-1])
+            for text in (t.write_edge_list(g), f"{g.n} {g.m}\n{reversed_text}"):
+                h = t.read_edge_list(text)
+                _assert_as_checked(h)
+                assert h == g
+
+    def test_mixed_objects(self, random_corpus):
+        for g in [*random_corpus, t.cycle(40), t.path(41), Graph(3, []), Graph(0, [])]:
+            got = t.mixed_objects(g)
+            want = tuple(Vertex(i) for i in g.vertices) + tuple(Edge(i, j) for i, j in g.sorted_edges())
+            assert got == want
+            assert [type(o) for o in got] == [type(o) for o in want]
+
+    def test_mixed_neighbors_match_former_body(self, random_corpus, exhaustive_connected_upto5):
+        """Keys in the same order, sets with the same members, every member
+        an exact ``Vertex`` or ``Edge``.  A set's iteration order may differ:
+        no output reads it."""
+        families = [*(t.cycle(n) for n in range(3, 60)), *(t.path(n) for n in range(2, 60))]
+        for g in [*random_corpus, *exhaustive_connected_upto5, *families, Graph(4, [(1, 2), (2, 3)]), Graph(3, [])]:
+            got, want = t.mixed_neighbors(g), mixed_neighbors_reference(g)
+            assert list(got) == list(want)
+            assert [type(k) for k in got] == [type(k) for k in want]
+            for k, nbrs in got.items():
+                assert nbrs == want[k]
+                assert all(type(x) is (Vertex if len(x) == 1 else Edge) for x in nbrs)
 
 
 class TestInducedSubgraph:

@@ -111,6 +111,21 @@ class TestTotalDomination:
             t.total_domination_number(Graph(3, [(1, 2)]))
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [t.total_domination_number, t.total_dominator_chromatic_number, t.total_mixed_domination_number, t.tdtc_number],
+)
+@pytest.mark.parametrize("text", ["600000 0\n", "5 2\n1 2\n3 4\n"])
+def test_too_few_edges_fail_before_adjacency_is_built(solve, text):
+    """Fewer than n/2 edges leave a vertex isolated, so the minimum-degree
+    check rejects the graph without building ``Graph.adj``: a header with a
+    huge n and no edges costs nothing."""
+    g = t.read_edge_list(text)
+    with pytest.raises(DomainError, match="requires positive minimum degree"):
+        solve(g)
+    assert "adj" not in vars(g)
+
+
 def _assert_pruning_sound(solve, g):
     """Pruning cuts only infeasible subtrees of the same search: the value
     and the certificate, class order included, match the oracle's search
