@@ -28,6 +28,7 @@ indices reduce mod n into 1..n, so the wrap edge is Edge(1, n).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graphs import (
@@ -37,14 +38,14 @@ from .graphs import (
     Graph,
     ObjectId,
     Vertex,
-    coloring_from_total,
+    _total_neighbors,
     cycle,
+    mixed_objects,
     parse_object,
     path,
     quote_token,
-    total_graph,
 )
-from .verify import tdc_from_tds
+from .verify import _dominator_classes
 
 CYCLE = "cycle"
 PATH = "path"
@@ -309,13 +310,20 @@ def _small_case(inst: FamilyInstance) -> Coloring | None:
 
 
 def tdtc_certificate(family: str, n: int) -> Coloring:
-    """An optimal total dominator total coloring of the cycle or path of order n."""
+    """An optimal total dominator total coloring of the cycle or path of order n.
+
+    The constructed case is ``verify.tdc_from_tds`` on the total graph,
+    run on its neighbour lists, each object numbered by its place in
+    ``mixed_objects``; the classes take the objects' labels at the end."""
     inst = FamilyInstance(family, n)
     small = _small_case(inst)
     if small is not None:
         return small
-    tg = total_graph(inst.graph())
-    return coloring_from_total(tg, tdc_from_tds(tg.graph, tg.to_vertex_ids(_tmds(inst))))
+    labels = mixed_objects(inst.graph())
+    edges = labels[n:]  # sorted, so an edge's number is n plus its place here
+    tmds = sorted(o.i - 1 if isinstance(o, Vertex) else n + bisect_left(edges, o) for o in _tmds(inst))
+    classes = _dominator_classes(_total_neighbors(n, edges), tmds)
+    return Coloring(tuple(frozenset(map(labels.__getitem__, cls)) for cls in classes))
 
 
 def certificate_source(family: str, n: int) -> str:

@@ -9,6 +9,12 @@ with the label bookkeeping needed to map results on the derived graphs
 back to the objects of the base graph: ``Coloring``, the ordered partition
 every coloring certificate uses, and ``coloring_to_total`` /
 ``coloring_from_total``, which carry one across the total graph's labels.
+The total graph's adjacency is built in one place, ``_total_neighbors``:
+neighbour lists over the objects numbered from 0 in ``mixed_objects``
+order.  ``total_graph`` reads its edges off those lists, and
+``closed_forms`` colours on them directly.  ``mixed_neighbors`` builds
+the same relation over the objects themselves, a separate route kept
+for the checks.
 
 ``quote_token`` and ``quote_list`` are the one place the package decides
 how an error message shows a value it was given: a value by its first 40
@@ -347,21 +353,38 @@ class TotalGraph:
         return frozenset(self.index[o] for o in objects)
 
 
+def _total_neighbors(n: int, edges) -> list[list[int]]:
+    """The neighbour lists of the total graph of the graph on vertices 1..n
+    with the canonical pairs ``edges`` in ascending order, indexed from 0 in
+    ``mixed_objects`` order: vertex i is i - 1 and the k-th edge is n + k.
+    Two objects are neighbours when adjacent or incident: the endpoints of
+    an edge, an edge and each endpoint, two edges at one endpoint.  Each
+    list holds each neighbour once, in no set order."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    incident: list[list[int]] = [[] for _ in range(n)]  # the edges at each vertex so far
+    for k, (i, j) in enumerate(edges, n):
+        a, b = i - 1, j - 1
+        at_a, at_b = incident[a], incident[b]
+        for e in at_a:
+            nbrs[e].append(k)
+        for e in at_b:
+            nbrs[e].append(k)
+        nbrs.append([a, b, *at_a, *at_b])
+        at_a.append(k)
+        at_b.append(k)
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    for v, ks in enumerate(incident):
+        nbrs[v] += ks
+    return nbrs
+
+
 def total_graph(g: Graph) -> TotalGraph:
     """Total graph of g: objects are V union E, adjacent when adjacent or incident in g."""
     labels = mixed_objects(g)
-    tedges: set[tuple[int, int]] = set(g.edges)
-    incident: list[list[int]] = [[] for _ in range(g.n + 1)]
-    # edge k > n comes after both its endpoints and incident lists grow in
-    # k order, so every pair added here is canonical
-    for k, (i, j) in enumerate(labels[g.n:], g.n + 1):
-        tedges.add((i, k))
-        tedges.add((j, k))
-        incident[i].append(k)
-        incident[j].append(k)
-    for ids in incident:
-        tedges.update(itertools.combinations(ids, 2))
-    return TotalGraph(Graph._of(len(labels), frozenset(tedges)), labels)
+    nbrs = _total_neighbors(g.n, labels[g.n:])
+    tedges = frozenset((a, b + 1) for a, ns in enumerate(nbrs, 1) for b in ns if b >= a)
+    return TotalGraph(Graph._of(len(labels), tedges), labels)
 
 
 def coloring_to_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
@@ -392,9 +415,9 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
 # ---------------------------------------------------------------------------
 # These helpers define the "adjacent or incident" relation from first
 # principles (vertex-vertex: edge of g; vertex-edge: endpoint; edge-edge:
-# shared endpoint).  They deliberately do not go through total_graph(), so
-# code built on them can serve as an independent cross-check of the
-# reduction to the total graph.
+# shared endpoint).  They deliberately do not go through
+# _total_neighbors(), so code built on them can serve as an independent
+# cross-check of the reduction to the total graph.
 
 
 def _vertices(g: Graph) -> list[Vertex]:

@@ -16,10 +16,12 @@ search through ``_solve``; the function named below holds the strategy.
   with the certificate mapped back to the base graph's objects.
 
 Set searches (``_mis_search``, ``_tds_search``) run on ``_adj_masks``,
-coloring searches (``_chromatic``, ``_tdc_search``) on ``_neighbors``;
-only their level search ``_ktdc_feasible`` runs on masks, bit p for the
-p-th vertex of a search order.  ``minimum_coloring`` is ``_chromatic``
-without a budget, for ``verify.tdc_from_tds``.
+coloring searches (``_chromatic``, ``_tdc_search``) on ``_neighbors``: a
+list indexed by vertex 0..V-1 of neighbor lists; only their level search
+``_ktdc_feasible`` runs on masks, bit p for the p-th vertex of a search
+order.  ``minimum_coloring`` is ``_chromatic`` without a budget, for the
+remainder coloring of ``verify.tdc_from_tds`` and of the certificates
+``closed_forms.tdtc_certificate`` builds on the total graph's lists.
 """
 
 from __future__ import annotations
@@ -106,9 +108,9 @@ def _adj_masks(g: Graph) -> list[int]:
     return adj
 
 
-def _neighbors(g: Graph) -> dict[int, list[int]]:
-    """The neighbor lists of g, keyed by vertex from 0 in ascending order."""
-    nbrs: dict[int, list[int]] = {v: [] for v in range(g.n)}
+def _neighbors(g: Graph) -> list[list[int]]:
+    """The neighbor lists of g, indexed by vertex from 0."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for i, j in g.edges:
         nbrs[i - 1].append(j - 1)
         nbrs[j - 1].append(i - 1)
@@ -251,17 +253,21 @@ def independence_number(g: Graph, budget: SearchBudget | None = None) -> Invaria
 # ---------------------------------------------------------------------------
 # Chromatic number
 # ---------------------------------------------------------------------------
-# Coloring runs on neighbor lists ``nbrs``: a dict from each vertex, a
-# non-negative int, to a list of its neighbors, in any order, with the keys
-# in ascending order.  Only the level search needs bit masks, and
-# ``_first_feasible_level`` builds them when it has a level to search.
+# Coloring runs on neighbor lists ``nbrs``: a list whose entry v, for each
+# vertex v in 0..V-1, lists the neighbors of v, in any order.  Ties break
+# toward the lowest index, so renumbering the vertices in ascending order,
+# as ``verify`` does with the graph left by a dominating set, changes no
+# tie.  Work on one component is proportional to its size: only the
+# search over the whole graph holds arrays over every vertex.  Only the
+# level search needs bit masks, and ``_first_feasible_level`` builds them
+# when it has a level to search.
 
 
 def _coloring(classes: list[list[int]]) -> Coloring:
     return Coloring(tuple(frozenset(v + 1 for v in cls) for cls in classes))
 
 
-def _smallest_last(nbrs: dict[int, list[int]]) -> list[int]:
+def _smallest_last(nbrs: list[list[int]]) -> list[int]:
     """Smallest-last order (Matula and Beck, J. ACM 30(3), 1983): each
     vertex has at most degeneracy-many neighbors before it.
 
@@ -274,27 +280,27 @@ def _smallest_last(nbrs: dict[int, list[int]]) -> list[int]:
     Each heap operation costs O(log V) whatever the graph's size, where a
     bucket held as a bit mask costs O(V) per removal.
     """
-    deg = {v: len(ns) for v, ns in nbrs.items()}  # of the live vertices
-    buckets: list[list[int]] = [[] for _ in range(max(deg.values(), default=0) + 1)]
-    for v, d in deg.items():
-        buckets[d].append(v)
-    for bucket in buckets:
-        heapq.heapify(bucket)
+    deg = [len(ns) for ns in nbrs]  # of the live vertices; -1 once removed
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)  # in ascending order, so already a heap
     removal = []
     d = 0
-    while deg:
+    for _ in nbrs:
         bucket = buckets[d]
-        while bucket and deg.get(bucket[0]) != d:
-            heapq.heappop(bucket)
-        if not bucket:
+        while True:  # to the lowest bucket with a current entry
+            while bucket and deg[bucket[0]] != d:
+                heapq.heappop(bucket)
+            if bucket:
+                break
             d += 1
-            continue
+            bucket = buckets[d]
         v = heapq.heappop(bucket)
         removal.append(v)
-        del deg[v]
+        deg[v] = -1
         for u in nbrs[v]:
-            e = deg.get(u)
-            if e is not None:
+            e = deg[u]
+            if e > 0:  # u is live, so v still counts in e
                 deg[u] = e - 1
                 heapq.heappush(buckets[e - 1], u)
         if d:
@@ -303,7 +309,7 @@ def _smallest_last(nbrs: dict[int, list[int]]) -> list[int]:
     return removal
 
 
-def _clique_bound(nbrs: dict[int, list[int]], vertices: list[int], cap: int) -> int:
+def _clique_bound(nbrs: list[list[int]], vertices: list[int], cap: int) -> int:
     """The size of the largest clique grown from each of ``vertices`` in
     turn, or the first size that reaches ``cap``: a lower bound on the class
     count of any proper coloring of them.  The clique grown from v adds,
@@ -324,9 +330,10 @@ def _clique_bound(nbrs: dict[int, list[int]], vertices: list[int], cap: int) -> 
     return most
 
 
-def _greedy_color_classes(nbrs: dict[int, list[int]], order: list[int]) -> list[list[int]]:
+def _greedy_color_classes(nbrs: list[list[int]], order: list[int]) -> list[list[int]]:
     """First fit along ``order``: each vertex joins the lowest class that
-    holds none of its neighbors."""
+    holds none of its neighbors.  The classes of ``order``'s vertices are
+    kept in a dict, so one component's coloring costs its own size."""
     color: dict[int, int] = {}
     classes: list[list[int]] = []
     for v in order:
@@ -341,26 +348,26 @@ def _greedy_color_classes(nbrs: dict[int, list[int]], order: list[int]) -> list[
     return classes
 
 
-def _components(nbrs: dict[int, list[int]]) -> list[list[int]]:
+def _components(nbrs: list[list[int]]) -> list[list[int]]:
     """The vertices of each connected component, found by a breadth-first
-    search from its first vertex in ``nbrs``, the components in that order."""
-    seen = set()
+    search from its lowest vertex, the components in that order."""
+    seen = bytearray(len(nbrs))
     comps = []
-    for v in nbrs:
-        if v in seen:
+    for v in range(len(nbrs)):
+        if seen[v]:
             continue
-        seen.add(v)
+        seen[v] = 1
         comp = [v]
         for u in comp:  # the list grows while it is read: the search's queue
             for w in nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = 1
                     comp.append(w)
         comps.append(comp)
     return comps
 
 
-def _chromatic(nbrs: dict[int, list[int]], best: list[list[int]], search: _Search) -> None:
+def _chromatic(nbrs: list[list[int]], best: list[list[int]], search: _Search) -> None:
     """Exact minimum proper coloring by the level search with no vertex
     needing a witness, one component at a time, below first fit along its
     slice of the whole graph's smallest-last order, which is its own: the
@@ -370,7 +377,10 @@ def _chromatic(nbrs: dict[int, list[int]], best: list[list[int]], search: _Searc
     every exit; ``_solve`` reads it only then."""
     comps = _components(nbrs)
     slices: list[list[int]] = [[] for _ in comps]
-    owner = {v: sub for comp, sub in zip(comps, slices) for v in comp}
+    owner: list[list[int]] = [[]] * len(nbrs)
+    for comp, sub in zip(comps, slices):
+        for v in comp:
+            owner[v] = sub
     for v in _smallest_last(nbrs):
         owner[v].append(v)
     parts = [_greedy_color_classes(nbrs, sub) for sub in slices]
@@ -399,10 +409,10 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
     return _solve(g, budget, _neighbors, _chromatic, _coloring)
 
 
-def minimum_coloring(nbrs: dict[int, list[int]]) -> list[list[int]]:
+def minimum_coloring(nbrs: list[list[int]]) -> list[list[int]]:
     """The classes of a minimum proper coloring, exact and unbounded, of the
     graph given by the neighbor lists ``nbrs``, in the form the head of this
-    section describes, as lists of its keys."""
+    section describes, as lists of its vertices."""
     classes: list[list[int]] = []
     _chromatic(nbrs, classes, _Search(None))
     return classes
@@ -706,7 +716,7 @@ def _ktdc_feasible(adj: list[int], k: int, need: int, search: _Search) -> list[i
         others[pos] = _others_union(compat, used)
 
 
-def _first_feasible_level(nbrs: dict[int, list[int]], order: list[int], dominating: bool,
+def _first_feasible_level(nbrs: list[list[int]], order: list[int], dominating: bool,
                           best: list[list[int]], search: _Search) -> None:
     """Overwrite ``best`` with the classes of the first feasible level of
     ``_ktdc_feasible`` on ``order``, every vertex needing a witness when
@@ -730,7 +740,7 @@ def _first_feasible_level(nbrs: dict[int, list[int]], order: list[int], dominati
             return
 
 
-def _tdc_search(nbrs: dict[int, list[int]], best: list[list[int]], search: _Search) -> None:
+def _tdc_search(nbrs: list[list[int]], best: list[list[int]], search: _Search) -> None:
     """Minimum total dominator coloring by iterative deepening on the class
     count: ``_first_feasible_level`` with every vertex needing a witness,
     on the smallest-last order and below an incumbent, refutes each level
@@ -744,10 +754,12 @@ def _tdc_search(nbrs: dict[int, list[int]], best: list[list[int]], search: _Sear
     of Kazemi's gamma_t <= chi_d^t <= gamma_t + chi.  It is built first
     from the greedy set, then from the minimum set ``_tds_search`` finds
     from it, which replaces it only with fewer classes, so a tie keeps the
-    greedy coloring.  That search runs on ``search``, so its nodes count
-    toward the budget; ``best`` holds the greedy incumbent before its first
-    node.  Both sets are found on ``nbrs`` as bit masks, bit v for vertex v."""
-    adj = [sum(1 << u for u in ns) for ns in nbrs.values()]
+    greedy coloring.  That search keeps the greedy set unless it finds a
+    strictly smaller one, so the second incumbent is built only then.  It
+    runs on ``search``, so its nodes count toward the budget; ``best`` holds
+    the greedy incumbent before its first node.  Both sets are found on
+    ``nbrs`` as bit masks, bit v for vertex v."""
+    adj = [sum(1 << u for u in ns) for ns in nbrs]
     order = _smallest_last(nbrs)
 
     def incumbent(tds: list[int]) -> list[list[int]]:
@@ -758,9 +770,10 @@ def _tdc_search(nbrs: dict[int, list[int]], best: list[list[int]], search: _Sear
     best[:] = incumbent(greedy)
     tds: list[int] = []
     _tds_search(adj, tds, search, greedy)
-    exact = incumbent(tds)
-    if len(exact) < len(best):
-        best[:] = exact
+    if len(tds) < len(greedy):
+        exact = incumbent(tds)
+        if len(exact) < len(best):
+            best[:] = exact
     _first_feasible_level(nbrs, order, True, best, search)
 
 

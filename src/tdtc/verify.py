@@ -8,7 +8,8 @@ of the class.  An object never witnesses its own class, because nothing
 is adjacent to itself; in particular a singleton class is never witnessed
 by its own member.  Only ``tdc_from_tds``, the one construction here,
 calls a solver: it colors the remainder of a total dominating set
-exactly.
+exactly, on neighbor lists, through ``_dominator_classes``, which
+``closed_forms.tdtc_certificate`` calls on the total graph's lists.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .graphs import (
     quote_list,
     quote_token,
 )
-from .solvers import minimum_coloring
+from .solvers import _coloring, _neighbors, minimum_coloring
 
 VERTEX_UNIVERSE = "vertices"
 MIXED_UNIVERSE = "mixed"
@@ -259,27 +260,36 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
     this holds for the members of s as well, which is why s must be a
     *total* dominating set.
 
-    After the members are checked, one pass over the edges marks the
-    vertices s covers and builds the neighbor lists of g - s, keyed by the
-    vertices of g, which ``solvers.minimum_coloring`` colors as they are.
+    Once the members are checked, ``_dominator_classes`` builds the classes
+    on g's neighbor lists, vertex v numbered v - 1.
     """
     s = _members(g.vertices, s, _not_vertices)
-    covered = bytearray(g.n + 1)
-    rest: dict[int, list[int]] = {v: [] for v in g.vertices if v not in s}
-    for i, j in g.edges:
-        at_i, at_j = rest.get(i), rest.get(j)
-        if at_i is None:  # i is in s
-            covered[j] = 1
-        elif at_j is not None:
-            at_i.append(j)
-            at_j.append(i)
-        if at_j is None:
-            covered[i] = 1
-    uncovered = [v for v in g.vertices if not covered[v]]
-    if uncovered:
+    return _coloring(_dominator_classes(_neighbors(g), [v - 1 for v in g.vertices if v in s]))
+
+
+def _dominator_classes(nbrs: list[list[int]], s: list[int]) -> list[list[int]]:
+    """The classes of ``tdc_from_tds`` on the graph of the neighbor lists
+    ``nbrs``, vertices 0..V-1, from the total dominating set ``s`` in
+    ascending order: raises DomainError, naming vertex v as v + 1, unless
+    every vertex has a neighbor in s; else s as singletons, then a minimum
+    coloring of g - s.  That coloring runs on g - s renumbered 0..R-1 in
+    ascending order, which keeps the order of its vertices and so every tie
+    of ``solvers.minimum_coloring``."""
+    covered = bytearray(len(nbrs))
+    for v in s:
+        for u in nbrs[v]:
+            covered[u] = 1
+    if 0 in covered:
+        uncovered = [v + 1 for v, c in enumerate(covered) if not c]
         raise DomainError(f"not a total dominating set, uncovered vertices: {quote_list(uncovered)}")
-    singletons = [frozenset([v]) for v in sorted(s)]
-    return Coloring(tuple(singletons) + tuple(map(frozenset, minimum_coloring(rest))))
+    new = list(range(len(nbrs)))  # each vertex's number in g - s, -1 for a member of s
+    for v in s:
+        new[v] = -1
+    rest = [v for v in new if v >= 0]
+    for r, v in enumerate(rest):
+        new[v] = r
+    sub = [[new[u] for u in nbrs[v] if new[u] >= 0] for v in rest]
+    return [[v] for v in s] + [[rest[r] for r in cls] for cls in minimum_coloring(sub)]
 
 
 # ---------------------------------------------------------------------------

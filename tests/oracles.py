@@ -31,10 +31,13 @@ counts compare one to one with the library's single rule; beside it
 stands the library's former body of that search, which rescanned the free
 vertices from the lowest after every vertex a reduction took.  And the
 former body of ``tdc_from_tds``: the induced subgraph of the vertices
-outside the set, relabelled and colored by ``chromatic_number``; and the
+outside the set, relabelled and colored by ``chromatic_number``; the
 former body of ``mixed_neighbors``, which builds every object through the
 checking ``Vertex``/``Edge`` constructors and reads vertex neighbours from
-``Graph.adj``.
+``Graph.adj``; the former body of ``total_graph``, which adds the total
+graph's edges to a set as it finds them; and the former body of
+``tdtc_certificate``, which colors a total graph built that way through
+the vertex ids of its ``TotalGraph``.
 """
 
 from itertools import combinations
@@ -46,8 +49,10 @@ from tdtc import (
     DomainError,
     Edge,
     Graph,
+    TotalGraph,
     Vertex,
     chromatic_number,
+    coloring_from_total,
     induced_subgraph,
     is_total_dominating_set,
     mixed_neighbors,
@@ -650,3 +655,30 @@ def mixed_neighbors_reference(g: Graph) -> dict:
         out.remove(e)  # from incident[j]
         nbrs[e] = frozenset(out)
     return nbrs
+
+
+def total_graph_reference(g: Graph) -> TotalGraph:
+    """The former body of ``graphs.total_graph``: the edges of g, then each
+    edge object joined to its endpoints and to every edge object listed at
+    an endpoint before it, added to a set and checked by ``Graph``."""
+    labels = mixed_objects(g)
+    tedges = set(g.edges)
+    incident: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for k, (i, j) in enumerate(labels[g.n:], g.n + 1):
+        tedges.add((i, k))
+        tedges.add((j, k))
+        incident[i].append(k)
+        incident[j].append(k)
+    for ids in incident:
+        tedges.update(combinations(ids, 2))
+    return TotalGraph(Graph(len(labels), tedges), labels)
+
+
+def tdtc_certificate_reference(family: str, n: int) -> Coloring:
+    """The former body of ``closed_forms.tdtc_certificate`` for an n it
+    constructs: ``tdc_from_tds_reference`` on ``total_graph_reference``'s
+    graph from the vertex ids of the minimum total mixed dominating set,
+    the classes mapped back to objects by ``coloring_from_total``."""
+    inst = cf.FamilyInstance(family, n)
+    tg = total_graph_reference(inst.graph())
+    return coloring_from_total(tg, tdc_from_tds_reference(tg.graph, tg.to_vertex_ids(cf._tmds(inst))))

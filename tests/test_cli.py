@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -752,6 +753,22 @@ class TestExport:
     )
     def test_graph_exports_of_p4(self, capsys, what, fmt, want):
         assert run(capsys, "export", "--family", "path", "--n", "4", "--what", what, "--format", fmt) == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "family,n,sha256",
+        [
+            ("cycle", 5000, "68c97a454f01d1409c7f7af32f47f5a9c6fe878de157fc89ec47ed326f2445c7"),
+            ("path", 5001, "54816bda17b8ad49ed799f84e1936012aadc63d8c93d435950f5c22d0910891e"),
+            ("cycle", 10000, "31417a2b84fd331703f59b832e9cce5c48670680672870585b5853f0749d52b8"),
+            ("path", 10001, "0cf9f61cbf258e906d5e1e742cc4340e5fdea88b3a0d7e9a3d66f7d24c153af3"),
+        ],
+        ids=["C5000", "P5001", "C10000", "P10001"],
+    )
+    def test_large_tdtc_exports_are_pinned(self, capsys, family, n, sha256):
+        """The stdout of ``export --what tdtc`` beyond the benchmark's golden
+        n = 1000 and 1200, byte for byte, as the constructions first gave it."""
+        code, out, err = run(capsys, "export", "--family", family, "--n", str(n), "--what", "tdtc")
+        assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("what,fmt", [("tdtc", "edges"), ("labels", "dot")])
     def test_json_exports_reject_other_formats(self, capsys, what, fmt):

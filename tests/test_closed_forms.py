@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import tdtc as t
-from oracles import chi_tt_relative, verify_formula_consistency
+from oracles import chi_tt_relative, tdtc_certificate_reference, verify_formula_consistency
 from tdtc import DomainError, Edge, FamilyInstance, Vertex
 
 # hand-expanded formula tables
@@ -166,6 +166,16 @@ class TestTdtcCertificates:
             rest = set(tg.graph.vertices) - s
             sub, _ = t.induced_subgraph(tg.graph, rest)
             assert t.chromatic_number(sub).value <= 3, (family, n)
+
+    @pytest.mark.parametrize("family,lo", [("cycle", 3), ("path", 2)])
+    def test_constructed_certificates_match_former_body(self, family, lo):
+        """The certificate built on the total graph's neighbour lists equals,
+        class for class, the one the former body built through a
+        ``TotalGraph`` and the former ``tdc_from_tds``."""
+        constructed = [n for n in range(lo, 301) if t.certificate_source(family, n) == t.CONSTRUCTED]
+        assert len(constructed) > 280
+        for n in [*constructed, 1000, 1200]:
+            assert t.tdtc_certificate(family, n).classes == tdtc_certificate_reference(family, n).classes, n
 
     def test_determinism(self):
         a = t.tdtc_certificate("cycle", 30)

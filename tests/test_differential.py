@@ -146,36 +146,38 @@ def test_degeneracy_order_matches_scan_on_families(family):
 
 
 def test_degeneracy_order_matches_scan_on_random_graphs():
-    assert _smallest_last({}) == degeneracy_order_scan([]) == []
+    assert _smallest_last([]) == degeneracy_order_scan([]) == []
     for idx, g in enumerate(RANDOM_GRAPHS):
         for h in (g, t.total_graph(g).graph):
             assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_adj_masks(h)), idx
 
 
-def _induced_lists(g: Graph, keep) -> dict[int, list[int]]:
-    """The neighbor lists of the subgraph of g induced by ``keep``, keyed by
-    the vertices of g, in ascending order, with each list in a shuffled
-    order."""
-    rng = random.Random(len(keep))
-    lists = {v: sorted(g.adj[v] & keep) for v in sorted(keep)}
-    for ns in lists.values():
+def _induced_lists(g: Graph, old: tuple[int, ...], rng: random.Random) -> list[list[int]]:
+    """The neighbor lists of the subgraph of g induced by the vertices
+    ``old``, in ascending order, renumbered so that ``old[k]`` is k, each
+    list in a shuffled order."""
+    new = {v: k for k, v in enumerate(old)}
+    lists = [[new[u] for u in g.adj[v] if u in new] for v in old]
+    for ns in lists:
         rng.shuffle(ns)
     return lists
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_degeneracy_order_matches_scan_on_vertex_subsets(seed):
-    """On an induced subgraph keyed by the vertices of the whole graph, the
-    order is the scan's on the subgraph relabelled 1..k in index order,
-    mapped back: gaps in the keys change no tie, nor does the order within
-    a neighbor list."""
+    """On an induced subgraph renumbered 0..k-1 in ascending order, as
+    ``verify`` colors what a dominating set leaves, the order mapped back
+    is the scan's on the whole graph's masks with every other vertex cut
+    off, those dropped: renumbering in ascending order changes no tie, nor
+    does the order within a neighbor list."""
     rng = random.Random(seed)
     graphs = [*RANDOM_GRAPHS[:100], *(t.total_graph(t.cycle(n)).graph for n in range(3, 40))]
     for idx, g in enumerate(graphs):
-        keep = frozenset(v for v in g.vertices if rng.random() < 0.6)
-        sub, old = induced_subgraph(g, keep)
-        want = [old[v] for v in degeneracy_order_scan(_adj_masks(sub))]
-        assert _smallest_last(_induced_lists(g, keep)) == want, (seed, idx)
+        old = tuple(v for v in g.vertices if rng.random() < 0.6)
+        keep = sum(1 << (v - 1) for v in old)
+        cut = [a & keep if keep >> v & 1 else 0 for v, a in enumerate(_adj_masks(g))]
+        want = [v + 1 for v in degeneracy_order_scan(cut) if keep >> v & 1]
+        assert [old[k] for k in _smallest_last(_induced_lists(g, old, rng))] == want, (seed, idx)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_SIZES))

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 
 import tdtc as t
-from oracles import mixed_neighbors_reference, objects_adjacent
+from oracles import mixed_neighbors_reference, objects_adjacent, total_graph_reference
 from tdtc import DomainError, Edge, Graph, GraphParseError, SearchBudget, Vertex
-from tdtc.graphs import quote_list
+from tdtc.graphs import _total_neighbors, quote_list
 
 
 def complete(n):
@@ -347,6 +347,17 @@ class TestLibraryBuiltGraphs:
                 _assert_as_checked(sub)
                 assert {(old[i - 1], old[j - 1]) for i, j in sub.edges} == {
                     (i, j) for i, j in base.edges if i in keep and j in keep}
+
+    def test_total_graph_matches_former_body(self, random_corpus, exhaustive_connected_upto5):
+        """``total_graph`` reads its edges off ``_total_neighbors``, whose
+        lists hold each neighbour once and agree with each other: the same
+        graph and labels as the body that added the edges to a set."""
+        for g in [*random_corpus, *exhaustive_connected_upto5, Graph(4, [(1, 2), (2, 3)]), Graph(3, []), Graph(0, [])]:
+            assert t.total_graph(g) == total_graph_reference(g)
+            nbrs = _total_neighbors(g.n, g.sorted_edges())
+            assert all(len(set(ns)) == len(ns) for ns in nbrs)
+            assert {(a, b) for a, ns in enumerate(nbrs) for b in ns} == {
+                (b, a) for a, ns in enumerate(nbrs) for b in ns}
 
     def test_read_edge_list(self, random_corpus):
         for g in random_corpus:

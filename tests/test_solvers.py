@@ -1,5 +1,6 @@
 import ast
 import inspect
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -124,6 +125,19 @@ def test_too_few_edges_fail_before_adjacency_is_built(solve, text):
     with pytest.raises(DomainError, match="requires positive minimum degree"):
         solve(g)
     assert "adj" not in vars(g)
+
+
+def test_chromatic_number_of_many_isolated_vertices_takes_seconds():
+    """Coloring one component costs work in its own size: on 2*10^5
+    isolated vertices, 2*10^5 components, it ends in about a second, where
+    an array over every vertex allocated per component takes over a
+    minute."""
+    g = t.read_edge_list("200000 0\n")
+    start = time.perf_counter()
+    result = t.chromatic_number(g)
+    assert time.perf_counter() - start < 20
+    assert (result.value, result.proven_optimal) == (1, True)
+    assert result.certificate.classes == (frozenset(g.vertices),)
 
 
 def _assert_pruning_sound(solve, g):
