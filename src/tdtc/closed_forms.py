@@ -38,13 +38,13 @@ from .graphs import (
     Graph,
     ObjectId,
     Vertex,
-    _total_neighbors,
+    _total_numbering,
     cycle,
-    mixed_objects,
     parse_object,
     path,
     quote_token,
 )
+from .solvers import _coloring
 from .verify import _dominator_classes
 
 CYCLE = "cycle"
@@ -313,17 +313,16 @@ def tdtc_certificate(family: str, n: int) -> Coloring:
     """An optimal total dominator total coloring of the cycle or path of order n.
 
     The constructed case is ``verify.tdc_from_tds`` on the total graph,
-    run on its neighbour lists, each object numbered by its place in
-    ``mixed_objects``; the classes take the objects' labels at the end."""
+    run on the neighbour lists of ``graphs._total_numbering``; the classes
+    take the objects' labels at the end, through ``solvers._coloring``."""
     inst = FamilyInstance(family, n)
     small = _small_case(inst)
     if small is not None:
         return small
-    labels = mixed_objects(inst.graph())
+    nbrs, labels = _total_numbering(inst.graph())
     edges = labels[n:]  # sorted, so an edge's number is n plus its place here
     tmds = sorted(o.i - 1 if isinstance(o, Vertex) else n + bisect_left(edges, o) for o in _tmds(inst))
-    classes = _dominator_classes(_total_neighbors(n, edges), tmds)
-    return Coloring(tuple(frozenset(map(labels.__getitem__, cls)) for cls in classes))
+    return _coloring(labels, _dominator_classes(nbrs, tmds))
 
 
 def certificate_source(family: str, n: int) -> str:

@@ -11,10 +11,10 @@ every coloring certificate uses, and ``coloring_to_total`` /
 ``coloring_from_total``, which carry one across the total graph's labels.
 The total graph's adjacency is built in one place, ``_total_neighbors``:
 neighbour lists over the objects numbered from 0 in ``mixed_objects``
-order.  ``total_graph`` reads its edges off those lists, and
-``closed_forms`` colours on them directly.  ``mixed_neighbors`` builds
-the same relation over the objects themselves, a separate route kept
-for the checks.
+order, paired with those objects by ``_total_numbering``, on which
+``total_graph``, ``line_graph``, the mixed solvers and ``closed_forms``
+build.  ``mixed_neighbors`` builds the same relation over the objects
+themselves, a separate route kept for the checks.
 
 ``quote_token`` and ``quote_list`` are the one place the package decides
 how an error message shows a value it was given: a value by its first 40
@@ -27,9 +27,9 @@ the one exception is the file path of ``cli``'s ``cannot read`` and
 Input from outside is validated once, where it enters, and data the
 library built is not checked again.  ``Graph(n, edges)``, ``Vertex``,
 ``Edge``, ``parse_object`` and ``read_edge_list`` check everything they are
-given.  ``cycle``, ``path``, ``induced_subgraph`` and ``total_graph`` build
-edges canonical and in range, and ``read_edge_list`` has checked each one,
-so they make their graphs through ``Graph._of``, which checks nothing;
+given.  ``cycle``, ``path``, ``induced_subgraph`` and the total and line
+graphs build edges canonical and in range, ``read_edge_list`` checks each
+one, so they make their graphs through ``Graph._of``, which checks nothing;
 ``mixed_objects`` and ``mixed_neighbors`` build the objects of a graph,
 valid by then, without the checks of ``Vertex`` and ``Edge``.
 
@@ -379,12 +379,21 @@ def _total_neighbors(n: int, edges) -> list[list[int]]:
     return nbrs
 
 
+def _total_numbering(g: Graph) -> tuple[list[list[int]], tuple[ObjectId, ...]]:
+    """T(g)'s ``_total_neighbors`` lists and ``mixed_objects(g)``, object k numbered k."""
+    labels = mixed_objects(g)
+    return _total_neighbors(g.n, labels[g.n:]), labels
+
+
+def _pairs_from(nbrs: list[list[int]], lo: int) -> frozenset[tuple[int, int]]:
+    """The adjacent pairs (a, b), a < b, among ``nbrs[lo:]``, number lo + k - 1 as k."""
+    return frozenset((a, b - lo + 1) for a, ns in enumerate(nbrs[lo:], 1) for b in ns if b - lo >= a)
+
+
 def total_graph(g: Graph) -> TotalGraph:
     """Total graph of g: objects are V union E, adjacent when adjacent or incident in g."""
-    labels = mixed_objects(g)
-    nbrs = _total_neighbors(g.n, labels[g.n:])
-    tedges = frozenset((a, b + 1) for a, ns in enumerate(nbrs, 1) for b in ns if b >= a)
-    return TotalGraph(Graph._of(len(labels), tedges), labels)
+    nbrs, labels = _total_numbering(g)
+    return TotalGraph(Graph._of(len(labels), _pairs_from(nbrs, 0)), labels)
 
 
 def coloring_to_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
@@ -400,14 +409,13 @@ def coloring_from_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
 def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
     """Line graph of g: one vertex per edge, adjacent when the edges share an endpoint.
 
-    It is the total graph restricted to its edge objects, so total_graph holds
-    the one edge-edge construction.  Returns the graph together with labels
-    mapping line-graph vertex k to the edge object of g it represents (edges
-    taken in lexicographic order).
+    It is the total graph restricted to its edge objects, so _total_neighbors
+    holds the one edge-edge construction.  Returns the graph together with
+    labels mapping line-graph vertex k to the edge object of g it represents
+    (edges taken in lexicographic order).
     """
-    tg = total_graph(g)
-    lg, _ = induced_subgraph(tg.graph, range(g.n + 1, g.n + g.m + 1))
-    return lg, tg.labels[g.n:]
+    nbrs, labels = _total_numbering(g)
+    return Graph._of(g.m, _pairs_from(nbrs, g.n)), labels[g.n:]
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,16 @@ search through ``_solve``; the function named below holds the strategy.
 * total_dominator_chromatic_number: ``_tdc_search``.
 * mixed_independence_number, total_chromatic_number,
   total_mixed_domination_number and tdtc_number: ``_mis_search``,
-  ``_chromatic``, ``_tds_search`` and ``_tdc_search`` on the total graph,
-  with the certificate mapped back to the base graph's objects.
+  ``_chromatic``, ``_tds_search`` and ``_tdc_search`` on the total graph.
 
-Set searches (``_mis_search``, ``_tds_search``) run on ``_adj_masks``,
-coloring searches (``_chromatic``, ``_tdc_search``) on ``_neighbors``: a
-list indexed by vertex 0..V-1 of neighbor lists; only their level search
-``_ktdc_feasible`` runs on masks, bit p for the p-th vertex of a search
-order.  ``minimum_coloring`` is ``_chromatic`` without a budget, for the
-remainder coloring of ``verify.tdc_from_tds`` and of the certificates
-``closed_forms.tdtc_certificate`` builds on the total graph's lists.
+Each search runs on its universe numbered 0..V-1: neighbor lists indexed
+by number, and ``labels[p]`` the member numbered p; ``_neighbors(g)`` with
+``g.vertices`` for g, ``graphs._total_numbering(g)`` for its total graph.
+Set searches take the lists' ``_masks``, coloring searches the lists; only
+the level search ``_ktdc_feasible`` runs on masks, bit p for the p-th
+vertex of a search order.  ``_vertex_set`` and ``_coloring`` map every
+answer to labels, and so the remainder colorings (``minimum_coloring``)
+of ``verify.tdc_from_tds`` and ``closed_forms.tdtc_certificate``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .graphs import Coloring, DomainError, Graph, coloring_from_total, quote_token, total_graph
+from .graphs import Coloring, DomainError, Graph, _total_numbering, quote_token
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ class InvariantResult:
     When a budget ran out, ``proven_optimal`` is False and ``value`` is only
     the best bound witnessed by the certificate (an upper bound for
     minimization problems, a lower bound for independence numbers).
-    ``elapsed`` covers the ``_solve`` frame, the search and the certificate
-    mapping; for a mixed invariant it leaves out building the total graph.
+    ``elapsed`` covers the search and the mapping of its answer to the
+    certificate, in either universe; it leaves out numbering the universe,
+    the neighbor lists or masks the search runs on.
     """
 
     value: int
@@ -100,14 +101,6 @@ def _require_min_degree_one(g: Graph, what: str) -> None:
         raise DomainError(f"{what} requires positive minimum degree")
 
 
-def _adj_masks(g: Graph) -> list[int]:
-    adj = [0] * g.n
-    for i, j in g.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
-    return adj
-
-
 def _neighbors(g: Graph) -> list[list[int]]:
     """The neighbor lists of g, indexed by vertex from 0."""
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
@@ -117,6 +110,11 @@ def _neighbors(g: Graph) -> list[list[int]]:
     return nbrs
 
 
+def _masks(nbrs: list[list[int]]) -> list[int]:
+    """The neighbor lists ``nbrs`` as bit masks, bit u for vertex u."""
+    return [sum(1 << u for u in ns) for ns in nbrs]
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -124,28 +122,26 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _solve(g: Graph, budget: SearchBudget | None, adjacency, improve, certificate) -> InvariantResult:
-    """Run the search ``improve(adjacency(g), best, search)``, which keeps
-    its incumbent in the list ``best``, overwritten in place with each
-    better one, so that ``best`` holds the incumbent whenever ``improve``
-    returns or runs out of budget; that list is the answer, of size
-    ``len(best)``, and ``certificate(best)`` its certificate.
-    ``adjacency`` is ``_adj_masks`` for a set search and ``_neighbors``
-    for a coloring search, as the head of this module says."""
+def _solve(adj: list, labels, budget: SearchBudget | None, improve, certificate) -> InvariantResult:
+    """Run the search ``improve(adj, best, search)``, which keeps its
+    incumbent in the list ``best``, overwritten in place with each better
+    one, so that ``best`` holds the incumbent whenever ``improve`` returns
+    or runs out of budget; that list is the answer, of size ``len(best)``,
+    and ``certificate(labels, best)`` its certificate.  ``adj`` and
+    ``labels`` are a universe as the head of this module says."""
     start = time.perf_counter()
     search = _Search(budget)
     best: list = []
     proven = True
-    adj = adjacency(g)
     try:
         improve(adj, best, search)
     except _OutOfBudget:
         proven = False
-    return InvariantResult(len(best), certificate(best), search.nodes, time.perf_counter() - start, proven)
+    return InvariantResult(len(best), certificate(labels, best), search.nodes, time.perf_counter() - start, proven)
 
 
-def _vertex_set(best: list[int]) -> frozenset:
-    return frozenset(v + 1 for v in best)
+def _vertex_set(labels, best: list[int]) -> frozenset:
+    return frozenset(map(labels.__getitem__, best))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +243,7 @@ def _mis_search(adj: list[int], best: list[int], search: _Search) -> None:
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Maximum independent set, exact."""
-    return _solve(g, budget, _adj_masks, _mis_search, _vertex_set)
+    return _solve(_masks(_neighbors(g)), g.vertices, budget, _mis_search, _vertex_set)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +259,8 @@ def independence_number(g: Graph, budget: SearchBudget | None = None) -> Invaria
 # when it has a level to search.
 
 
-def _coloring(classes: list[list[int]]) -> Coloring:
-    return Coloring(tuple(frozenset(v + 1 for v in cls) for cls in classes))
+def _coloring(labels, classes: list[list[int]]) -> Coloring:
+    return Coloring(tuple(frozenset(map(labels.__getitem__, cls)) for cls in classes))
 
 
 def _smallest_last(nbrs: list[list[int]]) -> list[int]:
@@ -406,7 +402,7 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
     The class count below the reported value is exhausted by search (or
     excluded outright by a clique of the same size), so the value is proven.
     """
-    return _solve(g, budget, _neighbors, _chromatic, _coloring)
+    return _solve(_neighbors(g), g.vertices, budget, _chromatic, _coloring)
 
 
 def minimum_coloring(nbrs: list[list[int]]) -> list[list[int]]:
@@ -575,7 +571,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominating set, exact; requires positive minimum degree."""
     _require_min_degree_one(g, "total domination")
-    return _solve(g, budget, _adj_masks, _tds_search, _vertex_set)
+    return _solve(_masks(_neighbors(g)), g.vertices, budget, _tds_search, _vertex_set)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +755,7 @@ def _tdc_search(nbrs: list[list[int]], best: list[list[int]], search: _Search) -
     runs on ``search``, so its nodes count toward the budget; ``best`` holds
     the greedy incumbent before its first node.  Both sets are found on
     ``nbrs`` as bit masks, bit v for vertex v."""
-    adj = [sum(1 << u for u in ns) for ns in nbrs]
+    adj = _masks(nbrs)
     order = _smallest_last(nbrs)
 
     def incumbent(tds: list[int]) -> list[list[int]]:
@@ -784,7 +780,7 @@ def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = Non
     excluded outright by a clique of the same size), so the value is proven.
     """
     _require_min_degree_one(g, "total dominator coloring")
-    return _solve(g, budget, _neighbors, _tdc_search, _coloring)
+    return _solve(_neighbors(g), g.vertices, budget, _tdc_search, _coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -795,27 +791,25 @@ def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = Non
 def mixed_independence_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Mixed independence number: maximum independent set of the total graph,
     reported over the base graph's objects."""
-    tg = total_graph(g)
-    return _solve(tg.graph, budget, _adj_masks, _mis_search, lambda best: tg.to_objects(_vertex_set(best)))
+    nbrs, labels = _total_numbering(g)
+    return _solve(_masks(nbrs), labels, budget, _mis_search, _vertex_set)
 
 
 def total_mixed_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total mixed domination number via the reduction to the total graph."""
     _require_min_degree_one(g, "total mixed domination")
-    tg = total_graph(g)
-    return _solve(tg.graph, budget, _adj_masks, _tds_search, lambda best: tg.to_objects(_vertex_set(best)))
+    nbrs, labels = _total_numbering(g)
+    return _solve(_masks(nbrs), labels, budget, _tds_search, _vertex_set)
 
 
 def total_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total chromatic number: chromatic number of the total graph, with a
     proper total coloring over the base graph's objects as certificate."""
-    tg = total_graph(g)
-    return _solve(tg.graph, budget, _neighbors, _chromatic, lambda best: coloring_from_total(tg, _coloring(best)))
+    return _solve(*_total_numbering(g), budget, _chromatic, _coloring)
 
 
 def tdtc_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total dominator total chromatic number, via the total-graph reduction,
     with a mixed-object coloring as certificate."""
     _require_min_degree_one(g, "total dominator total coloring")
-    tg = total_graph(g)
-    return _solve(tg.graph, budget, _neighbors, _tdc_search, lambda best: coloring_from_total(tg, _coloring(best)))
+    return _solve(*_total_numbering(g), budget, _tdc_search, _coloring)

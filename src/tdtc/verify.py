@@ -261,10 +261,10 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
     *total* dominating set.
 
     Once the members are checked, ``_dominator_classes`` builds the classes
-    on g's neighbor lists, vertex v numbered v - 1.
+    on g's neighbor lists, vertex v numbered v - 1, for ``_coloring``.
     """
     s = _members(g.vertices, s, _not_vertices)
-    return _coloring(_dominator_classes(_neighbors(g), [v - 1 for v in g.vertices if v in s]))
+    return _coloring(g.vertices, _dominator_classes(_neighbors(g), [v - 1 for v in g.vertices if v in s]))
 
 
 def _dominator_classes(nbrs: list[list[int]], s: list[int]) -> list[list[int]]:

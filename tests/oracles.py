@@ -35,9 +35,12 @@ outside the set, relabelled and colored by ``chromatic_number``; the
 former body of ``mixed_neighbors``, which builds every object through the
 checking ``Vertex``/``Edge`` constructors and reads vertex neighbours from
 ``Graph.adj``; the former body of ``total_graph``, which adds the total
-graph's edges to a set as it finds them; and the former body of
+graph's edges to a set as it finds them; the former body of
 ``tdtc_certificate``, which colors a total graph built that way through
-the vertex ids of its ``TotalGraph``.
+the vertex ids of its ``TotalGraph``; the former body of ``line_graph``,
+the total graph's subgraph induced by its edge objects; and the former
+route of the four mixed solvers, which ran their search on the graph of a
+``TotalGraph`` and mapped the answer back through its labels.
 """
 
 from itertools import combinations
@@ -682,3 +685,44 @@ def tdtc_certificate_reference(family: str, n: int) -> Coloring:
     inst = cf.FamilyInstance(family, n)
     tg = total_graph_reference(inst.graph())
     return coloring_from_total(tg, tdc_from_tds_reference(tg.graph, tg.to_vertex_ids(cf._tmds(inst))))
+
+
+def line_graph_reference(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
+    """The former body of ``graphs.line_graph``: the subgraph of the total
+    graph induced by its edge objects, the total graph built by
+    ``total_graph_reference``, which shares no code with the library's."""
+    tg = total_graph_reference(g)
+    lg, _ = induced_subgraph(tg.graph, range(g.n + 1, g.n + g.m + 1))
+    return lg, tg.labels[g.n:]
+
+
+def adj_masks_reference(g: Graph) -> list[int]:
+    """The former ``solvers._adj_masks``: g's bit masks, bit v - 1 for
+    vertex v, read off its edges."""
+    adj = [0] * g.n
+    for i, j in g.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    return adj
+
+
+def mixed_solve_reference(solve, g: Graph, budget=None):
+    """The former route of the mixed solver ``solve``: the search it runs
+    on the graph of the ``TotalGraph``, here ``total_graph_reference(g)``,
+    on ``adj_masks_reference`` for a set search and on
+    ``solvers._neighbors`` for a coloring search, with the answer's vertex
+    ids mapped back by ``TotalGraph.to_objects`` or ``coloring_from_total``.
+    Requires what ``solve`` requires of g."""
+    search, is_set = {
+        solvers.mixed_independence_number: (solvers._mis_search, True),
+        solvers.total_mixed_domination_number: (solvers._tds_search, True),
+        solvers.total_chromatic_number: (solvers._chromatic, False),
+        solvers.tdtc_number: (solvers._tdc_search, False),
+    }[solve]
+    tg = total_graph_reference(g)
+    h = tg.graph
+    if is_set:
+        return solvers._solve(adj_masks_reference(h), h.vertices, budget, search,
+                              lambda ids, best: tg.to_objects(solvers._vertex_set(ids, best)))
+    return solvers._solve(solvers._neighbors(h), h.vertices, budget, search,
+                          lambda ids, best: coloring_from_total(tg, solvers._coloring(ids, best)))

@@ -17,7 +17,10 @@ scan in ``oracles``, which finds each branch vertex by rescanning the
 uncovered vertices: the same lists, node counts and proven flags.  The independent
 set search against its reference in ``oracles``, which takes each
 dominance reduction case by case: the same incumbent lists and the same
-node counts, with and without a budget.
+node counts, with and without a budget.  The four mixed solvers, which
+search the total graph's neighbor lists, against their former route
+through ``total_graph`` in ``oracles``: the same values, certificates,
+node counts and proven flags under a budget.
 """
 
 import json
@@ -40,6 +43,7 @@ from oracles import (
     kcolor_feasible_reference,
     masks_from_positions,
     mis_search_reference,
+    mixed_solve_reference,
     mis_search_rescan,
     position_masks,
     tdc_from_tds_reference,
@@ -48,12 +52,12 @@ from oracles import (
 )
 from tdtc import Coloring, Graph, SearchBudget, induced_subgraph
 from tdtc.solvers import (
-    _adj_masks,
     _bits,
     _components,
     _greedy_independent,
     _greedy_tds,
     _ktdc_feasible,
+    _masks,
     _mis_search,
     _neighbors,
     _Search,
@@ -142,14 +146,14 @@ def test_degeneracy_order_matches_scan_on_families(family):
     for n in FAMILY_SIZES[family]:
         g = t.FamilyInstance(family, n).graph()
         for h in (g, t.total_graph(g).graph):
-            assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_adj_masks(h)), (family, n)
+            assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_masks(_neighbors(h))), (family, n)
 
 
 def test_degeneracy_order_matches_scan_on_random_graphs():
     assert _smallest_last([]) == degeneracy_order_scan([]) == []
     for idx, g in enumerate(RANDOM_GRAPHS):
         for h in (g, t.total_graph(g).graph):
-            assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_adj_masks(h)), idx
+            assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_masks(_neighbors(h))), idx
 
 
 def _induced_lists(g: Graph, old: tuple[int, ...], rng: random.Random) -> list[list[int]]:
@@ -175,7 +179,7 @@ def test_degeneracy_order_matches_scan_on_vertex_subsets(seed):
     for idx, g in enumerate(graphs):
         old = tuple(v for v in g.vertices if rng.random() < 0.6)
         keep = sum(1 << (v - 1) for v in old)
-        cut = [a & keep if keep >> v & 1 else 0 for v, a in enumerate(_adj_masks(g))]
+        cut = [a & keep if keep >> v & 1 else 0 for v, a in enumerate(_masks(_neighbors(g)))]
         want = [v + 1 for v in degeneracy_order_scan(cut) if keep >> v & 1]
         assert [old[k] for k in _smallest_last(_induced_lists(g, old, rng))] == want, (seed, idx)
 
@@ -231,7 +235,7 @@ def _assert_chromatic_matches_reference(graphs: list[Graph]) -> int:
         parts = []
         for comp in _components(_neighbors(g)):
             sub, old = induced_subgraph(g, {v + 1 for v in comp})
-            masks = chromatic_masks_reference(_adj_masks(sub), search)
+            masks = chromatic_masks_reference(_masks(_neighbors(sub)), search)
             parts.append(Coloring(tuple(frozenset(old[v] for v in _bits(m)) for m in masks)))
         got = t.chromatic_number(g)
         assert got.proven_optimal and got.certificate == _merged(parts), idx
@@ -278,7 +282,7 @@ def test_level_search_on_positions_matches_reference(exhaustive_connected_upto5,
     minimum degree 1, so the first feasible level has exactly k classes."""
     levels = 0
     for idx, g in enumerate([*exhaustive_connected_upto5, *random_corpus]):
-        adj = _adj_masks(g)
+        adj = _masks(_neighbors(g))
         order = degeneracy_order_scan(adj)
         by_position = position_masks(adj, order)
         for need in ((1 << g.n) - 1, 0):
@@ -297,7 +301,7 @@ def test_level_search_on_positions_matches_reference(exhaustive_connected_upto5,
 
 
 def _greedy_coloring(g: Graph) -> Coloring:
-    adj = _adj_masks(g)
+    adj = _masks(_neighbors(g))
     return coloring_of_masks(greedy_color_classes_masks(adj, degeneracy_order_scan(adj)))
 
 
@@ -361,7 +365,7 @@ TDS_GRAPHS = [
 
 def _run(g: Graph, search, budget: SearchBudget | None = None):
     """The run of ``search`` on g, with its incumbent list as certificate."""
-    return _solve(g, budget, _adj_masks, search, list)
+    return _solve(_masks(_neighbors(g)), g.vertices, budget, search, lambda labels, best: list(best))
 
 
 def test_tds_search_matches_reference():
@@ -435,7 +439,7 @@ def test_tds_search_matches_scan(mode, monkeypatch, random_corpus, exhaustive_co
 def test_greedy_tds_matches_scan_on_corpora(random_corpus, exhaustive_connected_upto5):
     graphs = [*TDS_GRAPHS, *random_corpus, *exhaustive_connected_upto5]
     for idx, g in enumerate(graphs):
-        adj = _adj_masks(g)
+        adj = _masks(_neighbors(g))
         assert _greedy_tds(adj) == greedy_tds_scan(adj), idx
 
 
@@ -446,7 +450,7 @@ def test_greedy_tds_matches_scan_on_family_total_graphs(family):
     for n in [*range(2, 61), *range(61, 300, 11), 300]:
         if family == "cycle" and n < 3:
             continue
-        adj = _adj_masks(t.total_graph(t.FamilyInstance(family, n).graph()).graph)
+        adj = _masks(_neighbors(t.total_graph(t.FamilyInstance(family, n).graph()).graph))
         assert _greedy_tds(adj) == greedy_tds_scan(adj), n
 
 
@@ -460,7 +464,7 @@ def test_greedy_independent_matches_scan(random_corpus, exhaustive_connected_upt
         *(t.total_graph(t.path(n)).graph for n in range(2, 61)),
     ]
     for idx, g in enumerate(graphs):
-        adj = _adj_masks(g)
+        adj = _masks(_neighbors(g))
         assert _greedy_independent(adj) == greedy_independent_scan(adj), idx
 
 
@@ -495,6 +499,35 @@ def test_mis_search_matches_rescan_on_long_families(family, n):
     got, former = _run(g, _mis_search), _run(g, mis_search_rescan)
     assert (got.certificate, got.nodes_explored, got.proven_optimal) == (
         former.certificate, former.nodes_explored, former.proven_optimal)
+
+
+# the runs of each mixed solver, of 990, left unproven by 3 and by 2,000 nodes
+MIXED_UNPROVEN = {
+    t.mixed_independence_number: (393, 0),
+    t.total_mixed_domination_number: (575, 4),
+    t.total_chromatic_number: (810, 17),
+    t.tdtc_number: (962, 40),
+}
+
+
+@pytest.mark.parametrize("max_nodes", [3, 2000])
+@pytest.mark.parametrize("solve", list(MIXED_UNPROVEN), ids=lambda solve: solve.__name__)
+def test_mixed_solvers_match_total_graph_route(solve, max_nodes, random_corpus, exhaustive_connected_upto5):
+    """Each mixed solver gives what its search gave on the graph of
+    ``total_graph``: the same value, certificate, node count and proven
+    flag, on the corpora, C_3..C_11 and P_2..P_11, under budgets that end
+    some of the searches and not others."""
+    graphs = [*random_corpus, *exhaustive_connected_upto5, *(t.cycle(n) for n in range(3, 12)),
+              *(t.path(n) for n in range(2, 12))]
+    budget = SearchBudget(max_nodes=max_nodes)
+    unproven = 0
+    for idx, g in enumerate(graphs):
+        got, want = solve(g, budget), mixed_solve_reference(solve, g, budget)
+        assert (got.value, got.certificate, got.nodes_explored, got.proven_optimal) == (
+            want.value, want.certificate, want.nodes_explored, want.proven_optimal), idx
+        unproven += not got.proven_optimal
+    assert len(graphs) == 990
+    assert unproven == MIXED_UNPROVEN[solve][max_nodes != 3]
 
 
 def _tdc_from_tds_matches_reference(g: Graph, s: frozenset) -> tuple[bool, bool]:
@@ -537,7 +570,8 @@ def test_tdc_from_tds_matches_reference_on_corpora(random_corpus, exhaustive_con
     graphs = [*random_corpus, *exhaustive_connected_upto5, *(g for g in RANDOM_GRAPHS if g.n and g.min_degree >= 1)]
     seen = {"disconnected": 0, "searched": 0}
     for g in graphs:
-        for s in (frozenset(v + 1 for v in _greedy_tds(_adj_masks(g))), t.total_domination_number(g).certificate):
+        greedy = frozenset(v + 1 for v in _greedy_tds(_masks(_neighbors(g))))
+        for s in (greedy, t.total_domination_number(g).certificate):
             disconnected, searched = _tdc_from_tds_matches_reference(g, s)
             seen["disconnected"] += disconnected
             seen["searched"] += searched

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import tdtc as t
-from oracles import mixed_neighbors_reference, objects_adjacent, total_graph_reference
+from oracles import line_graph_reference, mixed_neighbors_reference, objects_adjacent, total_graph_reference
 from tdtc import DomainError, Edge, Graph, GraphParseError, SearchBudget, Vertex
 from tdtc.graphs import _total_neighbors, quote_list
 
@@ -324,11 +324,11 @@ def _assert_as_checked(h: Graph) -> None:
 
 
 class TestLibraryBuiltGraphs:
-    """``cycle``, ``path``, ``total_graph``, ``induced_subgraph`` and
-    ``read_edge_list`` build their graphs without the checks of
-    ``Graph(n, edges)``, and ``mixed_objects``/``mixed_neighbors`` build
-    objects without those of ``Vertex``/``Edge``: each result must be what
-    the checking constructors give."""
+    """``cycle``, ``path``, ``total_graph``, ``line_graph``,
+    ``induced_subgraph`` and ``read_edge_list`` build their graphs without
+    the checks of ``Graph(n, edges)``, and ``mixed_objects``/``mixed_neighbors``
+    build objects without those of ``Vertex``/``Edge``: each result must be
+    what the checking constructors give."""
 
     def test_families(self):
         for n in range(3, 301):
@@ -358,6 +358,18 @@ class TestLibraryBuiltGraphs:
             assert all(len(set(ns)) == len(ns) for ns in nbrs)
             assert {(a, b) for a, ns in enumerate(nbrs) for b in ns} == {
                 (b, a) for a, ns in enumerate(nbrs) for b in ns}
+
+    def test_line_graph_matches_former_body(self, random_corpus, exhaustive_connected_upto5):
+        """``line_graph`` reads the edge-edge pairs off ``_total_neighbors``'
+        lists: the same graph and labels as the total graph's subgraph
+        induced by its edge objects."""
+        graphs = [*random_corpus, *exhaustive_connected_upto5, *(t.cycle(n) for n in range(3, 40)),
+                  *(t.path(n) for n in range(2, 40)), Graph(4, [(1, 2), (2, 3)]), Graph(3, []), Graph(0, [])]
+        for g in graphs:
+            lg, labels = t.line_graph(g)
+            _assert_as_checked(lg)
+            assert (lg, labels) == line_graph_reference(g)
+        assert len(graphs) == 1049
 
     def test_read_edge_list(self, random_corpus):
         for g in random_corpus:

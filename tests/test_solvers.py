@@ -21,7 +21,7 @@ from oracles import (
     total_mixed_domination_number_direct,
 )
 from tdtc import DomainError, Graph, SearchBudget
-from tdtc.solvers import _adj_masks, _greedy_tds, _ktdc_feasible, _neighbors, _Search, _smallest_last
+from tdtc.solvers import _greedy_tds, _ktdc_feasible, _masks, _neighbors, _Search, _smallest_last
 
 
 def complete(n):
@@ -149,7 +149,7 @@ def _assert_pruning_sound(solve, g):
     got = solve(g)
     tg = t.total_graph(g) if solve is t.tdtc_number else None
     search = _Search(None)
-    want = coloring_of_masks(tdc_masks_reference(_adj_masks(g if tg is None else tg.graph), search))
+    want = coloring_of_masks(tdc_masks_reference(_masks(_neighbors(g if tg is None else tg.graph)), search))
     if tg is not None:
         want = t.coloring_from_total(tg, want)
     assert got.value == want.num_classes
@@ -197,7 +197,8 @@ class TestTotalDominatorChromatic:
         when its coloring is smaller: a run with no nodes returns the greedy
         incumbent, and a full run never does worse."""
         for idx, g in enumerate([*exhaustive_connected_upto5, *random_corpus]):
-            greedy = len(tdc_incumbent_reference(_adj_masks(g), _greedy_tds(_adj_masks(g))))
+            adj = _masks(_neighbors(g))
+            greedy = len(tdc_incumbent_reference(adj, _greedy_tds(adj)))
             starved = t.total_dominator_chromatic_number(g, SearchBudget(max_nodes=0))
             assert starved.value == greedy and not starved.proven_optimal, idx
             assert t.is_tdc(g, starved.certificate).valid, idx
@@ -210,7 +211,7 @@ class TestTotalDominatorChromatic:
         it."""
         for idx, g in enumerate(exhaustive_connected_upto5):
             order = _smallest_last(_neighbors(g))
-            adj = position_masks(_adj_masks(g), order)
+            adj = position_masks(_masks(_neighbors(g)), order)
             for k in range(t.total_dominator_chromatic_number(g).value, g.n + 1):
                 found = _ktdc_feasible(adj, k, (1 << g.n) - 1, _Search(None))
                 assert found is not None and len(found) == k and all(found), (idx, k)
@@ -525,6 +526,16 @@ def test_invariant_result_built_only_in_solve():
     """Every solver's result comes out of one frame, ``solvers._solve``, so
     a field added to InvariantResult is filled in one place."""
     assert _call_sites(lambda name, scope: name == "InvariantResult") == ["solvers._solve"]
+
+
+def test_solvers_never_build_the_total_graph():
+    """The mixed solvers search the total graph's neighbor lists and map
+    their answers through its labels: no library function builds bit masks
+    from a graph's edge set, maps a coloring back with
+    ``coloring_from_total``, or builds a ``TotalGraph`` but the export of
+    one."""
+    assert _call_sites(lambda name, scope: name in ("_adj_masks", "coloring_from_total")) == []
+    assert _call_sites(lambda name, scope: name == "total_graph") == ["cli.cmd_export", "cli.cmd_export"]
 
 
 def test_no_recursion_in_library():
