@@ -28,10 +28,7 @@ from .graphs import (
     Graph,
     GraphParseError,
     ObjectId,
-    TotalGraph,
     Vertex,
-    coloring_from_total,
-    coloring_to_total,
     cycle,
     format_object,
     induced_subgraph,
@@ -64,7 +61,6 @@ from .verify import (
     VERTEX_UNIVERSE,
     DominationReport,
     coloring_to_json,
-    common_neighborhood,
     is_independent_set,
     is_mixed_independent_set,
     is_proper_coloring,

@@ -35,6 +35,7 @@ from .graphs import (
     GraphParseError,
     labels_to_json,
     line_graph,
+    mixed_objects,
     quote_list,
     quote_token,
     read_edge_list,
@@ -463,15 +464,15 @@ def cmd_export(args) -> int:
         _emit(json.dumps(data, indent=2) + "\n", args.out)
         return EXIT_OK
     if what == "labels":
-        _emit(labels_to_json(total_graph(g)), args.out)
+        _emit(labels_to_json(mixed_objects(g)), args.out)
         return EXIT_OK
 
     name = "G"
     if what == "graph":
         graph, labels = g, None
     elif what == "total-graph":
-        tg = total_graph(g)
-        graph, labels, name = tg.graph, tg.labels, "T"
+        graph, labels = total_graph(g)
+        name = "T"
     else:  # line-graph
         graph, labels = line_graph(g)
     _emit(to_dot(graph, labels, name) if fmt == "dot" else write_edge_list(graph), args.out)

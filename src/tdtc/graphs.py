@@ -2,13 +2,11 @@
 
 Vertices are numbered 1..n and edges are stored as ordered pairs (i, j)
 with i < j.  Besides the basic representation the module builds the two
-derived graphs used throughout the package: the line graph (one vertex
-per edge, adjacency = shared endpoint) and the total graph (one vertex
-per vertex *and* per edge, adjacency = "adjacent or incident"), together
-with the label bookkeeping needed to map results on the derived graphs
-back to the objects of the base graph: ``Coloring``, the ordered partition
-every coloring certificate uses, and ``coloring_to_total`` /
-``coloring_from_total``, which carry one across the total graph's labels.
+derived graphs used throughout the package, each returned with labels,
+vertex k standing for the base object ``labels[k - 1]``: the line graph
+(one vertex per edge, adjacency = shared endpoint) and the total graph
+(one vertex per vertex *and* per edge, adjacency = "adjacent or
+incident").  ``Coloring`` is the ordered partition every certificate uses.
 The total graph's adjacency is built in one place, ``_total_neighbors``:
 neighbour lists over the objects numbered from 0 in ``mixed_objects``
 order, paired with those objects by ``_total_numbering``, on which
@@ -244,20 +242,11 @@ class Graph:
             nbr[j].add(i)
         return {v: frozenset(s) for v, s in nbr.items()}
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @property
     def min_degree(self) -> int:
         if self.n == 0:
             return 0
         return min(len(s) for s in self.adj.values())
-
-    @property
-    def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(len(s) for s in self.adj.values())
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -331,28 +320,6 @@ class Coloring:
         return self._members  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class TotalGraph:
-    """Total graph of a base graph plus the vertex -> object bijection.
-
-    Vertex ordering is deterministic: base vertices 1..n first, then edges in
-    lexicographic (i, j) order, so certificates are reproducible byte for byte.
-    """
-
-    graph: Graph
-    labels: tuple[ObjectId, ...]
-
-    @cached_property
-    def index(self) -> dict[ObjectId, int]:
-        return {obj: k + 1 for k, obj in enumerate(self.labels)}
-
-    def to_objects(self, vertex_ids) -> frozenset[ObjectId]:
-        return frozenset(self.labels[v - 1] for v in vertex_ids)
-
-    def to_vertex_ids(self, objects) -> frozenset[int]:
-        return frozenset(self.index[o] for o in objects)
-
-
 def _total_neighbors(n: int, edges) -> list[list[int]]:
     """The neighbour lists of the total graph of the graph on vertices 1..n
     with the canonical pairs ``edges`` in ascending order, indexed from 0 in
@@ -390,20 +357,14 @@ def _pairs_from(nbrs: list[list[int]], lo: int) -> frozenset[tuple[int, int]]:
     return frozenset((a, b - lo + 1) for a, ns in enumerate(nbrs[lo:], 1) for b in ns if b - lo >= a)
 
 
-def total_graph(g: Graph) -> TotalGraph:
-    """Total graph of g: objects are V union E, adjacent when adjacent or incident in g."""
+def total_graph(g: Graph) -> tuple[Graph, tuple[ObjectId, ...]]:
+    """Total graph of g: objects are V union E, adjacent when adjacent or incident in g.
+
+    Returns the graph with its labels, vertex k standing for ``labels[k - 1]``:
+    the objects of g in ``mixed_objects`` order, vertices before edges.
+    """
     nbrs, labels = _total_numbering(g)
-    return TotalGraph(Graph._of(len(labels), _pairs_from(nbrs, 0)), labels)
-
-
-def coloring_to_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
-    """Map a mixed-object coloring of the base graph onto the total graph's vertices."""
-    return Coloring(tuple(tg.to_vertex_ids(cls) for cls in coloring.classes))
-
-
-def coloring_from_total(tg: TotalGraph, coloring: Coloring) -> Coloring:
-    """Map a coloring of the total graph's vertices back to mixed objects."""
-    return Coloring(tuple(tg.to_objects(cls) for cls in coloring.classes))
+    return Graph._of(len(labels), _pairs_from(nbrs, 0)), labels
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
@@ -550,10 +511,10 @@ def to_dot(g: Graph, labels: tuple[ObjectId, ...] | None = None, name: str = "G"
     return "\n".join(out) + "\n"
 
 
-def labels_to_json(tg: TotalGraph) -> str:
-    """JSON export of a total graph's vertex -> object label map."""
+def labels_to_json(labels: tuple[ObjectId, ...]) -> str:
+    """JSON export of a derived graph's label map, vertex k -> ``labels[k - 1]``."""
     data = {
-        "order": tg.graph.n,
-        "labels": {str(k + 1): format_object(obj) for k, obj in enumerate(tg.labels)},
+        "order": len(labels),
+        "labels": {str(k): format_object(obj) for k, obj in enumerate(labels, 1)},
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -193,20 +193,6 @@ def is_proper_total_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple 
     return _first_violation(_properness_violations(mixed_neighbors(g), coloring))
 
 
-def common_neighborhood(g: Graph, cls) -> frozenset[int]:
-    """Vertices adjacent to every member of ``cls``.
-
-    Since no vertex is adjacent to itself, a member of ``cls`` never appears.
-    The empty set has every vertex as a common neighbor.
-    """
-    cls = _members(
-        g.adj, cls, lambda bad: f"vertices {quote_list(sorted(bad, key=_order))} out of range for n={quote_token(g.n)}"
-    )
-    if not cls:
-        return frozenset(g.vertices)
-    return reduce(frozenset.intersection, (g.adj[v] for v in cls))
-
-
 def is_total_dominating_set(g: Graph, s) -> tuple[bool, tuple[int, ...]]:
     """True when every vertex has a neighbor in s; also returns the uncovered vertices."""
     return _uncovered(g.adj, s, _not_vertices)

@@ -36,11 +36,11 @@ former body of ``mixed_neighbors``, which builds every object through the
 checking ``Vertex``/``Edge`` constructors and reads vertex neighbours from
 ``Graph.adj``; the former body of ``total_graph``, which adds the total
 graph's edges to a set as it finds them; the former body of
-``tdtc_certificate``, which colors a total graph built that way through
-the vertex ids of its ``TotalGraph``; the former body of ``line_graph``,
-the total graph's subgraph induced by its edge objects; and the former
-route of the four mixed solvers, which ran their search on the graph of a
-``TotalGraph`` and mapped the answer back through its labels.
+``tdtc_certificate``, which colors a total graph built that way on the
+vertex ids of the objects in its labels; the former body of
+``line_graph``, the total graph's subgraph induced by its edge objects;
+and the former route of the four mixed solvers, which ran their search on
+such a total graph and mapped the answer back through its labels.
 """
 
 from itertools import combinations
@@ -52,10 +52,9 @@ from tdtc import (
     DomainError,
     Edge,
     Graph,
-    TotalGraph,
+    ObjectId,
     Vertex,
     chromatic_number,
-    coloring_from_total,
     induced_subgraph,
     is_total_dominating_set,
     mixed_neighbors,
@@ -660,7 +659,7 @@ def mixed_neighbors_reference(g: Graph) -> dict:
     return nbrs
 
 
-def total_graph_reference(g: Graph) -> TotalGraph:
+def total_graph_reference(g: Graph) -> tuple[Graph, tuple[ObjectId, ...]]:
     """The former body of ``graphs.total_graph``: the edges of g, then each
     edge object joined to its endpoints and to every edge object listed at
     an endpoint before it, added to a set and checked by ``Graph``."""
@@ -674,26 +673,39 @@ def total_graph_reference(g: Graph) -> TotalGraph:
         incident[j].append(k)
     for ids in incident:
         tedges.update(combinations(ids, 2))
-    return TotalGraph(Graph(len(labels), tedges), labels)
+    return Graph(len(labels), tedges), labels
+
+
+def label_index(labels) -> dict:
+    """The vertex id k of each object ``labels[k - 1]`` of a derived graph."""
+    return {o: k for k, o in enumerate(labels, 1)}
+
+
+def relabel(coloring: Coloring, new) -> Coloring:
+    """``coloring`` with each member x replaced by ``new[x]``, in class order:
+    ``label_index(labels)`` maps objects to vertex ids, and
+    ``dict(enumerate(labels, 1))`` maps vertex ids back to objects."""
+    return Coloring(tuple(frozenset(map(new.__getitem__, cls)) for cls in coloring.classes))
 
 
 def tdtc_certificate_reference(family: str, n: int) -> Coloring:
     """The former body of ``closed_forms.tdtc_certificate`` for an n it
     constructs: ``tdc_from_tds_reference`` on ``total_graph_reference``'s
     graph from the vertex ids of the minimum total mixed dominating set,
-    the classes mapped back to objects by ``coloring_from_total``."""
+    the classes mapped back to objects through the labels."""
     inst = cf.FamilyInstance(family, n)
-    tg = total_graph_reference(inst.graph())
-    return coloring_from_total(tg, tdc_from_tds_reference(tg.graph, tg.to_vertex_ids(cf._tmds(inst))))
+    tg, labels = total_graph_reference(inst.graph())
+    index = label_index(labels)
+    return relabel(tdc_from_tds_reference(tg, {index[o] for o in cf._tmds(inst)}), dict(enumerate(labels, 1)))
 
 
 def line_graph_reference(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
     """The former body of ``graphs.line_graph``: the subgraph of the total
     graph induced by its edge objects, the total graph built by
     ``total_graph_reference``, which shares no code with the library's."""
-    tg = total_graph_reference(g)
-    lg, _ = induced_subgraph(tg.graph, range(g.n + 1, g.n + g.m + 1))
-    return lg, tg.labels[g.n:]
+    tg, labels = total_graph_reference(g)
+    lg, _ = induced_subgraph(tg, range(g.n + 1, g.n + g.m + 1))
+    return lg, labels[g.n:]
 
 
 def adj_masks_reference(g: Graph) -> list[int]:
@@ -708,21 +720,20 @@ def adj_masks_reference(g: Graph) -> list[int]:
 
 def mixed_solve_reference(solve, g: Graph, budget=None):
     """The former route of the mixed solver ``solve``: the search it runs
-    on the graph of the ``TotalGraph``, here ``total_graph_reference(g)``,
-    on ``adj_masks_reference`` for a set search and on
-    ``solvers._neighbors`` for a coloring search, with the answer's vertex
-    ids mapped back by ``TotalGraph.to_objects`` or ``coloring_from_total``.
-    Requires what ``solve`` requires of g."""
+    on the total graph, here ``total_graph_reference(g)``, on
+    ``adj_masks_reference`` for a set search and on ``solvers._neighbors``
+    for a coloring search, with the answer's vertex ids mapped back to
+    objects through the labels.  Requires what ``solve`` requires of g."""
     search, is_set = {
         solvers.mixed_independence_number: (solvers._mis_search, True),
         solvers.total_mixed_domination_number: (solvers._tds_search, True),
         solvers.total_chromatic_number: (solvers._chromatic, False),
         solvers.tdtc_number: (solvers._tdc_search, False),
     }[solve]
-    tg = total_graph_reference(g)
-    h = tg.graph
+    h, labels = total_graph_reference(g)
+    back = dict(enumerate(labels, 1))
     if is_set:
         return solvers._solve(adj_masks_reference(h), h.vertices, budget, search,
-                              lambda ids, best: tg.to_objects(solvers._vertex_set(ids, best)))
+                              lambda ids, best: frozenset(map(back.__getitem__, solvers._vertex_set(ids, best))))
     return solvers._solve(solvers._neighbors(h), h.vertices, budget, search,
-                          lambda ids, best: coloring_from_total(tg, solvers._coloring(ids, best)))
+                          lambda ids, best: relabel(solvers._coloring(ids, best), back))

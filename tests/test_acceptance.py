@@ -13,6 +13,8 @@ from oracles import (
     brute_chi,
     brute_chi_t_d,
     brute_gamma_t,
+    label_index,
+    relabel,
     total_mixed_domination_number_direct,
     verify_formula_consistency,
 )
@@ -82,14 +84,15 @@ def test_criterion_05_certificate_tightness_to_300():
     for family, lo in (("cycle", 3), ("path", 2)):
         for n in range(lo, 301):
             g = t.FamilyInstance(family, n).graph()
-            tg = t.total_graph(g)
+            tg, labels = t.total_graph(g)
 
             cert = t.tdtc_certificate(family, n)
             if cert.num_classes != t.chi_tt(family, n).value or not t.is_tdtc(g, cert).valid:
                 failures.append((family, n, "tdtc"))
 
             s = t.min_tmds(family, n)
-            ok, _ = t.is_total_dominating_set(tg.graph, tg.to_vertex_ids(s))
+            index = label_index(labels)
+            ok, _ = t.is_total_dominating_set(tg, {index[o] for o in s})
             if not ok or len(s) != t.gamma_tm(family, n).value:
                 failures.append((family, n, "tmds"))
 
@@ -109,9 +112,10 @@ def test_criterion_06_reduction_identities(exhaustive_connected_upto5, random_co
     failures = []
     rng = random.Random(99)
     for idx, g in enumerate(_corpus(exhaustive_connected_upto5, random_corpus)):
-        tg = t.total_graph(g)
+        tg, labels = t.total_graph(g)
+        index = label_index(labels)
         direct = total_mixed_domination_number_direct(g)
-        reduced = t.total_domination_number(tg.graph)
+        reduced = t.total_domination_number(tg)
         if len(direct) != reduced.value:
             failures.append((idx, "gamma", len(direct), reduced.value))
             continue
@@ -119,7 +123,7 @@ def test_criterion_06_reduction_identities(exhaustive_connected_upto5, random_co
         # verifier-level identity: the direct mixed check agrees with the
         # total-graph check on valid and invalid colorings alike
         colorings = [
-            t.coloring_from_total(tg, t.tdc_from_tds(tg.graph, reduced.certificate))
+            relabel(t.tdc_from_tds(tg, reduced.certificate), dict(enumerate(labels, 1)))
         ]
         objs = list(t.mixed_objects(g))
         k = rng.randint(2, len(objs))
@@ -129,9 +133,9 @@ def test_criterion_06_reduction_identities(exhaustive_connected_upto5, random_co
         colorings.append(Coloring(tuple(frozenset(b) for b in buckets if b)))
         for coloring in colorings:
             direct_rep = t.is_tdtc(g, coloring)
-            mapped_rep = t.is_tdc(tg.graph, t.coloring_to_total(tg, coloring))
+            mapped_rep = t.is_tdc(tg, relabel(coloring, index))
             if direct_rep.valid != mapped_rep.valid or (
-                {tg.index[o]: c for o, c in direct_rep.witnesses.items()} != mapped_rep.witnesses
+                {index[o]: c for o, c in direct_rep.witnesses.items()} != mapped_rep.witnesses
             ):
                 failures.append((idx, "verifier-agreement"))
                 break

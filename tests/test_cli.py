@@ -749,6 +749,9 @@ class TestExport:
             ("line-graph", "edges", "3 2\n1 2\n2 3\n"),
             ("line-graph", "dot",
              'graph G {\n  "e1_2";\n  "e2_3";\n  "e3_4";\n  "e1_2" -- "e2_3";\n  "e2_3" -- "e3_4";\n}\n'),
+            ("labels", "json",
+             '{\n  "labels": {\n    "1": "v1",\n    "2": "v2",\n    "3": "v3",\n    "4": "v4",\n'
+             '    "5": "e1_2",\n    "6": "e2_3",\n    "7": "e3_4"\n  },\n  "order": 7\n}\n'),
         ],
     )
     def test_graph_exports_of_p4(self, capsys, what, fmt, want):

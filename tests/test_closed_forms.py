@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import tdtc as t
-from oracles import chi_tt_relative, tdtc_certificate_reference, verify_formula_consistency
+from oracles import chi_tt_relative, label_index, tdtc_certificate_reference, verify_formula_consistency
 from tdtc import DomainError, Edge, FamilyInstance, Vertex
 
 # hand-expanded formula tables
@@ -161,17 +161,18 @@ class TestTdtcCertificates:
     def test_remainder_of_dominating_set_is_3_chromatic_or_less(self, family, lo):
         for n in range(max(lo, 4), 40):
             g = FamilyInstance(family, n).graph()
-            tg = t.total_graph(g)
-            s = tg.to_vertex_ids(t.min_tmds(family, n))
-            rest = set(tg.graph.vertices) - s
-            sub, _ = t.induced_subgraph(tg.graph, rest)
+            tg, labels = t.total_graph(g)
+            index = label_index(labels)
+            s = {index[o] for o in t.min_tmds(family, n)}
+            rest = set(tg.vertices) - s
+            sub, _ = t.induced_subgraph(tg, rest)
             assert t.chromatic_number(sub).value <= 3, (family, n)
 
     @pytest.mark.parametrize("family,lo", [("cycle", 3), ("path", 2)])
     def test_constructed_certificates_match_former_body(self, family, lo):
         """The certificate built on the total graph's neighbour lists equals,
-        class for class, the one the former body built through a
-        ``TotalGraph`` and the former ``tdc_from_tds``."""
+        class for class, the one the former body built on the total graph's
+        vertex ids and the former ``tdc_from_tds``."""
         constructed = [n for n in range(lo, 301) if t.certificate_source(family, n) == t.CONSTRUCTED]
         assert len(constructed) > 280
         for n in [*constructed, 1000, 1200]:

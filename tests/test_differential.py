@@ -41,11 +41,13 @@ from oracles import (
     greedy_independent_scan,
     greedy_tds_scan,
     kcolor_feasible_reference,
+    label_index,
     masks_from_positions,
     mis_search_reference,
     mixed_solve_reference,
     mis_search_rescan,
     position_masks,
+    relabel,
     tdc_from_tds_reference,
     tds_search_reference,
     tds_search_scan,
@@ -145,14 +147,14 @@ def _check_mixed_universe(g: Graph, coloring: Coloring) -> dict:
 def test_degeneracy_order_matches_scan_on_families(family):
     for n in FAMILY_SIZES[family]:
         g = t.FamilyInstance(family, n).graph()
-        for h in (g, t.total_graph(g).graph):
+        for h in (g, t.total_graph(g)[0]):
             assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_masks(_neighbors(h))), (family, n)
 
 
 def test_degeneracy_order_matches_scan_on_random_graphs():
     assert _smallest_last([]) == degeneracy_order_scan([]) == []
     for idx, g in enumerate(RANDOM_GRAPHS):
-        for h in (g, t.total_graph(g).graph):
+        for h in (g, t.total_graph(g)[0]):
             assert _smallest_last(_neighbors(h)) == degeneracy_order_scan(_masks(_neighbors(h))), idx
 
 
@@ -175,7 +177,7 @@ def test_degeneracy_order_matches_scan_on_vertex_subsets(seed):
     off, those dropped: renumbering in ascending order changes no tie, nor
     does the order within a neighbor list."""
     rng = random.Random(seed)
-    graphs = [*RANDOM_GRAPHS[:100], *(t.total_graph(t.cycle(n)).graph for n in range(3, 40))]
+    graphs = [*RANDOM_GRAPHS[:100], *(t.total_graph(t.cycle(n))[0] for n in range(3, 40))]
     for idx, g in enumerate(graphs):
         old = tuple(v for v in g.vertices if rng.random() < 0.6)
         keep = sum(1 << (v - 1) for v in old)
@@ -189,10 +191,10 @@ def test_reports_match_scan_on_families(family):
     rng = random.Random(f"{family}-reports")
     for n in FAMILY_SIZES[family]:
         g = t.FamilyInstance(family, n).graph()
-        tg = t.total_graph(g)
+        tg, labels = t.total_graph(g)
         cert = t.tdtc_certificate(family, n)
         assert _check_mixed_universe(g, cert)["valid"], (family, n)
-        assert _check_vertex_universe(tg.graph, t.coloring_to_total(tg, cert))["valid"], (family, n)
+        assert _check_vertex_universe(tg, relabel(cert, label_index(labels)))["valid"], (family, n)
         for coloring in _colorings(rng, t.mixed_objects(g), t.mixed_neighbors(g)):
             _check_mixed_universe(g, coloring)
         for coloring in _colorings(rng, list(g.vertices), g.adj):
@@ -267,8 +269,8 @@ def test_chromatic_matches_reference_on_small_graphs(exhaustive_connected_upto5)
 
 
 def test_chromatic_matches_reference_on_family_total_graphs():
-    graphs = [t.total_graph(t.cycle(n)).graph for n in range(3, 16)]
-    graphs += [t.total_graph(t.path(n)).graph for n in range(2, 16)]
+    graphs = [t.total_graph(t.cycle(n))[0] for n in range(3, 16)]
+    graphs += [t.total_graph(t.path(n))[0] for n in range(2, 16)]
     assert _assert_chromatic_matches_reference(graphs) > 0
 
 
@@ -356,10 +358,10 @@ def _pool_graphs() -> list[Graph]:
 POOL_GRAPHS = _pool_graphs()
 TDS_GRAPHS = [
     *POOL_GRAPHS,
-    *(t.total_graph(g).graph for g in POOL_GRAPHS),
+    *(t.total_graph(g)[0] for g in POOL_GRAPHS),
     *(g for g in RANDOM_GRAPHS if g.n and g.min_degree >= 1),
-    *(t.total_graph(t.cycle(n)).graph for n in range(3, 21)),
-    *(t.total_graph(t.path(n)).graph for n in range(2, 21)),
+    *(t.total_graph(t.cycle(n))[0] for n in range(3, 21)),
+    *(t.total_graph(t.path(n))[0] for n in range(2, 21)),
 ]
 
 
@@ -398,7 +400,7 @@ def test_tds_search_with_tiny_table_matches_reference(monkeypatch):
     """A full table stops recording but keeps its entries: the incumbents
     stay the reference's, in no fewer nodes than with the whole table and no
     more than without one."""
-    graphs = [t.total_graph(t.cycle(35)).graph, *(t.total_graph(g).graph for g in POOL_GRAPHS[:50])]
+    graphs = [t.total_graph(t.cycle(35))[0], *(t.total_graph(g)[0] for g in POOL_GRAPHS[:50])]
     whole = [_run(g, _tds_search) for g in graphs]
     monkeypatch.setattr("tdtc.solvers._TDS_MEMO_CAP", 4)
     capped = [_run(g, _tds_search) for g in graphs]
@@ -412,7 +414,7 @@ def test_tds_search_with_tiny_table_matches_reference(monkeypatch):
 
 # T(C_n) and T(P_n) past the n <= 20 of TDS_GRAPHS; T(C_60) takes 178,029 nodes
 FAMILY_TDS_GRAPHS = [
-    t.total_graph(t.FamilyInstance(family, n).graph()).graph for family in ("cycle", "path") for n in range(21, 61)
+    t.total_graph(t.FamilyInstance(family, n).graph())[0] for family in ("cycle", "path") for n in range(21, 61)
 ]
 
 
@@ -450,7 +452,7 @@ def test_greedy_tds_matches_scan_on_family_total_graphs(family):
     for n in [*range(2, 61), *range(61, 300, 11), 300]:
         if family == "cycle" and n < 3:
             continue
-        adj = _masks(_neighbors(t.total_graph(t.FamilyInstance(family, n).graph()).graph))
+        adj = _masks(_neighbors(t.total_graph(t.FamilyInstance(family, n).graph())[0]))
         assert _greedy_tds(adj) == greedy_tds_scan(adj), n
 
 
@@ -460,8 +462,8 @@ def test_greedy_independent_matches_scan(random_corpus, exhaustive_connected_upt
     graphs = [
         *random_corpus,
         *exhaustive_connected_upto5,
-        *(t.total_graph(t.cycle(n)).graph for n in range(3, 61)),
-        *(t.total_graph(t.path(n)).graph for n in range(2, 61)),
+        *(t.total_graph(t.cycle(n))[0] for n in range(3, 61)),
+        *(t.total_graph(t.path(n))[0] for n in range(2, 61)),
     ]
     for idx, g in enumerate(graphs):
         adj = _masks(_neighbors(g))
@@ -478,9 +480,9 @@ def test_mis_search_matches_reference(max_nodes, random_corpus, exhaustive_conne
         *random_corpus,
         *exhaustive_connected_upto5,
         *RANDOM_GRAPHS,
-        *(t.total_graph(g).graph for g in RANDOM_GRAPHS),
-        *(t.total_graph(t.cycle(n)).graph for n in range(3, 26)),
-        *(t.total_graph(t.path(n)).graph for n in range(2, 26)),
+        *(t.total_graph(g)[0] for g in RANDOM_GRAPHS),
+        *(t.total_graph(t.cycle(n))[0] for n in range(3, 26)),
+        *(t.total_graph(t.path(n))[0] for n in range(2, 26)),
     ]
     budget = None if max_nodes is None else SearchBudget(max_nodes=max_nodes)
     for idx, g in enumerate(graphs):
@@ -495,7 +497,7 @@ def test_mis_search_matches_rescan_on_long_families(family, n):
     """On T(C_n) and T(P_n) the reductions take hundreds of vertices at a
     node, and the scan that resumes after each take makes the rescan's
     picks: the same set in the same few nodes."""
-    g = t.total_graph(t.FamilyInstance(family, n).graph()).graph
+    g = t.total_graph(t.FamilyInstance(family, n).graph())[0]
     got, former = _run(g, _mis_search), _run(g, mis_search_rescan)
     assert (got.certificate, got.nodes_explored, got.proven_optimal) == (
         former.certificate, former.nodes_explored, former.proven_optimal)
@@ -547,11 +549,12 @@ def test_tdc_from_tds_matches_reference_on_family_total_graphs(family):
     60, the coloring of that rest matches the bit-mask reference too."""
     remainders = []
     for n in range(3 if family == "cycle" else 2, 301):
-        tg = t.total_graph(t.FamilyInstance(family, n).graph())
-        s = tg.to_vertex_ids(t.min_tmds(family, n))
-        _tdc_from_tds_matches_reference(tg.graph, s)
+        tg, labels = t.total_graph(t.FamilyInstance(family, n).graph())
+        index = label_index(labels)
+        s = frozenset(index[o] for o in t.min_tmds(family, n))
+        _tdc_from_tds_matches_reference(tg, s)
         if n <= 60:
-            remainders.append(induced_subgraph(tg.graph, frozenset(tg.graph.vertices) - s)[0])
+            remainders.append(induced_subgraph(tg, frozenset(tg.vertices) - s)[0])
     _assert_chromatic_matches_reference(remainders)
 
 

@@ -14,8 +14,10 @@ from oracles import (
     brute_chi_t_d,
     brute_gamma_t,
     coloring_of_masks,
+    label_index,
     masks_from_positions,
     position_masks,
+    relabel,
     tdc_incumbent_reference,
     tdc_masks_reference,
     total_mixed_domination_number_direct,
@@ -62,7 +64,7 @@ class TestIndependence:
         assert t.independence_number(complete(4)).value == 1
 
     def test_total_of_cycle6(self):
-        assert t.independence_number(t.total_graph(t.cycle(6)).graph).value == 4
+        assert t.independence_number(t.total_graph(t.cycle(6))[0]).value == 4
 
     def test_edgeless_and_empty(self):
         assert t.independence_number(Graph(4, [])).value == 4
@@ -81,9 +83,10 @@ class TestChromatic:
     def test_remainder_of_block_set_is_3_colorable(self):
         # removing the periodic dominating set from the total graph of C_7
         # leaves a 3-chromatic remainder
-        tg = t.total_graph(t.cycle(7))
-        s = tg.to_vertex_ids(t.min_tmds("cycle", 7))
-        sub, _ = t.induced_subgraph(tg.graph, set(tg.graph.vertices) - s)
+        tg, labels = t.total_graph(t.cycle(7))
+        index = label_index(labels)
+        s = {index[o] for o in t.min_tmds("cycle", 7)}
+        sub, _ = t.induced_subgraph(tg, set(tg.vertices) - s)
         assert t.chromatic_number(sub).value == 3
 
     def test_disconnected(self):
@@ -105,7 +108,7 @@ class TestTotalDomination:
         assert t.total_domination_number(complete(3)).value == 2
 
     def test_total_of_cycle7(self):
-        assert t.total_domination_number(t.total_graph(t.cycle(7)).graph).value == 4
+        assert t.total_domination_number(t.total_graph(t.cycle(7))[0]).value == 4
 
     def test_isolated_vertex_rejected(self):
         with pytest.raises(DomainError):
@@ -147,11 +150,11 @@ def _assert_pruning_sound(solve, g):
     added.  ``solve`` is total_dominator_chromatic_number, or tdtc_number,
     whose reference runs on the total graph."""
     got = solve(g)
-    tg = t.total_graph(g) if solve is t.tdtc_number else None
+    h, labels = t.total_graph(g) if solve is t.tdtc_number else (g, None)
     search = _Search(None)
-    want = coloring_of_masks(tdc_masks_reference(_masks(_neighbors(g if tg is None else tg.graph)), search))
-    if tg is not None:
-        want = t.coloring_from_total(tg, want)
+    want = coloring_of_masks(tdc_masks_reference(_masks(_neighbors(h)), search))
+    if labels is not None:
+        want = relabel(want, dict(enumerate(labels, 1)))
     assert got.value == want.num_classes
     assert got.certificate == want
     assert got.nodes_explored <= search.nodes
@@ -164,8 +167,8 @@ class TestTotalDominatorChromatic:
         assert t.is_tdc(complete(3), r.certificate).valid
 
     def test_total_of_p4(self):
-        tg = t.total_graph(t.path(4))
-        r = t.total_dominator_chromatic_number(tg.graph)
+        tg, _ = t.total_graph(t.path(4))
+        r = t.total_dominator_chromatic_number(tg)
         assert r.value == 4
 
     def test_total_of_c9(self):
@@ -228,7 +231,7 @@ class TestMixedInvariants:
         for g in (t.path(5), t.cycle(6), STAR_K13):
             assert (
                 t.mixed_independence_number(g).value
-                == t.independence_number(t.total_graph(g).graph).value
+                == t.independence_number(t.total_graph(g)[0]).value
             )
 
     def test_alpha_mix_certificate_is_mixed_independent(self):
@@ -253,7 +256,7 @@ class TestMixedInvariants:
         if g.min_degree < 1:
             pytest.skip("needs positive minimum degree")
         direct = total_mixed_domination_number_direct(g)
-        reduced = t.total_domination_number(t.total_graph(g).graph)
+        reduced = t.total_domination_number(t.total_graph(g)[0])
         assert len(direct) == reduced.value
         assert t.is_total_mixed_dominating_set(g, direct)[0]
 
@@ -437,7 +440,7 @@ class TestDeterminismAndBudget:
         assert r.certificate.num_classes == r.value
 
     def test_budget_exhausted_alpha_certificate_still_verifies(self):
-        g = t.total_graph(t.cycle(10)).graph
+        g = t.total_graph(t.cycle(10))[0]
         r = t.independence_number(g, budget=SearchBudget(max_nodes=2))
         assert not r.proven_optimal
         assert t.is_independent_set(g, r.certificate)[0]
@@ -531,11 +534,10 @@ def test_invariant_result_built_only_in_solve():
 def test_solvers_never_build_the_total_graph():
     """The mixed solvers search the total graph's neighbor lists and map
     their answers through its labels: no library function builds bit masks
-    from a graph's edge set, maps a coloring back with
-    ``coloring_from_total``, or builds a ``TotalGraph`` but the export of
-    one."""
-    assert _call_sites(lambda name, scope: name in ("_adj_masks", "coloring_from_total")) == []
-    assert _call_sites(lambda name, scope: name == "total_graph") == ["cli.cmd_export", "cli.cmd_export"]
+    from a graph's edge set, and only the export of ``--what total-graph``
+    builds the total graph's edge set."""
+    assert _call_sites(lambda name, scope: name == "_adj_masks") == []
+    assert _call_sites(lambda name, scope: name == "total_graph") == ["cli.cmd_export"]
 
 
 def test_no_recursion_in_library():

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import tdtc as t
+from oracles import label_index, relabel
 from tdtc import Coloring, DomainError, Edge, GraphParseError, Graph, Vertex
 from tdtc.verify import certificate_from_json
 
@@ -44,31 +45,30 @@ class TestProperColoring:
             t.is_proper_coloring(t.path(3), mk_coloring({1}, {2}))
 
     def test_optimal_p4_coloring_is_proper_on_total_graph(self):
-        tg = t.total_graph(t.path(4))
-        mapped = t.coloring_to_total(tg, optimal_p4_coloring())
-        ok, _ = t.is_proper_coloring(tg.graph, mapped)
+        tg, labels = t.total_graph(t.path(4))
+        mapped = relabel(optimal_p4_coloring(), label_index(labels))
+        ok, _ = t.is_proper_coloring(tg, mapped)
         assert ok
 
 
 class TestCommonNeighborhood:
+    """``DominationReport.cn_sets[k]``: the vertices adjacent to every member of class k."""
+
     def test_singleton_is_open_neighborhood(self):
-        assert t.common_neighborhood(t.path(3), {2}) == frozenset({1, 3})
+        assert t.is_tdc(t.path(3), mk_coloring({2}, {1, 3})).cn_sets[0] == frozenset({1, 3})
 
     def test_far_vertices_share_nothing(self):
-        assert t.common_neighborhood(t.path(5), {1, 5}) == frozenset()
-
-    def test_empty_class_has_all(self):
-        assert t.common_neighborhood(t.path(3), set()) == frozenset({1, 2, 3})
+        assert t.is_tdc(t.path(5), mk_coloring({1, 5}, {2, 4}, {3})).cn_sets[0] == frozenset()
 
     def test_member_never_included(self):
         # a class member is not adjacent to itself, so it cannot appear
         g = t.cycle(3)
-        assert 1 not in t.common_neighborhood(g, {1})
-        assert t.common_neighborhood(g, {1, 2}) == frozenset({3})
+        assert 1 not in t.is_tdc(g, mk_coloring({1}, {2}, {3})).cn_sets[0]
+        assert t.is_tdc(g, mk_coloring({1, 2}, {3})).cn_sets[0] == frozenset({3})
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            t.common_neighborhood(t.path(3), {9})
+            t.is_tdc(t.path(3), mk_coloring({9}, {1, 2, 3}))
 
 
 class TestTotalDominatingSet:
@@ -81,16 +81,17 @@ class TestTotalDominatingSet:
         assert not ok and uncovered == (1, 3, 4)
 
     def test_tc7_block_set(self):
-        tg = t.total_graph(t.cycle(7))
-        s = tg.to_vertex_ids({Vertex(2), Vertex(3), Edge(5, 6), Edge(6, 7)})
-        ok, uncovered = t.is_total_dominating_set(tg.graph, s)
+        tg, labels = t.total_graph(t.cycle(7))
+        index = label_index(labels)
+        s = {index[o] for o in (Vertex(2), Vertex(3), Edge(5, 6), Edge(6, 7))}
+        ok, uncovered = t.is_total_dominating_set(tg, s)
         assert ok, uncovered
 
 
 class TestTdc:
     def test_optimal_p4_coloring_valid_on_total_graph(self):
-        tg = t.total_graph(t.path(4))
-        report = t.is_tdc(tg.graph, t.coloring_to_total(tg, optimal_p4_coloring()))
+        tg, labels = t.total_graph(t.path(4))
+        report = t.is_tdc(tg, relabel(optimal_p4_coloring(), label_index(labels)))
         assert report.valid and report.proper and not report.undominated
 
     def test_proper_but_not_dominating(self):
@@ -112,12 +113,12 @@ class TestTdc:
             assert coloring.classes[k] <= g.adj[v]
 
     def test_cn_union_covers_universe_for_valid_tdc(self):
-        tg = t.total_graph(t.cycle(9))
-        coloring = t.coloring_to_total(tg, t.tdtc_certificate("cycle", 9))
-        report = t.is_tdc(tg.graph, coloring)
+        tg, labels = t.total_graph(t.cycle(9))
+        coloring = relabel(t.tdtc_certificate("cycle", 9), label_index(labels))
+        report = t.is_tdc(tg, coloring)
         assert report.valid
         union = frozenset().union(*report.cn_sets)
-        assert union == frozenset(tg.graph.vertices)
+        assert union == frozenset(tg.vertices)
 
     def test_coverage_mismatch(self):
         with pytest.raises(DomainError):
@@ -141,7 +142,8 @@ class TestTdtc:
     def test_agrees_with_total_graph_route(self):
         rng = random.Random(7)
         for g in (t.path(4), t.path(5), t.cycle(4), t.cycle(5), Graph(4, [(1, 2), (1, 3), (1, 4)])):
-            tg = t.total_graph(g)
+            tg, labels = t.total_graph(g)
+            index = label_index(labels)
             objs = list(t.mixed_objects(g))
             colorings = []
             if g == t.path(g.n):
@@ -156,10 +158,10 @@ class TestTdtc:
                 colorings.append(Coloring(tuple(parts)))
             for coloring in colorings:
                 direct = t.is_tdtc(g, coloring)
-                mapped = t.is_tdc(tg.graph, t.coloring_to_total(tg, coloring))
+                mapped = t.is_tdc(tg, relabel(coloring, index))
                 assert direct.valid == mapped.valid
                 assert direct.proper == mapped.proper
-                got = {tg.index[o]: k for o, k in direct.witnesses.items()}
+                got = {index[o]: k for o, k in direct.witnesses.items()}
                 assert got == mapped.witnesses
 
     def test_coverage_mismatch(self):
@@ -225,8 +227,6 @@ class TestMembersOutsideUniverse:
             lambda g: t.is_proper_total_coloring(g, TestMembersOutsideUniverse.INT_COLORING),
             lambda g: t.is_tdc(g, TestMembersOutsideUniverse.VERTEX_COLORING),
             lambda g: t.is_proper_coloring(g, TestMembersOutsideUniverse.VERTEX_COLORING),
-            lambda g: t.common_neighborhood(g, {"a"}),
-            lambda g: t.common_neighborhood(g, {"a", 9, 10}),
             lambda g: t.is_total_dominating_set(g, {Vertex(1)}),
             lambda g: t.is_independent_set(g, {Vertex(1), 2}),
             # tuples equal to objects: (1,) == Vertex(1) and (1, 2) == Edge(1, 2)
@@ -237,8 +237,7 @@ class TestMembersOutsideUniverse:
             lambda g: t.is_mixed_independent_set(g, {TestMembersOutsideUniverse.Pair(1, 2)}),
         ],
         ids=["tmds-int", "mixed-independent-int", "tdtc-ints", "proper-total-ints", "tdc-vertices",
-             "proper-vertices", "common-neighborhood-str", "common-neighborhood-str-and-ints",
-             "tds-vertex", "independent-vertex-and-int", "tmds-tuple", "mixed-independent-tuple",
+             "proper-vertices", "tds-vertex", "independent-vertex-and-int", "tmds-tuple", "mixed-independent-tuple",
              "tdtc-tuple", "proper-total-tuple", "mixed-independent-namedtuple"],
     )
     def test_foreign_member_is_domain_error(self, check):
@@ -255,7 +254,6 @@ class TestMembersOutsideUniverse:
              "set members ['e1_3', 'v9'] are not objects of the graph"),
             (lambda g: t.is_mixed_independent_set(g, {Edge(3, 4)}),
              "set members ['e3_4'] are not objects of the graph"),
-            (lambda g: t.common_neighborhood(g, {10, 9, 1}), "vertices [9, 10] out of range for n=3"),
             (lambda g: t.is_tdc(g, mk_coloring({1, 10}, {9})),
              "coloring does not cover the universe (missing=[2, 3], extra=[9, 10])"),
             (lambda g: t.is_tdtc(g, mk_coloring({Vertex(1), Vertex(9)}, {Edge(1, 2), Edge(7, 8)})),
@@ -266,7 +264,7 @@ class TestMembersOutsideUniverse:
             (lambda g: t.is_total_mixed_dominating_set(g, {Vertex(2), (1, 2)}),
              "set members ['(1, 2)'] are not objects of the graph"),
         ],
-        ids=["tds", "independent", "tmds", "mixed-independent", "common-neighborhood", "tdc", "tdtc",
+        ids=["tds", "independent", "tmds", "mixed-independent", "tdc", "tdtc",
              "tdtc-tuple", "tmds-tuple"],
     )
     def test_message(self, check, message):
@@ -299,9 +297,6 @@ class TestMembersOutsideUniverse:
         tokens = sorted(f"v{i}" for i in range(301, 312))
         assert str(info.value) == f"set members {tokens[:10]} and 1 more are not objects of the graph"
         with pytest.raises(DomainError) as info:
-            t.common_neighborhood(g, range(301, 700))
-        assert str(info.value) == f"vertices {list(range(301, 311))} and 389 more out of range for n=300"
-        with pytest.raises(DomainError) as info:
             t.tdc_from_tds(g, {1})
         uncovered = [1, *range(3, 12)]
         assert str(info.value) == f"not a total dominating set, uncovered vertices: {uncovered} and 288 more"
@@ -314,18 +309,18 @@ class TestTdcFromTds:
         assert t.is_tdc(t.path(4), coloring).valid
 
     def test_tc14_block_set_gives_eleven_classes(self):
-        tg = t.total_graph(t.cycle(14))
-        s = tg.to_vertex_ids(t.min_tmds("cycle", 14))
-        coloring = t.tdc_from_tds(tg.graph, s)
+        tg, labels = t.total_graph(t.cycle(14))
+        index = label_index(labels)
+        coloring = t.tdc_from_tds(tg, {index[o] for o in t.min_tmds("cycle", 14)})
         assert coloring.num_classes == 11
-        assert t.is_tdc(tg.graph, coloring).valid
+        assert t.is_tdc(tg, coloring).valid
 
     def test_tp7_block_set_gives_seven_classes(self):
-        tg = t.total_graph(t.path(7))
-        s = tg.to_vertex_ids(t.min_tmds("path", 7))
-        coloring = t.tdc_from_tds(tg.graph, s)
+        tg, labels = t.total_graph(t.path(7))
+        index = label_index(labels)
+        coloring = t.tdc_from_tds(tg, {index[o] for o in t.min_tmds("path", 7)})
         assert coloring.num_classes == 7
-        assert t.is_tdc(tg.graph, coloring).valid
+        assert t.is_tdc(tg, coloring).valid
 
     def test_class_count_is_tds_plus_chi_of_remainder(self):
         g = t.cycle(9)
