@@ -28,7 +28,6 @@ indices reduce mod n into 1..n, so the wrap edge is Edge(1, n).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graphs import (
@@ -44,8 +43,7 @@ from .graphs import (
     path,
     quote_token,
 )
-from .solvers import _coloring
-from .verify import _dominator_classes
+from .solvers import _dominator_coloring
 
 CYCLE = "cycle"
 PATH = "path"
@@ -312,17 +310,15 @@ def _small_case(inst: FamilyInstance) -> Coloring | None:
 def tdtc_certificate(family: str, n: int) -> Coloring:
     """An optimal total dominator total coloring of the cycle or path of order n.
 
-    The constructed case is ``verify.tdc_from_tds`` on the total graph,
-    run on the neighbour lists of ``graphs._total_numbering``; the classes
-    take the objects' labels at the end, through ``solvers._coloring``."""
+    A small case comes from ``_small_case``; every other n is
+    ``solvers._dominator_coloring`` from the minimum total mixed dominating
+    set ``_tmds`` on ``graphs._total_numbering``'s universe, the objects of
+    the set as singletons and an exact coloring of the rest."""
     inst = FamilyInstance(family, n)
     small = _small_case(inst)
     if small is not None:
         return small
-    nbrs, labels = _total_numbering(inst.graph())
-    edges = labels[n:]  # sorted, so an edge's number is n plus its place here
-    tmds = sorted(o.i - 1 if isinstance(o, Vertex) else n + bisect_left(edges, o) for o in _tmds(inst))
-    return _coloring(labels, _dominator_classes(nbrs, tmds))
+    return _dominator_coloring(*_total_numbering(inst.graph()), frozenset(_tmds(inst)))
 
 
 def certificate_source(family: str, n: int) -> str:

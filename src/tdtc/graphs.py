@@ -10,9 +10,11 @@ incident").  ``Coloring`` is the ordered partition every certificate uses.
 The total graph's adjacency is built in one place, ``_total_neighbors``:
 neighbour lists over the objects numbered from 0 in ``mixed_objects``
 order, paired with those objects by ``_total_numbering``, on which
-``total_graph``, ``line_graph``, the mixed solvers and ``closed_forms``
+``total_graph``, ``line_graph``, the mixed solvers and
+``closed_forms.tdtc_certificate`` (through ``solvers._dominator_coloring``)
 build.  ``mixed_neighbors`` builds the same relation over the objects
-themselves, a separate route kept for the checks.
+themselves, a separate route kept for the checks, as ``Graph.adj`` is for
+the vertices; no search or construction reads either.
 
 ``quote_token`` and ``quote_list`` are the one place the package decides
 how an error message shows a value it was given: a value by its first 40
@@ -241,12 +243,6 @@ class Graph:
             nbr[i].add(j)
             nbr[j].add(i)
         return {v: frozenset(s) for v, s in nbr.items()}
-
-    @property
-    def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(len(s) for s in self.adj.values())
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -13,6 +13,9 @@ search through ``_solve``; the function named below holds the strategy.
 * mixed_independence_number, total_chromatic_number,
   total_mixed_domination_number and tdtc_number: ``_mis_search``,
   ``_chromatic``, ``_tds_search`` and ``_tdc_search`` on the total graph.
+* the construction of ``verify.tdc_from_tds`` and
+  ``closed_forms.tdtc_certificate``, a total dominating set as singletons
+  and a minimum coloring of the rest, not a solver: ``_dominator_coloring``.
 
 Each search runs on its universe numbered 0..V-1: neighbor lists indexed
 by number, and ``labels[p]`` the member numbered p; ``_neighbors(g)`` with
@@ -20,8 +23,9 @@ by number, and ``labels[p]`` the member numbered p; ``_neighbors(g)`` with
 Set searches take the lists' ``_masks``, coloring searches the lists; only
 the level search ``_ktdc_feasible`` runs on masks, bit p for the p-th
 vertex of a search order.  ``_vertex_set`` and ``_coloring`` map every
-answer to labels, and so the remainder colorings (``minimum_coloring``)
-of ``verify.tdc_from_tds`` and ``closed_forms.tdtc_certificate``.
+answer to labels.  The searches and ``_dominator_coloring`` read only
+these lists: the checks in ``verify`` read ``Graph.adj`` and
+``graphs.mixed_neighbors``, which nothing here builds.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .graphs import Coloring, DomainError, Graph, _total_numbering, quote_token
+from .graphs import Coloring, DomainError, Graph, _total_numbering, quote_list, quote_token
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,8 @@ class _Search:
         self.nodes += 1
 
 
-def _require_min_degree_one(g: Graph, what: str) -> None:
-    # an edge covers two vertices, so fewer than n/2 edges leave one isolated:
-    # that needs no adjacency, which a huge edgeless header would make costly
-    if g.n == 0 or 2 * g.m < g.n or g.min_degree < 1:
+def _require_no_isolated_vertex(g: Graph, what: str) -> None:
+    if g.n == 0 or len({v for e in g.edges for v in e}) < g.n:
         raise DomainError(f"{what} requires positive minimum degree")
 
 
@@ -252,9 +254,9 @@ def independence_number(g: Graph, budget: SearchBudget | None = None) -> Invaria
 # Coloring runs on neighbor lists ``nbrs``: a list whose entry v, for each
 # vertex v in 0..V-1, lists the neighbors of v, in any order.  Ties break
 # toward the lowest index, so renumbering the vertices in ascending order,
-# as ``verify`` does with the graph left by a dominating set, changes no
-# tie.  Work on one component is proportional to its size: only the
-# search over the whole graph holds arrays over every vertex.  Only the
+# as ``_dominator_coloring`` does with the graph left by a dominating set,
+# changes no tie.  Work on one component is proportional to its size: only
+# the search over the whole graph holds arrays over every vertex.  Only the
 # level search needs bit masks, and ``_first_feasible_level`` builds them
 # when it has a level to search.
 
@@ -405,13 +407,31 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
     return _solve(_neighbors(g), g.vertices, budget, _chromatic, _coloring)
 
 
-def minimum_coloring(nbrs: list[list[int]]) -> list[list[int]]:
-    """The classes of a minimum proper coloring, exact and unbounded, of the
-    graph given by the neighbor lists ``nbrs``, in the form the head of this
-    section describes, as lists of its vertices."""
+def _dominator_coloring(nbrs: list[list[int]], labels, s) -> Coloring:
+    """The total dominator coloring of the universe ``nbrs``/``labels``
+    built from the label set ``s``: raises DomainError, naming the labels
+    of the vertices with no neighbor in s, unless s totally dominates; else
+    the members of s as singletons in the order of their numbers, then a
+    minimum coloring, exact and unbounded, of the rest.  That coloring runs
+    on the rest renumbered 0..R-1 in ascending order, which keeps the order
+    of its vertices and so every tie of ``_chromatic``."""
+    tds = [p for p, x in enumerate(labels) if x in s]
+    covered = bytearray(len(nbrs))
+    for v in tds:
+        for u in nbrs[v]:
+            covered[u] = 1
+    if 0 in covered:
+        uncovered = [labels[v] for v, c in enumerate(covered) if not c]
+        raise DomainError(f"not a total dominating set, uncovered vertices: {quote_list(uncovered)}")
+    new = list(range(len(nbrs)))  # each vertex's number in the rest, -1 for a member of s
+    for v in tds:
+        new[v] = -1
+    rest = [v for v in new if v >= 0]
+    for r, v in enumerate(rest):
+        new[v] = r
     classes: list[list[int]] = []
-    _chromatic(nbrs, classes, _Search(None))
-    return classes
+    _chromatic([[new[u] for u in nbrs[v] if new[u] >= 0] for v in rest], classes, _Search(None))
+    return _coloring(labels, [[v] for v in tds] + [[rest[r] for r in cls] for cls in classes])
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +590,7 @@ def _tds_search(adj: list[int], best: list[int], search: _Search, seed: list[int
 
 def total_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Minimum total dominating set, exact; requires positive minimum degree."""
-    _require_min_degree_one(g, "total domination")
+    _require_no_isolated_vertex(g, "total domination")
     return _solve(_masks(_neighbors(g)), g.vertices, budget, _tds_search, _vertex_set)
 
 
@@ -779,7 +799,7 @@ def total_dominator_chromatic_number(g: Graph, budget: SearchBudget | None = Non
     Every class count below the reported value is refuted by search (or
     excluded outright by a clique of the same size), so the value is proven.
     """
-    _require_min_degree_one(g, "total dominator coloring")
+    _require_no_isolated_vertex(g, "total dominator coloring")
     return _solve(_neighbors(g), g.vertices, budget, _tdc_search, _coloring)
 
 
@@ -797,7 +817,7 @@ def mixed_independence_number(g: Graph, budget: SearchBudget | None = None) -> I
 
 def total_mixed_domination_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total mixed domination number via the reduction to the total graph."""
-    _require_min_degree_one(g, "total mixed domination")
+    _require_no_isolated_vertex(g, "total mixed domination")
     nbrs, labels = _total_numbering(g)
     return _solve(_masks(nbrs), labels, budget, _tds_search, _vertex_set)
 
@@ -811,5 +831,5 @@ def total_chromatic_number(g: Graph, budget: SearchBudget | None = None) -> Inva
 def tdtc_number(g: Graph, budget: SearchBudget | None = None) -> InvariantResult:
     """Total dominator total chromatic number, via the total-graph reduction,
     with a mixed-object coloring as certificate."""
-    _require_min_degree_one(g, "total dominator total coloring")
+    _require_no_isolated_vertex(g, "total dominator total coloring")
     return _solve(*_total_numbering(g), budget, _tdc_search, _coloring)

@@ -6,10 +6,9 @@ here are definitional and use no solver: a class totally dominates an
 object exactly when the object is adjacent (or incident) to every member
 of the class.  An object never witnesses its own class, because nothing
 is adjacent to itself; in particular a singleton class is never witnessed
-by its own member.  Only ``tdc_from_tds``, the one construction here,
-calls a solver: it colors the remainder of a total dominating set
-exactly, on neighbor lists, through ``_dominator_classes``, which
-``closed_forms.tdtc_certificate`` calls on the total graph's lists.
+by its own member.  The checks use no solver and no search's neighbor
+lists.  ``tdc_from_tds``, the one construction here, checks its members
+and delegates to ``solvers._dominator_coloring``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .graphs import (
     quote_list,
     quote_token,
 )
-from .solvers import _coloring, _neighbors, minimum_coloring
+from .solvers import _dominator_coloring, _neighbors
 
 VERTEX_UNIVERSE = "vertices"
 MIXED_UNIVERSE = "mixed"
@@ -246,36 +245,10 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
     this holds for the members of s as well, which is why s must be a
     *total* dominating set.
 
-    Once the members are checked, ``_dominator_classes`` builds the classes
-    on g's neighbor lists, vertex v numbered v - 1, for ``_coloring``.
+    Once the members are checked, ``solvers._dominator_coloring`` builds
+    the coloring on g's neighbor lists, vertex v numbered v - 1.
     """
-    s = _members(g.vertices, s, _not_vertices)
-    return _coloring(g.vertices, _dominator_classes(_neighbors(g), [v - 1 for v in g.vertices if v in s]))
-
-
-def _dominator_classes(nbrs: list[list[int]], s: list[int]) -> list[list[int]]:
-    """The classes of ``tdc_from_tds`` on the graph of the neighbor lists
-    ``nbrs``, vertices 0..V-1, from the total dominating set ``s`` in
-    ascending order: raises DomainError, naming vertex v as v + 1, unless
-    every vertex has a neighbor in s; else s as singletons, then a minimum
-    coloring of g - s.  That coloring runs on g - s renumbered 0..R-1 in
-    ascending order, which keeps the order of its vertices and so every tie
-    of ``solvers.minimum_coloring``."""
-    covered = bytearray(len(nbrs))
-    for v in s:
-        for u in nbrs[v]:
-            covered[u] = 1
-    if 0 in covered:
-        uncovered = [v + 1 for v, c in enumerate(covered) if not c]
-        raise DomainError(f"not a total dominating set, uncovered vertices: {quote_list(uncovered)}")
-    new = list(range(len(nbrs)))  # each vertex's number in g - s, -1 for a member of s
-    for v in s:
-        new[v] = -1
-    rest = [v for v in new if v >= 0]
-    for r, v in enumerate(rest):
-        new[v] = r
-    sub = [[new[u] for u in nbrs[v] if new[u] >= 0] for v in rest]
-    return [[v] for v in s] + [[rest[r] for r in cls] for cls in minimum_coloring(sub)]
+    return _dominator_coloring(_neighbors(g), g.vertices, _members(g.vertices, s, _not_vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import tdtc as t
+import tdtc.solvers as solvers
 from oracles import chi_tt_relative, label_index, tdtc_certificate_reference, verify_formula_consistency
 from tdtc import DomainError, Edge, FamilyInstance, Vertex
 
@@ -177,6 +178,18 @@ class TestTdtcCertificates:
         assert len(constructed) > 280
         for n in [*constructed, 1000, 1200]:
             assert t.tdtc_certificate(family, n).classes == tdtc_certificate_reference(family, n).classes, n
+
+    @pytest.mark.parametrize("family,lo", [("cycle", 3), ("path", 2)])
+    def test_constructed_certificates_need_no_level_search(self, family, lo, monkeypatch):
+        """The rest of the dominating set is colored by first fit alone: its
+        greedy coloring meets the clique bound, so no level of the exact
+        coloring search runs."""
+        def level_search(*args):
+            raise AssertionError("tdtc_certificate ran a level search")
+
+        monkeypatch.setattr(solvers, "_ktdc_feasible", level_search)
+        for n in range(lo, 301):
+            assert t.tdtc_certificate(family, n).num_classes == t.chi_tt(family, n).value, n
 
     def test_determinism(self):
         a = t.tdtc_certificate("cycle", 30)
