@@ -12,9 +12,15 @@ neighbour lists over the objects numbered from 0 in ``mixed_objects``
 order, paired with those objects by ``_total_numbering``, on which
 ``total_graph``, ``line_graph``, the mixed solvers and
 ``closed_forms.tdtc_certificate`` (through ``solvers._dominator_coloring``)
-build.  ``mixed_neighbors`` builds the same relation over the objects
-themselves, a separate route kept for the checks, as ``Graph.adj`` is for
-the vertices; no search or construction reads either.
+build.  The checks of ``tdtc.verify`` read a universe through a
+``Universe`` record instead: its objects in canonical order, a membership
+test, the neighbour list of one object, its adjacent pairs and the length
+of its widest neighbour list.  ``mixed_universe`` builds the record of
+V union E from first principles, out of g's sorted edges and the edges at
+each vertex, a separate route from ``_total_neighbors``;
+``vertex_universe`` builds the vertices' from ``Graph.adj`` and g's edges.
+``mixed_neighbors`` gives the mixed record as a map from each object to
+the set of its neighbours.  No search or construction reads any of them.
 
 ``quote_token`` and ``quote_list`` are the one place the package decides
 how an error message shows a value it was given: a value by its first 40
@@ -30,7 +36,7 @@ library built is not checked again.  ``Graph(n, edges)``, ``Vertex``,
 given.  ``cycle``, ``path``, ``induced_subgraph`` and the total and line
 graphs build edges canonical and in range, ``read_edge_list`` checks each
 one, so they make their graphs through ``Graph._of``, which checks nothing;
-``mixed_objects`` and ``mixed_neighbors`` build the objects of a graph,
+``mixed_objects`` and ``mixed_universe`` build the objects of a graph,
 valid by then, without the checks of ``Vertex`` and ``Edge``.
 
 The mixed objects ``Vertex`` and ``Edge`` are tuple subclasses, ``(i,)``
@@ -46,8 +52,10 @@ import itertools
 import json
 import operator
 import re
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -80,6 +88,8 @@ class Vertex(tuple):
     __slots__ = ()
 
     def __new__(cls, i: int) -> Vertex:
+        if type(i) is not int:
+            raise DomainError(f"vertex index must be an int, got {quote_token(i)}")
         if i < 1:
             raise DomainError(f"vertex index must be >= 1, got {quote_token(i)}")
         return _new_tuple(cls, (i,))
@@ -105,6 +115,8 @@ class Edge(tuple):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int) -> Edge:
+        if type(i) is not int or type(j) is not int:
+            raise DomainError(f"edge endpoints must be ints, got ({quote_token(i)},{quote_token(j)})")
         if i == j:
             raise DomainError(f"self-loop edge ({quote_token(i)},{quote_token(j)}) is not allowed")
         if i > j:
@@ -400,16 +412,48 @@ def mixed_objects(g: Graph) -> tuple[ObjectId, ...]:
     return (*_vertices(g), *_edges(g.sorted_edges()))
 
 
-def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
-    """Neighbor map of the mixed universe under the adjacent-or-incident relation.
+class Universe(NamedTuple):
+    """A universe as the certificate checks read it.
 
-    Keys come in canonical object order.  Each object is built once and the
-    same instance appears as a key and in every neighbor set.  Objects hash
-    and compare as tuples, so set operations on the map run in C whether or
-    not two equal objects are the same instance.  A vertex's set is built
-    from its neighbours in ascending order and then its edges, an edge's
-    from its endpoints and then the other edges at each endpoint, in that
-    order, which fixes the sets' iteration order.
+    ``objects`` lists its members in canonical order.  ``outside(s)`` is
+    its membership test, run on a whole frozenset at once: the list of the
+    members of s that are not objects of the universe, in no set order.  A
+    vertex id is an ``int`` (a bool or a float equal to one is not), and a
+    mixed object a ``Vertex`` or ``Edge`` (a plain tuple equal to one is
+    not).  ``around(x)`` lists the neighbours of the object x, each once.
+    ``pairs()`` gives every adjacent pair (a, b) once, a before b in
+    canonical order, in no set order; ``widest`` is the length of the
+    longest ``around`` list.
+    """
+
+    objects: Sequence
+    outside: Callable[[frozenset], list]
+    around: Callable[[object], Iterable]
+    pairs: Callable[[], Iterable[tuple]]
+    widest: int
+
+
+def vertex_universe(g: Graph) -> Universe:
+    """The vertices 1..n of g: its ``adj`` sets around each, its edges as the pairs."""
+    n, adj = g.n, g.adj
+    return Universe(
+        objects=g.vertices,
+        outside=lambda s: [x for x in s if not (type(x) is int and 1 <= x <= n)],
+        around=adj.__getitem__,
+        pairs=lambda: g.edges,
+        widest=max(map(len, adj.values()), default=0),
+    )
+
+
+def mixed_universe(g: Graph) -> Universe:
+    """The objects V union E of g under the adjacent-or-incident relation.
+
+    Each object is built once, and the same instance appears in
+    ``objects`` and in every ``around`` list.  A vertex's list holds its
+    neighbours in ascending order and then its edges, an edge's its
+    endpoints and then the other edges at each endpoint, lower endpoint
+    first.  The pairs are the edges' endpoints, each vertex with each of its
+    edges, and each two edges at one vertex.
     """
     vertex = [None, *_vertices(g)]
     pairs = g.sorted_edges()
@@ -421,16 +465,45 @@ def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
         near[j].append(vertex[i])
         incident[i].append(e)
         incident[j].append(e)
+    objects = (*vertex[1:], *edges)
 
-    nbrs: dict[ObjectId, frozenset[ObjectId]] = {}
-    for v in g.vertices:
-        nbrs[vertex[v]] = frozenset([*near[v], *incident[v]])
-    for (i, j), e in zip(pairs, edges):
+    def outside(s: frozenset) -> list:
+        strays = s.difference(objects)
+        # a tuple that is no Vertex or Edge hashes and compares equal to one;
+        # types are tested once each, not per member
+        kinds = [k for k in set(map(type, s)) if issubclass(k, tuple) and not issubclass(k, (Vertex, Edge))]
+        return [*strays, *(x for x in s - strays if type(x) in kinds)] if kinds else list(strays)
+
+    def around(x) -> list:
+        if isinstance(x, Vertex):
+            return [*near[x[0]], *incident[x[0]]]
+        i, j = x
         out = [vertex[i], vertex[j], *incident[i], *incident[j]]
-        out.remove(e)  # from incident[i]
-        out.remove(e)  # from incident[j]
-        nbrs[e] = frozenset(out)
-    return nbrs
+        out.remove(x)  # from incident[i]
+        out.remove(x)  # from incident[j]
+        return out
+
+    def adjacent_pairs() -> Iterable[tuple]:
+        lo = [vertex[i] for i, _ in pairs]
+        hi = [vertex[j] for _, j in pairs]
+        at_vertex = itertools.chain.from_iterable(map(itertools.combinations, incident, itertools.repeat(2)))
+        return itertools.chain(zip(lo, hi), zip(lo, edges), zip(hi, edges), at_vertex)
+
+    return Universe(
+        objects=objects,
+        outside=outside,
+        around=around,
+        pairs=adjacent_pairs,
+        widest=2 * max(map(len, incident)),
+    )
+
+
+def mixed_neighbors(g: Graph) -> dict[ObjectId, frozenset[ObjectId]]:
+    """Neighbor map of the mixed universe: each object of ``mixed_universe(g)``,
+    in canonical order, to the set of its ``around`` list, built in that
+    list's order, which fixes the sets' iteration order."""
+    universe = mixed_universe(g)
+    return {x: frozenset(universe.around(x)) for x in universe.objects}
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ Set searches take the lists' ``_masks``, coloring searches the lists; only
 the level search ``_ktdc_feasible`` runs on masks, bit p for the p-th
 vertex of a search order.  ``_vertex_set`` and ``_coloring`` map every
 answer to labels.  The searches and ``_dominator_coloring`` read only
-these lists: the checks in ``verify`` read ``Graph.adj`` and
-``graphs.mixed_neighbors``, which nothing here builds.
+these lists: the checks in ``verify`` read ``graphs.vertex_universe`` and
+``graphs.mixed_universe``, which nothing here builds.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from itertools import chain, filterfalse
 
 from .graphs import (
     Coloring,
@@ -23,13 +23,15 @@ from .graphs import (
     Edge,
     Graph,
     GraphParseError,
+    Universe,
     Vertex,
     format_object,
-    mixed_neighbors,
+    mixed_universe,
     object_key,
     parse_object,
     quote_list,
     quote_token,
+    vertex_universe,
 )
 from .solvers import _dominator_coloring, _neighbors
 
@@ -70,26 +72,16 @@ def _pair_order(pair: tuple):
     return _order(pair[0]), _order(pair[1])
 
 
-# A universe is its neighbour map: ``Graph.adj`` for the vertices,
-# ``mixed_neighbors(g)`` for V union E.  Both list their keys in canonical
-# order, so the checks below serve either one unchanged.
+# A universe is a ``graphs.Universe`` record: ``vertex_universe(g)`` for the
+# vertices, ``mixed_universe(g)`` for V union E.  Each check below reads only
+# the record, so it serves either universe unchanged.
 
 
-def _impostors(s: frozenset) -> list:
-    """The members of ``s`` that are tuples but not mixed objects.  ``(1,)``
-    hashes and compares equal to ``Vertex(1)``, so a key test alone would
-    take it for the vertex.  Types are tested once each, not per member."""
-    kinds = [k for k in set(map(type, s)) if issubclass(k, tuple) and not issubclass(k, (Vertex, Edge))]
-    return [x for x in s if type(x) in kinds] if kinds else []
-
-
-def _members(neighbors, s, complaint) -> frozenset:
+def _members(universe: Universe, s, complaint) -> frozenset:
     """``s`` as a frozenset; raises DomainError(complaint(outsiders)) when some
-    member is not in ``neighbors`` (a universe's neighbor map, or its
-    range of vertex ids), or is an impostor of one."""
+    member is not an object of ``universe``."""
     s = frozenset(s)
-    outside = [x for x in s if x not in neighbors]
-    outside += (x for x in _impostors(s) if x in neighbors)
+    outside = universe.outside(s)
     if outside:
         raise DomainError(complaint(outside))
     return s
@@ -104,38 +96,43 @@ def _not_objects(outside: list) -> str:
     return f"set members {quote_list(sorted(tokens))} are not objects of the graph"
 
 
-def _adjacent_pairs(neighbors: dict, cls: frozenset) -> list[tuple]:
-    """Every adjacent pair (a, b) of members of ``cls`` with a before b, unsorted."""
-    return [(a, b) for a in cls for b in neighbors[a] & cls if _order(a) < _order(b)]
-
-
-def _properness_violations(neighbors: dict, coloring: Coloring) -> list[tuple]:
+def _properness_violations(universe: Universe, coloring: Coloring) -> list[tuple]:
     """Every monochromatic adjacent pair (a, b, class) with a before b, in
     sorted order; raises DomainError unless the coloring covers the universe
     exactly."""
     members = coloring.members()
-    impostors = _impostors(members)
-    if impostors or neighbors.keys() != members:
-        members = members.difference(impostors)
-        missing = sorted(neighbors.keys() - members, key=_order)
-        extra = sorted([*impostors, *(members - neighbors.keys())], key=_order)
+    outside = universe.outside(members)
+    if outside or len(members) != len(universe.objects):
+        inside = members.difference(outside)
+        missing = [x for x in universe.objects if x not in inside]
+        extra = sorted(outside, key=_order)
         raise DomainError(
             f"coloring does not cover the universe (missing={quote_list(missing)}, extra={quote_list(extra)})"
         )
-    # only same-class neighbours are visited, so sorting touches violations alone
-    violations = [
-        (a, b, k) for k, cls in enumerate(coloring.classes) for a, b in _adjacent_pairs(neighbors, cls)
-    ]
+    color = {x: k for k, cls in enumerate(coloring.classes) for x in cls}
+    violations = [(a, b, color[a]) for a, b in universe.pairs() if color[a] == color[b]]
     violations.sort(key=_pair_order)
     return violations
 
 
-def _domination_report(neighbors: dict, coloring: Coloring) -> DominationReport:
-    violations = _properness_violations(neighbors, coloring)
-    cn_sets = tuple(
-        reduce(frozenset.intersection, (neighbors[m] for m in cls))
-        for cls in coloring.classes
-    )
+def _common_neighborhood(universe: Universe, cls: frozenset) -> frozenset:
+    """The objects adjacent to every member of ``cls``.  Such an object has
+    all of ``cls`` around it, so a class wider than the widest neighbourhood
+    has none."""
+    if len(cls) > universe.widest:
+        return frozenset()
+    lists = map(universe.around, cls)
+    common = frozenset(next(lists))
+    for nbrs in lists:
+        if not common:
+            break
+        common = common.intersection(nbrs)
+    return common
+
+
+def _domination_report(universe: Universe, coloring: Coloring) -> DominationReport:
+    violations = _properness_violations(universe, coloring)
+    cn_sets = tuple(_common_neighborhood(universe, cls) for cls in coloring.classes)
 
     # walking classes in index order, the first class recorded is the lowest
     first: dict = {}
@@ -144,7 +141,7 @@ def _domination_report(neighbors: dict, coloring: Coloring) -> DominationReport:
             first.setdefault(obj, k)
     witnesses = {}
     undominated = []
-    for obj in neighbors:
+    for obj in universe.objects:
         k = first.get(obj)
         if k is None:
             undominated.append(obj)
@@ -166,14 +163,16 @@ def _first_violation(violations: list[tuple]) -> tuple[bool, tuple | None]:
     return (False, violations[0][:2]) if violations else (True, None)
 
 
-def _uncovered(neighbors: dict, s, complaint) -> tuple[bool, tuple]:
-    s = _members(neighbors, s, complaint)
-    uncovered = tuple(obj for obj, nbrs in neighbors.items() if not (nbrs & s))
+def _uncovered(universe: Universe, s, complaint) -> tuple[bool, tuple]:
+    """The objects outside every member's neighbourhood, in canonical order."""
+    covered = set(chain.from_iterable(map(universe.around, _members(universe, s, complaint))))
+    uncovered = tuple(filterfalse(covered.__contains__, universe.objects))
     return not uncovered, uncovered
 
 
-def _first_adjacent_pair(neighbors: dict, s, complaint) -> tuple[bool, tuple | None]:
-    pairs = _adjacent_pairs(neighbors, _members(neighbors, s, complaint))
+def _first_adjacent_pair(universe: Universe, s, complaint) -> tuple[bool, tuple | None]:
+    s = _members(universe, s, complaint)
+    pairs = [(a, b) for a in s for b in universe.around(a) if b in s and _order(a) < _order(b)]
     return (False, min(pairs, key=_pair_order)) if pairs else (True, None)
 
 
@@ -184,38 +183,38 @@ def _first_adjacent_pair(neighbors: dict, s, complaint) -> tuple[bool, tuple | N
 
 def is_proper_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple[int, int] | None]:
     """True when no edge is monochromatic; also returns the first offending edge."""
-    return _first_violation(_properness_violations(g.adj, coloring))
+    return _first_violation(_properness_violations(vertex_universe(g), coloring))
 
 
 def is_proper_total_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple | None]:
     """Properness over the mixed universe: adjacent-or-incident objects differ."""
-    return _first_violation(_properness_violations(mixed_neighbors(g), coloring))
+    return _first_violation(_properness_violations(mixed_universe(g), coloring))
 
 
 def is_total_dominating_set(g: Graph, s) -> tuple[bool, tuple[int, ...]]:
     """True when every vertex has a neighbor in s; also returns the uncovered vertices."""
-    return _uncovered(g.adj, s, _not_vertices)
+    return _uncovered(vertex_universe(g), s, _not_vertices)
 
 
 def is_total_mixed_dominating_set(g: Graph, objects) -> tuple[bool, tuple]:
     """True when every object of g is adjacent or incident to a member of the set."""
-    return _uncovered(mixed_neighbors(g), objects, _not_objects)
+    return _uncovered(mixed_universe(g), objects, _not_objects)
 
 
 def is_independent_set(g: Graph, s) -> tuple[bool, tuple | None]:
     """True when no two members of s are adjacent; returns the first offending pair."""
-    return _first_adjacent_pair(g.adj, s, _not_vertices)
+    return _first_adjacent_pair(vertex_universe(g), s, _not_vertices)
 
 
 def is_mixed_independent_set(g: Graph, objects) -> tuple[bool, tuple | None]:
     """True when no two objects are adjacent or incident in g."""
-    return _first_adjacent_pair(mixed_neighbors(g), objects, _not_objects)
+    return _first_adjacent_pair(mixed_universe(g), objects, _not_objects)
 
 
 def is_tdc(g: Graph, coloring: Coloring) -> DominationReport:
     """Check a total dominator coloring of g: proper, and every vertex
     is adjacent to all of some color class."""
-    return _domination_report(g.adj, coloring)
+    return _domination_report(vertex_universe(g), coloring)
 
 
 def is_tdtc(g: Graph, coloring: Coloring) -> DominationReport:
@@ -225,7 +224,7 @@ def is_tdtc(g: Graph, coloring: Coloring) -> DominationReport:
     relation; it agrees with is_tdc on the total graph under the label
     bijection (the test suite cross-checks the two routes).
     """
-    return _domination_report(mixed_neighbors(g), coloring)
+    return _domination_report(mixed_universe(g), coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
     Once the members are checked, ``solvers._dominator_coloring`` builds
     the coloring on g's neighbor lists, vertex v numbered v - 1.
     """
-    return _dominator_coloring(_neighbors(g), g.vertices, _members(g.vertices, s, _not_vertices))
+    return _dominator_coloring(_neighbors(g), g.vertices, _members(vertex_universe(g), s, _not_vertices))
 
 
 # ---------------------------------------------------------------------------

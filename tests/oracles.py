@@ -39,14 +39,19 @@ graph's edges to a set as it finds them; the former body of
 ``tdtc_certificate``, which colors a total graph built that way on the
 vertex ids of the objects in its labels; the former body of
 ``line_graph``, the total graph's subgraph induced by its edge objects;
-and the former route of the four mixed solvers, which ran their search on
-such a total graph and mapped the answer back through its labels.
+the former route of the four mixed solvers, which ran their search on
+such a total graph and mapped the answer back through its labels; and the
+former bodies of the certificate checks, which ran on a universe given by
+its neighbour map, ``Graph.adj`` or ``mixed_neighbors_reference(g)``, and
+intersected a frozenset per member.
 """
 
+from functools import reduce
 from itertools import combinations
 
 import tdtc.closed_forms as cf
 import tdtc.solvers as solvers
+import tdtc.verify as verify
 from tdtc import (
     Coloring,
     DomainError,
@@ -61,6 +66,7 @@ from tdtc import (
     mixed_objects,
     object_key,
 )
+from tdtc.graphs import quote_list
 from tdtc.solvers import _bits, _clique_cover_count, _greedy_independent, _greedy_tds, _Search
 
 
@@ -737,3 +743,100 @@ def mixed_solve_reference(solve, g: Graph, budget=None):
                               lambda ids, best: frozenset(map(back.__getitem__, solvers._vertex_set(ids, best))))
     return solvers._solve(solvers._neighbors(h), h.vertices, budget, search,
                           lambda ids, best: relabel(solvers._coloring(ids, best), back))
+
+
+def _impostors_former(s: frozenset) -> list:
+    """The members of ``s`` that are tuples but not mixed objects."""
+    kinds = [k for k in set(map(type, s)) if issubclass(k, tuple) and not issubclass(k, (Vertex, Edge))]
+    return [x for x in s if type(x) in kinds] if kinds else []
+
+
+def _members_former(neighbors, s, complaint) -> frozenset:
+    s = frozenset(s)
+    outside = [x for x in s if x not in neighbors]
+    outside += (x for x in _impostors_former(s) if x in neighbors)
+    if outside:
+        raise DomainError(complaint(outside))
+    return s
+
+
+def _adjacent_pairs_former(neighbors: dict, cls: frozenset) -> list[tuple]:
+    return [(a, b) for a in cls for b in neighbors[a] & cls if verify._order(a) < verify._order(b)]
+
+
+def _properness_violations_former(neighbors: dict, coloring: Coloring) -> list[tuple]:
+    members = coloring.members()
+    impostors = _impostors_former(members)
+    if impostors or neighbors.keys() != members:
+        members = members.difference(impostors)
+        missing = sorted(neighbors.keys() - members, key=verify._order)
+        extra = sorted([*impostors, *(members - neighbors.keys())], key=verify._order)
+        raise DomainError(
+            f"coloring does not cover the universe (missing={quote_list(missing)}, extra={quote_list(extra)})"
+        )
+    violations = [
+        (a, b, k) for k, cls in enumerate(coloring.classes) for a, b in _adjacent_pairs_former(neighbors, cls)
+    ]
+    violations.sort(key=verify._pair_order)
+    return violations
+
+
+def _domination_report_former(neighbors: dict, coloring: Coloring) -> verify.DominationReport:
+    violations = _properness_violations_former(neighbors, coloring)
+    cn_sets = tuple(reduce(frozenset.intersection, (neighbors[m] for m in cls)) for cls in coloring.classes)
+    first: dict = {}
+    for k, cn in enumerate(cn_sets):
+        for obj in cn:
+            first.setdefault(obj, k)
+    witnesses = {}
+    undominated = []
+    for obj in neighbors:
+        k = first.get(obj)
+        if k is None:
+            undominated.append(obj)
+        else:
+            witnesses[obj] = k
+    proper = not violations
+    return verify.DominationReport(
+        valid=proper and not undominated,
+        proper=proper,
+        witnesses=witnesses,
+        undominated=tuple(undominated),
+        properness_violations=tuple(violations),
+        cn_sets=cn_sets,
+    )
+
+
+def _proper_former(neighbors: dict, coloring: Coloring) -> tuple:
+    violations = _properness_violations_former(neighbors, coloring)
+    return (False, violations[0][:2]) if violations else (True, None)
+
+
+def _uncovered_former(neighbors: dict, s, complaint) -> tuple:
+    s = _members_former(neighbors, s, complaint)
+    uncovered = tuple(obj for obj, nbrs in neighbors.items() if not (nbrs & s))
+    return not uncovered, uncovered
+
+
+def _first_adjacent_pair_former(neighbors: dict, s, complaint) -> tuple:
+    pairs = _adjacent_pairs_former(neighbors, _members_former(neighbors, s, complaint))
+    return (False, min(pairs, key=verify._pair_order)) if pairs else (True, None)
+
+
+def _on_neighbor_map(core, mixed: bool, *complaint):
+    """``core`` run on g's neighbour map: ``mixed_neighbors_reference(g)``
+    for the mixed universe, ``g.adj`` for the vertices."""
+    return lambda g, cert: core(mixed_neighbors_reference(g) if mixed else g.adj, cert, *complaint)
+
+
+# the former body of each public check of ``tdtc.verify``
+FORMER_CHECKS = {
+    verify.is_proper_coloring: _on_neighbor_map(_proper_former, False),
+    verify.is_proper_total_coloring: _on_neighbor_map(_proper_former, True),
+    verify.is_tdc: _on_neighbor_map(_domination_report_former, False),
+    verify.is_tdtc: _on_neighbor_map(_domination_report_former, True),
+    verify.is_total_dominating_set: _on_neighbor_map(_uncovered_former, False, verify._not_vertices),
+    verify.is_total_mixed_dominating_set: _on_neighbor_map(_uncovered_former, True, verify._not_objects),
+    verify.is_independent_set: _on_neighbor_map(_first_adjacent_pair_former, False, verify._not_vertices),
+    verify.is_mixed_independent_set: _on_neighbor_map(_first_adjacent_pair_former, True, verify._not_objects),
+}

@@ -20,7 +20,10 @@ dominance reduction case by case: the same incumbent lists and the same
 node counts, with and without a budget.  The four mixed solvers, which
 search the total graph's neighbor lists, against their former route
 through ``total_graph`` in ``oracles``: the same values, certificates,
-node counts and proven flags under a budget.
+node counts and proven flags under a budget.  Every certificate check
+against its former body in ``oracles``, which ran on a neighbour map: the
+same return values, report fields and witness order, and the same
+exceptions and messages, on family, solver and mutated certificates.
 """
 
 import json
@@ -34,6 +37,7 @@ import tdtc as t
 from oracles import (
     chromatic_masks_reference,
     coloring_of_masks,
+    FORMER_CHECKS,
     degeneracy_order_scan,
     domination_report_scan,
     greedy_clique_size_masks,
@@ -52,7 +56,10 @@ from oracles import (
     tds_search_reference,
     tds_search_scan,
 )
-from tdtc import Coloring, Graph, SearchBudget, induced_subgraph
+import tdtc.graphs
+import tdtc.solvers
+import tdtc.verify
+from tdtc import Coloring, Edge, Graph, SearchBudget, induced_subgraph
 from tdtc.solvers import (
     _bits,
     _components,
@@ -594,8 +601,8 @@ def test_tdc_from_tds_matches_reference_on_corpora(random_corpus, exhaustive_con
 )
 def test_tdc_from_tds_rejects_as_reference(s):
     """The same DomainError message for a set that leaves a vertex
-    uncovered or holds a non-vertex, and the same coloring for members
-    that equal vertices."""
+    uncovered or holds a non-vertex, a bool or a float equal to a vertex
+    id among them."""
     g = t.path(4)
     try:
         want = tdc_from_tds_reference(g, s)
@@ -605,3 +612,132 @@ def test_tdc_from_tds_rejects_as_reference(s):
         assert str(info.value) == str(exc)
     else:
         assert t.tdc_from_tds(g, s).classes == want.classes
+
+
+# ---------------------------------------------------------------------------
+# Certificate checks against their former neighbour-map bodies
+# ---------------------------------------------------------------------------
+
+# the checks of each certificate shape, by universe
+CHECKS = {
+    (True, "coloring"): (t.is_tdtc, t.is_proper_total_coloring),
+    (True, "set"): (t.is_total_mixed_dominating_set, t.is_mixed_independent_set),
+    (False, "coloring"): (t.is_tdc, t.is_proper_coloring),
+    (False, "set"): (t.is_total_dominating_set, t.is_independent_set),
+}
+
+
+def _outcome(check, g: Graph, cert):
+    """What ``check`` gives on cert: its value, a report as its fields, or
+    the type and message of what it raised."""
+    try:
+        out = check(g, cert)
+    except Exception as exc:  # any type: the two bodies must raise the same one
+        return type(exc), str(exc)
+    return _fields(out) if isinstance(out, t.DominationReport) else out
+
+
+def _mutations(rng: random.Random, g: Graph, cert, mixed: bool) -> list:
+    """``cert`` and its mutations: two classes merged, a class or a member
+    dropped, a member of no universe added, and a member replaced by the
+    plain tuple that equals it."""
+    foreign = Edge(1, g.n + 1) if mixed else g.n + 1
+    if isinstance(cert, Coloring):
+        classes = list(cert.classes)
+        k = rng.randrange(len(classes))
+        x = rng.choice(sorted(classes[k], key=tdtc.verify._order))
+        impostor = tuple(x) if mixed else (x,)
+        out = [cert, Coloring((*classes, frozenset([foreign]))),
+               Coloring((*classes[:k], classes[k] - {x} | {impostor}, *classes[k + 1:]))]
+        if len(classes[k]) > 1:
+            out.append(Coloring((*classes[:k], classes[k] - {x}, *classes[k + 1:])))
+        if len(classes) > 1:
+            a, b = rng.sample(range(len(classes)), 2)
+            out.append(Coloring((classes[a] | classes[b], *(c for i, c in enumerate(classes) if i not in (a, b)))))
+            out.append(Coloring((*classes[:k], *classes[k + 1:])))
+        return out
+    members = sorted(cert, key=tdtc.verify._order)
+    x = rng.choice(members)
+    return [cert, cert - {x}, cert | {foreign}, cert - {x} | {tuple(x) if mixed else (x,)}]
+
+
+def _assert_checks_match_former(rng: random.Random, g: Graph, certs: list, mixed: bool, every: bool = True) -> int:
+    """Assert that each check of each certificate's shape, on it and on its
+    mutations, every one or one drawn at random, gives what its former body
+    gives; returns the count of checks."""
+    count = 0
+    for cert in certs:
+        shape = "coloring" if isinstance(cert, Coloring) else "set"
+        cert, *mutated = _mutations(rng, g, cert, mixed)
+        for c in [cert, *(mutated if every else [rng.choice(mutated)])]:
+            for check in CHECKS[mixed, shape]:
+                assert _outcome(check, g, c) == _outcome(FORMER_CHECKS[check], g, c), (check.__name__, g, c)
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("family", ["cycle", "path"])
+def test_checks_match_former_bodies_on_families(family):
+    """The mixed certificates of C_n and P_n for n = 3..100 and 1000, and
+    their images on the total graph in the vertex universe."""
+    rng = random.Random(f"{family}-checks")
+    for n in [*range(3, 101), 1000]:
+        g = t.FamilyInstance(family, n).graph()
+        certs = [t.tdtc_certificate(family, n), t.min_tmds(family, n), t.max_mixed_independent_set(family, n)]
+        _assert_checks_match_former(rng, g, certs, mixed=True)
+        if n <= 100:
+            tg, labels = t.total_graph(g)
+            index = label_index(labels)
+            images = [relabel(certs[0], index), *(frozenset(map(index.__getitem__, s)) for s in certs[1:])]
+            _assert_checks_match_former(rng, tg, images, mixed=False)
+
+
+def test_checks_match_former_bodies_on_solver_certificates(random_corpus, exhaustive_connected_upto5):
+    """The certificates of the eight solvers, each run to 500 nodes, on
+    the corpora, each with one of its mutations."""
+    rng = random.Random(1028)
+    budget = SearchBudget(max_nodes=500)
+    vertex_solvers = (t.chromatic_number, t.total_dominator_chromatic_number, t.total_domination_number,
+                      t.independence_number)
+    mixed_solvers = (t.total_chromatic_number, t.tdtc_number, t.total_mixed_domination_number,
+                     t.mixed_independence_number)
+    count = 0
+    for g in [*random_corpus, *exhaustive_connected_upto5]:
+        for solvers, mixed in ((vertex_solvers, False), (mixed_solvers, True)):
+            certs = [solve(g, budget).certificate for solve in solvers]
+            count += _assert_checks_match_former(rng, g, certs, mixed, every=False)
+    assert count == 971 * 8 * 2 * 2, count
+
+
+def _run_every_check(cases: list) -> list:
+    """The outcome of every check of each (graph, certificate, universe)
+    case's shape."""
+    return [
+        _outcome(check, g, cert)
+        for g, cert, mixed in cases
+        for check in CHECKS[mixed, "coloring" if isinstance(cert, Coloring) else "set"]
+    ]
+
+
+def test_checks_build_no_neighbor_map_of_another_route(monkeypatch):
+    """No check builds ``mixed_neighbors`` or a search's neighbour lists:
+    with each of them raising, every check gives what it gave before, on
+    the certificates of C_12, in both universes, and on their mutations."""
+    rng = random.Random(12)
+    g = t.cycle(12)
+    tg, labels = t.total_graph(g)
+    index = label_index(labels)
+    certs = [t.tdtc_certificate("cycle", 12), t.min_tmds("cycle", 12), t.max_mixed_independent_set("cycle", 12)]
+    images = [relabel(certs[0], index), *(frozenset(map(index.__getitem__, s)) for s in certs[1:])]
+    cases = [(g, c, True) for cert in certs for c in _mutations(rng, g, cert, True)]
+    cases += [(tg, c, False) for cert in images for c in _mutations(rng, tg, cert, False)]
+    want = _run_every_check(cases)
+
+    def forbidden(*args):
+        raise AssertionError("a check read another route's neighbour map")
+
+    for module, name in ((tdtc.graphs, "mixed_neighbors"), (tdtc.graphs, "_total_neighbors"),
+                         (tdtc.graphs, "_total_numbering"), (tdtc.solvers, "_neighbors"),
+                         (tdtc.verify, "mixed_neighbors"), (tdtc.verify, "_neighbors")):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert _run_every_check(cases) == want

@@ -175,8 +175,14 @@ class TestObjectContract:
             (lambda: Edge(2, 2), "self-loop edge (2,2) is not allowed"),
             (lambda: Edge(0, 3), "edge endpoints must be >= 1, got (0,3)"),
             (lambda: Edge(3, 0), "edge endpoints must be >= 1, got (0,3)"),
+            # a bool or a float equal to an index is not one
+            (lambda: Vertex(True), "vertex index must be an int, got True"),
+            (lambda: Vertex(2.0), "vertex index must be an int, got 2.0"),
+            (lambda: Edge(1.0, 2), "edge endpoints must be ints, got (1.0,2)"),
+            (lambda: Edge(2, True), "edge endpoints must be ints, got (2,True)"),
         ],
-        ids=["vertex-zero", "self-loop", "edge-zero", "edge-zero-reversed"],
+        ids=["vertex-zero", "self-loop", "edge-zero", "edge-zero-reversed", "vertex-bool", "vertex-float",
+             "edge-float", "edge-bool"],
     )
     def test_domain_messages(self, make, message):
         with pytest.raises(DomainError) as info:

@@ -272,6 +272,26 @@ class TestMembersOutsideUniverse:
             check(t.path(3))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "check,message",
+        [
+            (lambda g: t.is_total_dominating_set(g, {True, 2}), "set members ['True'] are not vertices of the graph"),
+            (lambda g: t.is_independent_set(g, {1.0, 3}), "set members ['1.0'] are not vertices of the graph"),
+            (lambda g: t.is_tdc(g, mk_coloring({True}, {2}, {3})),
+             "coloring does not cover the universe (missing=[1], extra=[True])"),
+            (lambda g: t.is_proper_coloring(g, mk_coloring({1.0, 3}, {2})),
+             "coloring does not cover the universe (missing=[1], extra=[1.0])"),
+            (lambda g: t.tdc_from_tds(g, {True, 2}), "set members ['True'] are not vertices of the graph"),
+        ],
+        ids=["tds", "independent", "tdc", "proper", "tdc-from-tds"],
+    )
+    def test_bool_or_float_equal_to_a_vertex_is_not_one(self, check, message):
+        """``True == 1`` and ``1.0 == 1``, but neither is a vertex id, as
+        neither is one to ``member_token``."""
+        with pytest.raises(DomainError) as info:
+            check(t.path(3))
+        assert str(info.value) == message
+
     def test_long_member_lists_show_ten_and_count_the_rest(self):
         """C_300's certificate less its largest class misses 171 objects,
         which the message used to list in full (3 KB on one line): each
