@@ -61,6 +61,8 @@ class FamilyInstance:
     def __post_init__(self) -> None:
         if self.family not in (CYCLE, PATH):
             raise DomainError(f"unknown family {quote_token(self.family)}")
+        if type(self.n) is not int:
+            raise DomainError(f"{self.family} requires an int n, got {quote_token(self.n)}")
         low = 3 if self.family == CYCLE else 2
         if self.n < low:
             raise DomainError(f"{self.family} requires n >= {low}, got {quote_token(self.n)}")

@@ -163,11 +163,18 @@ def quote_token(token) -> str:
     """``repr(token)`` for an error message.  A string token longer than 40
     characters is quoted by its first 40 and its length, and the repr of a
     non-string, an int's digits for one, is cut the same way, so that one
-    bad token cannot fill a screen."""
+    bad token cannot fill a screen.  An int with too many digits for
+    ``repr`` (``sys.get_int_max_str_digits()``) shows its sign and bit
+    length, e.g. ``-<int of 16610 bits>``."""
     if isinstance(token, str):
         head, size = repr(token[:_QUOTED_CHARS]), len(token)
     else:
-        text = repr(token)
+        try:
+            text = repr(token)
+        except ValueError:
+            if not isinstance(token, int):
+                raise
+            text = f"{'-' * (token < 0)}<int of {token.bit_length()} bits>"
         head, size = text[:_QUOTED_CHARS], len(text)
     return head if size <= _QUOTED_CHARS else f"{head}... ({size} characters)"
 
@@ -226,6 +233,8 @@ class Graph:
         return g
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise DomainError(f"vertex count must be an int, got {quote_token(self.n)}")
         if self.n < 0:
             raise DomainError(f"vertex count must be >= 0, got {quote_token(self.n)}")
         canon = set()
@@ -262,6 +271,8 @@ class Graph:
 
 def cycle(n: int) -> Graph:
     """The cycle v_1 v_2 ... v_n v_1; the wrap edge is canonicalized as (1, n)."""
+    if type(n) is not int:
+        raise DomainError(f"a cycle needs an int n, got {quote_token(n)}")
     if n < 3:
         raise DomainError(f"a cycle needs n >= 3 vertices, got {quote_token(n)}")
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
@@ -270,6 +281,8 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     """The path v_1 v_2 ... v_n."""
+    if type(n) is not int:
+        raise DomainError(f"a path needs an int n, got {quote_token(n)}")
     if n < 2:
         raise DomainError(f"a path needs n >= 2 vertices, got {quote_token(n)}")
     return Graph._of(n, frozenset((i, i + 1) for i in range(1, n)))

@@ -14,8 +14,9 @@ search through ``_solve``; the function named below holds the strategy.
   total_mixed_domination_number and tdtc_number: ``_mis_search``,
   ``_chromatic``, ``_tds_search`` and ``_tdc_search`` on the total graph.
 * the construction of ``verify.tdc_from_tds`` and
-  ``closed_forms.tdtc_certificate``, a total dominating set as singletons
-  and a minimum coloring of the rest, not a solver: ``_dominator_coloring``.
+  ``closed_forms.tdtc_certificate``, not a solver: ``_dominator_coloring``,
+  a total dominating set, which it trusts, as singletons and a minimum
+  coloring of the rest; ``verify`` alone decides total domination.
 
 Each search runs on its universe numbered 0..V-1: neighbor lists indexed
 by number, and ``labels[p]`` the member numbered p; ``_neighbors(g)`` with
@@ -34,7 +35,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .graphs import Coloring, DomainError, Graph, _total_numbering, quote_list, quote_token
+from .graphs import Coloring, DomainError, Graph, _total_numbering, quote_token
 
 
 @dataclass(frozen=True)
@@ -409,20 +410,13 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> InvariantR
 
 def _dominator_coloring(nbrs: list[list[int]], labels, s) -> Coloring:
     """The total dominator coloring of the universe ``nbrs``/``labels``
-    built from the label set ``s``: raises DomainError, naming the labels
-    of the vertices with no neighbor in s, unless s totally dominates; else
-    the members of s as singletons in the order of their numbers, then a
-    minimum coloring, exact and unbounded, of the rest.  That coloring runs
-    on the rest renumbered 0..R-1 in ascending order, which keeps the order
-    of its vertices and so every tie of ``_chromatic``."""
+    built from the label set ``s``, which must totally dominate it (the
+    caller checks this): the members of s as singletons in the order of
+    their numbers, then a minimum coloring, exact and unbounded, of the
+    rest.  That coloring runs on the rest renumbered 0..R-1 in ascending
+    order, which keeps the order of its vertices and so every tie of
+    ``_chromatic``."""
     tds = [p for p, x in enumerate(labels) if x in s]
-    covered = bytearray(len(nbrs))
-    for v in tds:
-        for u in nbrs[v]:
-            covered[u] = 1
-    if 0 in covered:
-        uncovered = [labels[v] for v, c in enumerate(covered) if not c]
-        raise DomainError(f"not a total dominating set, uncovered vertices: {quote_list(uncovered)}")
     new = list(range(len(nbrs)))  # each vertex's number in the rest, -1 for a member of s
     for v in tds:
         new[v] = -1

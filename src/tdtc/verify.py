@@ -7,8 +7,8 @@ object exactly when the object is adjacent (or incident) to every member
 of the class.  An object never witnesses its own class, because nothing
 is adjacent to itself; in particular a singleton class is never witnessed
 by its own member.  The checks use no solver and no search's neighbor
-lists.  ``tdc_from_tds``, the one construction here, checks its members
-and delegates to ``solvers._dominator_coloring``.
+lists.  ``tdc_from_tds``, the one construction here, decides total
+domination, then calls ``solvers._dominator_coloring``, which trusts it.
 """
 
 from __future__ import annotations
@@ -244,10 +244,14 @@ def tdc_from_tds(g: Graph, s) -> Coloring:
     this holds for the members of s as well, which is why s must be a
     *total* dominating set.
 
-    Once the members are checked, ``solvers._dominator_coloring`` builds
-    the coloring on g's neighbor lists, vertex v numbered v - 1.
+    Once ``is_total_dominating_set`` accepts s, ``_dominator_coloring``
+    builds the coloring on g's neighbor lists, vertex v numbered v - 1.
     """
-    return _dominator_coloring(_neighbors(g), g.vertices, _members(vertex_universe(g), s, _not_vertices))
+    s = frozenset(s)
+    ok, uncovered = is_total_dominating_set(g, s)
+    if not ok:
+        raise DomainError(f"not a total dominating set, uncovered vertices: {quote_list(uncovered)}")
+    return _dominator_coloring(_neighbors(g), g.vertices, s)
 
 
 # ---------------------------------------------------------------------------

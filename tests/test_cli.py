@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import tdtc.cli as cli
+import tdtc.closed_forms as cf
 from tdtc import Coloring, FamilyInstance, Vertex, mixed_objects, read_edge_list
 
 
@@ -147,6 +148,16 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "--family", "cycle", "--n", "19", "--invariant", "chi_tt_d")
         assert code == 1 and out == ""
         assert err.startswith("closed-form certificate failed verification for cycle(19): improper: ")
+
+    def test_construction_from_a_non_dominating_set_exit_1(self, capsys, monkeypatch):
+        """The construction trusts its dominating set, so a set that
+        dominates nothing is caught by the certificate check: a verification
+        failure, exit 1, not a domain error (exit 3)."""
+        monkeypatch.setattr(cf, "_tmds", lambda inst: [])
+        code, out, err = run(capsys, "compute", "--family", "cycle", "--n", "20", "--invariant", "chi_tt_d")
+        assert (code, out) == (1, "")
+        assert err == ("closed-form certificate failed verification for cycle(20): "
+                       "object v1 dominates no color class\n")
 
     def test_closed_form_size_mismatch_exit_1(self, capsys, monkeypatch):
         def every_object(family, n):

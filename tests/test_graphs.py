@@ -85,6 +85,8 @@ class TestGraphType:
 
 HUGE = 10 ** 3000  # 3,001 digits
 HUGE_QUOTED = f"1{'0' * 39}... (3001 characters)"
+GIANT = 10 ** 5000  # past the 4,300 digits ``repr`` allows an int by default
+GIANT_QUOTED = "-<int of 16610 bits>"
 
 
 @pytest.mark.parametrize(
@@ -99,12 +101,20 @@ HUGE_QUOTED = f"1{'0' * 39}... (3001 characters)"
         (lambda: t.FamilyInstance("f" * 5000, 5), f"unknown family {'f' * 40!r}... (5000 characters)"),
         (lambda: SearchBudget(max_nodes=-HUGE),
          f"max_nodes must be non-negative, got -1{'0' * 38}... (3002 characters)"),
+        (lambda: Vertex(-GIANT), f"vertex index must be >= 1, got {GIANT_QUOTED}"),
+        (lambda: t.cycle(-GIANT), f"a cycle needs n >= 3 vertices, got {GIANT_QUOTED}"),
+        (lambda: Graph(-GIANT, ()), f"vertex count must be >= 0, got {GIANT_QUOTED}"),
+        (lambda: t.FamilyInstance("cycle", -GIANT), f"cycle requires n >= 3, got {GIANT_QUOTED}"),
+        (lambda: SearchBudget(max_nodes=-GIANT), f"max_nodes must be non-negative, got {GIANT_QUOTED}"),
     ],
-    ids=["graph-edge", "graph-order", "edge", "vertex", "induced-subgraph", "family", "budget"],
+    ids=["graph-edge", "graph-order", "edge", "vertex", "induced-subgraph", "family", "budget",
+         "giant-vertex", "giant-cycle", "giant-graph-order", "giant-family", "giant-budget"],
 )
 def test_long_values_in_messages_are_quoted(make, message):
     """A DomainError shows a long value by its head and length, and a long
-    list by 10 members and the count of the rest; each once printed it whole."""
+    list by 10 members and the count of the rest; each once printed it whole.
+    An int too long for ``repr`` shows its sign and bit length; each such
+    case once raised a plain ValueError from ``repr``."""
     with pytest.raises(DomainError) as info:
         make()
     assert str(info.value) == message
@@ -180,9 +190,20 @@ class TestObjectContract:
             (lambda: Vertex(2.0), "vertex index must be an int, got 2.0"),
             (lambda: Edge(1.0, 2), "edge endpoints must be ints, got (1.0,2)"),
             (lambda: Edge(2, True), "edge endpoints must be ints, got (2,True)"),
+            # nor is a bool or a float an order: each of these was accepted
+            # or raised a TypeError
+            (lambda: Graph(True, []), "vertex count must be an int, got True"),
+            (lambda: t.cycle(5.0), "a cycle needs an int n, got 5.0"),
+            (lambda: t.path(True), "a path needs an int n, got True"),
+            (lambda: t.chi_tt("path", 10.0), "path requires an int n, got 10.0"),
+            (lambda: t.alpha_mix("path", 5.5), "path requires an int n, got 5.5"),
+            (lambda: t.gamma_tm("cycle", 7.0), "cycle requires an int n, got 7.0"),
+            (lambda: t.min_tmds("cycle", 7.0), "cycle requires an int n, got 7.0"),
+            (lambda: t.tdtc_certificate("cycle", 20.0), "cycle requires an int n, got 20.0"),
         ],
         ids=["vertex-zero", "self-loop", "edge-zero", "edge-zero-reversed", "vertex-bool", "vertex-float",
-             "edge-float", "edge-bool"],
+             "edge-float", "edge-bool", "graph-order-bool", "cycle-float", "path-bool", "chi-tt-float",
+             "alpha-mix-float", "gamma-tm-float", "min-tmds-float", "tdtc-certificate-float"],
     )
     def test_domain_messages(self, make, message):
         with pytest.raises(DomainError) as info:

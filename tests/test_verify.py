@@ -350,6 +350,10 @@ class TestTdcFromTds:
         sub, _ = t.induced_subgraph(g, rest)
         assert coloring.num_classes == len(s) + t.chromatic_number(sub).value
 
+    def test_reads_an_iterator_once(self):
+        members = [2, 3, 4, 5]
+        assert t.tdc_from_tds(t.path(6), iter(members)) == t.tdc_from_tds(t.path(6), frozenset(members))
+
     def test_rejects_non_tds(self):
         with pytest.raises(DomainError):
             t.tdc_from_tds(t.path(4), {1})
